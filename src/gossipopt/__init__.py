@@ -3,15 +3,12 @@
 from .algorithms import (
     AdaptiveAlgorithm,
     AdaptiveState,
-    BaselineAlgorithm,
-    BaselineState,
     DivergenceError,
     ExtraAlgorithm,
     GammaSchedule,
     LocalityError,
     NeighborExchange,
     adaptive_step,
-    baseline_adaptive_step,
     gamma_schedule,
     local_max_consensus,
     local_min_consensus,

@@ -1,23 +1,29 @@
 """Decentralized optimization over a locality-enforcing neighbor-exchange layer.
 
-Three methods share the layer:
+The adaptive method and the prior adaptive scheme it improves on are one
+primal-dual recurrence, ``adaptive_step``: gossip the primal rows, gossip the
+gradient-tracking dual rows, backtrack a trial stepsize per agent, merge the
+trial stepsizes, then update. Only the merge differs, and ``method`` names it:
 
-* ``AdaptiveAlgorithm`` - the fully decentralized adaptive primal-dual method:
-  gossip on primal/dual rows, per-agent backtracked primal stepsizes merged by
-  one-hop min-consensus, separately tracked consensual dual stepsizes, and an
-  online doubling estimator of the effective graph diameter.
-* ``BaselineAlgorithm`` - the prior adaptive scheme with a single stepsize
-  diagonal, in ``global`` (network-wide min, charged a flood) or ``local``
-  (one-hop min) synchronization mode.
-* ``ExtraAlgorithm`` - EXTRA with a fixed, externally tuned stepsize.
+* ``adaptive`` - the fully decentralized adaptive primal-dual method: one-hop
+  min-consensus of the trial stepsizes, separately tracked consensual dual
+  stepsizes, and an online doubling estimator of the effective graph diameter.
+* ``nips_global`` - the prior scheme's network-wide minimum (simulated as an
+  oracle, charged a diameter-long flood of scalar rounds); the dual stepsize
+  is the primal one.
+* ``nips_local`` - the prior scheme's one-hop minimum; the dual stepsize is the
+  primal one.
+
+``ExtraAlgorithm`` runs EXTRA with a fixed, externally tuned stepsize.
 
 All exchanges cross graph edges; the layer counts vector gossip rounds and
-scalar consensus rounds separately and can record every message for audits.
+scalar consensus rounds separately.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,15 +33,12 @@ from .graphs import Graph, GossipMatrix, diameter
 __all__ = [
     "AdaptiveAlgorithm",
     "AdaptiveState",
-    "BaselineAlgorithm",
-    "BaselineState",
     "DivergenceError",
     "ExtraAlgorithm",
     "GammaSchedule",
     "LocalityError",
     "NeighborExchange",
     "adaptive_step",
-    "baseline_adaptive_step",
     "gamma_schedule",
     "local_max_consensus",
     "local_min_consensus",
@@ -44,6 +47,9 @@ __all__ = [
 
 # Iterates larger than this abort the run: the stepsize is unstable.
 DIVERGENCE_NORM = 1e12
+
+# Stepsize merge rules of the primal-dual recurrence.
+METHODS = ("adaptive", "nips_global", "nips_local")
 
 
 class DivergenceError(RuntimeError):
@@ -91,11 +97,12 @@ class NeighborExchange:
     ``gossip_rows`` multiplies by W and charges one vector round (one
     d-dimensional payload per edge direction plus self-loops);
     ``neighbor_min``/``neighbor_max`` charge one scalar round unless they
-    piggyback on an exchange already charged this iteration. With
-    ``record=True`` every (sender, receiver, scalars) triple is kept.
+    piggyback on an exchange already charged this iteration. Locality is
+    enforced once, at construction: W may carry weight only on graph edges
+    and self-loops.
     """
 
-    def __init__(self, gm: GossipMatrix, record: bool = False):
+    def __init__(self, gm: GossipMatrix):
         off_pattern = gm.W.copy()
         np.fill_diagonal(off_pattern, 0.0)
         off_pattern[gm.graph.adjacency() != 0.0] = 0.0
@@ -105,61 +112,41 @@ class NeighborExchange:
         self.W = gm.W
         self.vector_rounds = 0
         self.scalar_rounds = 0
-        self.messages: list[tuple[int, int, int]] | None = [] if record else None
-
-    def _log_round(self, payload: int) -> None:
-        if self.messages is None:
-            return
-        for i in range(self.graph.m):
-            for j in self.graph.neighbors[i]:
-                self.messages.append((j, i, payload))
 
     def gossip_rows(self, V: np.ndarray) -> np.ndarray:
         self.vector_rounds += 1
-        self._log_round(V.shape[1])
         return self.W @ V
 
     def neighbor_min(self, v: np.ndarray, charge: bool = True) -> np.ndarray:
         if charge:
             self.scalar_rounds += 1
-            self._log_round(1)
         return local_min_consensus(v, self.graph)
 
     def neighbor_max(self, v: np.ndarray, charge: bool = True) -> np.ndarray:
         if charge:
             self.scalar_rounds += 1
-            self._log_round(1)
         return local_max_consensus(v, self.graph)
 
     def charge_flood(self) -> None:
         """Cost of one network-wide min: diameter-many scalar rounds."""
-        for _ in range(self._diameter()):
-            self.scalar_rounds += 1
-            self._log_round(1)
+        self.scalar_rounds += self._diameter
 
+    @cached_property
     def _diameter(self) -> int:
-        if not hasattr(self, "_diam_cache"):
-            self._diam_cache = diameter(self.graph)
-        return self._diam_cache
-
-    def audit_locality(self) -> None:
-        """Hard check that every recorded message crossed an edge or self-loop."""
-        if self.messages is None:
-            raise LocalityError("exchange was not recording messages")
-        for src, dst, _ in self.messages:
-            if src != dst and (min(src, dst), max(src, dst)) not in self.graph.edges:
-                raise LocalityError(f"message {src}->{dst} crosses a non-edge")
+        return diameter(self.graph)
 
 
 @dataclass
 class AdaptiveState:
-    """Full per-iteration state of the adaptive primal-dual method.
+    """Full per-iteration state of the primal-dual recurrence.
 
     ``theta``, ``theta_tracker`` and ``pi`` hold the values produced by the
     previous iteration (the -1 initializations before the first step).
     ``diam`` is each agent's current effective-diameter estimate, ``bounded``
     the safeguard bits, and ``double_count`` accumulates per-agent doubling
-    events of the estimator.
+    events of the estimator. The tracker and the diameter estimate belong to
+    the ``adaptive`` merge; the ``nips_*`` merges leave them at their initial
+    values and set ``pi`` to ``theta``.
     """
 
     X: np.ndarray
@@ -209,80 +196,77 @@ def safeguard_update(state: AdaptiveState, exchange: NeighborExchange, radius: f
     return np.where(outside, 0, exchange.neighbor_min(state.bounded))
 
 
+def _check_method(method: str) -> None:
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+
+
 def adaptive_step(
     state: AdaptiveState,
     exchange: NeighborExchange,
     family,
     gamma_prev: float,
     delta: float,
+    method: str = "adaptive",
     safeguard_radius: float | None = None,
-    force_theta: float | None = None,
-    global_uniform: bool = False,
 ) -> AdaptiveState:
-    """Advance the adaptive method by one synchronous iteration (in place).
+    """Advance the primal-dual recurrence by one synchronous iteration (in place).
 
     ``gamma_prev`` is the growth factor paired with this iteration's
     backtracking; the stepsize trackers grow by the same factor so that the
-    network-min stepsize is recovered exactly over quiet windows.
-    ``force_theta`` bypasses the stepsize machinery with a uniform constant;
-    ``global_uniform`` replaces the one-hop minima with the network-wide min
-    (oracle used by equivalence tests).
+    network-min stepsize is recovered exactly over quiet windows. ``method``
+    picks how the per-agent trial stepsizes are merged (see the module
+    docstring). The state is written only once the new iterate has passed
+    the divergence check, so a ``DivergenceError`` leaves it untouched.
     """
+    _check_method(method)
     k = state.k
+    m = state.X.shape[0]
 
     gamma_bt: float | np.ndarray = gamma_prev
+    bounded_new = state.bounded
     if safeguard_radius is not None:
-        h_prev = state.bounded.copy()
-        state.bounded = safeguard_update(state, exchange, safeguard_radius)
+        bounded_new = safeguard_update(state, exchange, safeguard_radius)
         # 1 + h*(gamma-1), written so the h=1 branch is bit-exact gamma
-        gamma_bt = np.where(h_prev == 1, gamma_prev, 1.0)
+        gamma_bt = np.where(state.bounded == 1, gamma_prev, 1.0)
 
     # gossip the primal rows, then the gradient-tracking dual rows
     X_half = exchange.gossip_rows(state.X)
     G_half = family.gradients(X_half)
     Y_half = exchange.gossip_rows(state.Y + G_half)
 
-    if force_theta is None:
-        # per-agent line search along the negated dual direction, then a
-        # one-hop min merges the trial stepsizes
-        theta_bar, _ = backtrack_batch(state.theta, family, X_half, -Y_half, gamma_bt, delta)
-        if global_uniform:
-            exchange.charge_flood()
-            theta_new = np.full(state.X.shape[0], theta_bar.min())
-            tracker_new = theta_new.copy()
-            pi_new = theta_new.copy()
-            diam_new = state.diam
-        else:
-            theta_new = exchange.neighbor_min(theta_bar)
-
-            # tracker: reseed from the fresh stepsizes every d_i-th iteration,
-            # otherwise keep a gamma-grown neighborhood minimum; the paired
-            # values travel in one scalar round
-            grown = gamma_prev * state.theta_tracker
-            reseed = (k % state.diam) == (1 % state.diam)
-            reseed_min = exchange.neighbor_min(theta_new)
-            grown_min = exchange.neighbor_min(grown, charge=False)
-            tracker_new = np.where(reseed, reseed_min, grown_min)
-
-            # dual stepsizes adopt the tracker at horizon multiples and grow
-            # by the same factor in between
-            at_horizon = (k % state.diam) == 0
-            pi_new = np.where(at_horizon, tracker_new, gamma_prev * state.pi)
-
-            # diameter estimate: if the tracker is not locally consensual at a
-            # horizon multiple, the horizon was too short - double it; either
-            # way sync estimates by a one-hop max
-            tracker_min = exchange.neighbor_min(tracker_new, charge=False)
-            failed = at_horizon & (tracker_new != tracker_min)
-            d_max = exchange.neighbor_max(state.diam)
-            diam_new = np.where(failed, 2 * d_max, d_max)
-            state.double_count += failed
+    # per-agent line search along the negated dual direction, then merge the
+    # trial stepsizes by a network-wide or a one-hop minimum
+    theta_bar, _ = backtrack_batch(state.theta, family, X_half, -Y_half, gamma_bt, delta)
+    if method == "nips_global":
+        exchange.charge_flood()
+        theta_new = np.full(m, theta_bar.min())
     else:
-        m = state.X.shape[0]
-        theta_new = np.full(m, float(force_theta))
-        tracker_new = state.theta_tracker
-        pi_new = np.full(m, float(force_theta))
-        diam_new = state.diam
+        theta_new = exchange.neighbor_min(theta_bar)
+
+    tracker_new, pi_new, diam_new, doubled = state.theta_tracker, theta_new, state.diam, 0
+    if method == "adaptive":
+        # tracker: reseed from the fresh stepsizes every d_i-th iteration,
+        # otherwise keep a gamma-grown neighborhood minimum; the paired
+        # values travel in one scalar round
+        grown = gamma_prev * state.theta_tracker
+        reseed = (k % state.diam) == (1 % state.diam)
+        reseed_min = exchange.neighbor_min(theta_new)
+        grown_min = exchange.neighbor_min(grown, charge=False)
+        tracker_new = np.where(reseed, reseed_min, grown_min)
+
+        # dual stepsizes adopt the tracker at horizon multiples and grow
+        # by the same factor in between
+        at_horizon = (k % state.diam) == 0
+        pi_new = np.where(at_horizon, tracker_new, gamma_prev * state.pi)
+
+        # diameter estimate: if the tracker is not locally consensual at a
+        # horizon multiple, the horizon was too short - double it; either
+        # way sync estimates by a one-hop max
+        tracker_min = exchange.neighbor_min(tracker_new, charge=False)
+        doubled = at_horizon & (tracker_new != tracker_min)
+        d_max = exchange.neighbor_max(state.diam)
+        diam_new = np.where(doubled, 2 * d_max, d_max)
 
     # primal descent plus the dual correction built from the pi-scaled gossip;
     # the scaled difference is grouped first so its large terms cancel cleanly
@@ -291,7 +275,7 @@ def adaptive_step(
     Y_new = Y_half + (X_scaled - exchange.gossip_rows(X_scaled)) - G_half
 
     if not np.isfinite(X_new).all() or np.linalg.norm(X_new) > DIVERGENCE_NORM:
-        raise DivergenceError(f"adaptive iterate diverged at k={k}")
+        raise DivergenceError(f"{method} iterate diverged at k={k}")
 
     state.X = X_new
     state.Y = Y_new
@@ -299,67 +283,9 @@ def adaptive_step(
     state.theta_tracker = tracker_new
     state.pi = pi_new
     state.diam = diam_new
+    state.bounded = bounded_new
+    state.double_count = state.double_count + doubled
     state.k = k + 1
-    return state
-
-
-@dataclass
-class BaselineState:
-    """Iterate and single stepsize diagonal of the prior adaptive scheme."""
-
-    X: np.ndarray
-    Y: np.ndarray
-    theta: np.ndarray
-    k: int = 0
-
-    @classmethod
-    def initial(cls, X0: np.ndarray, theta0: float = 1.0) -> "BaselineState":
-        X0 = np.asarray(X0, dtype=float)
-        return cls(X=X0.copy(), Y=np.zeros_like(X0), theta=np.full(X0.shape[0], float(theta0)))
-
-
-def baseline_adaptive_step(
-    state: BaselineState,
-    exchange: NeighborExchange,
-    family,
-    gamma_prev: float,
-    delta: float,
-    mode: str,
-    force_theta: float | None = None,
-) -> BaselineState:
-    """One iteration of the prior adaptive scheme with the chosen consensus.
-
-    ``global`` mode takes the true network-wide minimum of the trial
-    stepsizes (simulated as an oracle, charged as a diameter-long flood of
-    scalar rounds); ``local`` takes the one-hop minimum.
-    """
-    if mode not in ("global", "local"):
-        raise ValueError(f"mode must be 'global' or 'local', got {mode!r}")
-    X_half = exchange.gossip_rows(state.X)
-    G_half = family.gradients(X_half)
-    Y_half = exchange.gossip_rows(state.Y + G_half)
-
-    if force_theta is None:
-        theta_bar, _ = backtrack_batch(state.theta, family, X_half, -Y_half, gamma_prev, delta)
-        if mode == "global":
-            exchange.charge_flood()
-            theta_new = np.full(state.X.shape[0], theta_bar.min())
-        else:
-            theta_new = exchange.neighbor_min(theta_bar)
-    else:
-        theta_new = np.full(state.X.shape[0], float(force_theta))
-
-    X_new = X_half - theta_new[:, None] * Y_half
-    X_scaled = state.X / theta_new[:, None]
-    Y_new = Y_half + (X_scaled - exchange.gossip_rows(X_scaled)) - G_half
-
-    if not np.isfinite(X_new).all() or np.linalg.norm(X_new) > DIVERGENCE_NORM:
-        raise DivergenceError(f"baseline iterate diverged at k={state.k}")
-
-    state.X = X_new
-    state.Y = Y_new
-    state.theta = theta_new
-    state.k += 1
     return state
 
 
@@ -373,32 +299,35 @@ def _as_gamma_fn(gamma):
 
 
 class AdaptiveAlgorithm:
-    """Driver owning the state, exchange, and gamma schedule of one run."""
+    """Driver owning the state, exchange, and gamma schedule of one run.
 
-    name = "adaptive"
+    ``method`` is ``adaptive`` (the default), ``nips_global`` or
+    ``nips_local``; ``d0`` and ``safeguard_radius`` belong to the adaptive
+    method.
+    """
 
     def __init__(
         self,
         gm: GossipMatrix,
         family,
         X0: np.ndarray,
+        method: str = "adaptive",
         delta: float = 1.0,
         theta0: float = 1.0,
         d0: int = 1,
         gamma=GammaSchedule(),
         safeguard_radius: float | None = None,
-        record: bool = False,
-        global_uniform: bool = False,
     ):
+        _check_method(method)
         if not (0.0 < delta <= 1.0):
             raise ValueError(f"delta must lie in (0, 1], got {delta}")
-        self.exchange = NeighborExchange(gm, record=record)
+        self.exchange = NeighborExchange(gm)
         self.family = family
         self.state = AdaptiveState.initial(X0, theta0=theta0, d0=d0)
+        self.name = method
         self.delta = delta
         self.gamma = _as_gamma_fn(gamma)
         self.safeguard_radius = safeguard_radius
-        self.global_uniform = global_uniform
 
     def _gamma_prev(self) -> float:
         # iteration k pairs with the k-1 growth factor; clamp the undefined
@@ -412,8 +341,8 @@ class AdaptiveAlgorithm:
             self.family,
             self._gamma_prev(),
             self.delta,
-            safeguard_radius=self.safeguard_radius,
-            global_uniform=self.global_uniform,
+            self.name,
+            self.safeguard_radius,
         )
 
     @property
@@ -426,65 +355,13 @@ class AdaptiveAlgorithm:
 
     def stats(self) -> dict:
         s = self.state
+        tracked = self.name == "adaptive"
         return {
             "theta_min": float(s.theta.min()),
             "theta_max": float(s.theta.max()),
-            "pi_min": float(s.pi.min()),
-            "pi_max": float(s.pi.max()),
-            "d_max": int(s.diam.max()),
-        }
-
-
-class BaselineAlgorithm:
-    """Driver for the prior adaptive scheme (global or local min-consensus)."""
-
-    def __init__(
-        self,
-        gm: GossipMatrix,
-        family,
-        X0: np.ndarray,
-        mode: str,
-        delta: float = 1.0,
-        theta0: float = 1.0,
-        gamma=GammaSchedule(),
-        record: bool = False,
-    ):
-        if not (0.0 < delta <= 1.0):
-            raise ValueError(f"delta must lie in (0, 1], got {delta}")
-        if mode not in ("global", "local"):
-            raise ValueError(f"mode must be 'global' or 'local', got {mode!r}")
-        self.exchange = NeighborExchange(gm, record=record)
-        self.family = family
-        self.state = BaselineState.initial(X0, theta0=theta0)
-        self.mode = mode
-        self.delta = delta
-        self.gamma = _as_gamma_fn(gamma)
-        self.name = f"nips_{mode}"
-
-    def _gamma_prev(self) -> float:
-        return self.gamma(max(self.state.k - 1, 0))
-
-    def step(self) -> None:
-        baseline_adaptive_step(
-            self.state, self.exchange, self.family, self._gamma_prev(), self.delta, self.mode
-        )
-
-    @property
-    def X(self) -> np.ndarray:
-        return self.state.X
-
-    @property
-    def Y(self) -> np.ndarray:
-        return self.state.Y
-
-    def stats(self) -> dict:
-        s = self.state
-        return {
-            "theta_min": float(s.theta.min()),
-            "theta_max": float(s.theta.max()),
-            "pi_min": None,
-            "pi_max": None,
-            "d_max": None,
+            "pi_min": float(s.pi.min()) if tracked else None,
+            "pi_max": float(s.pi.max()) if tracked else None,
+            "d_max": int(s.diam.max()) if tracked else None,
         }
 
 
@@ -499,10 +376,10 @@ class ExtraAlgorithm:
 
     name = "extra"
 
-    def __init__(self, gm: GossipMatrix, family, X0: np.ndarray, alpha: float, record: bool = False):
+    def __init__(self, gm: GossipMatrix, family, X0: np.ndarray, alpha: float):
         if alpha <= 0.0:
             raise ValueError(f"alpha must be positive, got {alpha}")
-        self.exchange = NeighborExchange(gm, record=record)
+        self.exchange = NeighborExchange(gm)
         self.family = family
         self.alpha = float(alpha)
         self.X = np.asarray(X0, dtype=float).copy()

@@ -10,6 +10,7 @@ and logistic regression on a libsvm dataset.
 from __future__ import annotations
 
 import json
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -17,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .algorithms import (
+    METHODS,
     AdaptiveAlgorithm,
-    BaselineAlgorithm,
     DivergenceError,
     ExtraAlgorithm,
     GammaSchedule,
@@ -51,7 +52,7 @@ CSV_HEADER = "k,vector_rounds,scalar_rounds,err_rel,V,M_erg,theta_min,theta_max,
 
 SUITE_NAMES = ("quadratic_graphs", "condition_sweep", "diameter_sweep", "logistic_graphs")
 
-_ALGORITHMS = ("adaptive", "nips_global", "nips_local", "extra")
+_ALGORITHMS = (*METHODS, "extra")
 
 _DEFAULT_ALPHA_GRID = tuple(float(a) for a in np.logspace(-6.0, 0.0, 25))
 
@@ -114,7 +115,25 @@ def load_config(path) -> RunConfig:
     return RunConfig.from_dict(raw)
 
 
+# problem keys without a default, by problem kind
+_PROBLEM_KEYS = {"quadratic": ("m", "h", "n"), "logistic": ("dataset", "m", "h")}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _validate(cfg: RunConfig) -> None:
+    for key in ("max_iterations", "max_vector_rounds", "stride", "seed"):
+        if not _is_int(getattr(cfg, key)):
+            raise ConfigError(f"{key} must be an integer, got {getattr(cfg, key)!r}")
+    for key in ("c", "epsilon", "fixed_point_tol"):
+        if not _is_real(getattr(cfg, key)):
+            raise ConfigError(f"{key} must be a real number, got {getattr(cfg, key)!r}")
     if not isinstance(cfg.graph, dict) or not isinstance(cfg.problem, dict):
         raise ConfigError("graph and problem sections must be mappings")
     if not isinstance(cfg.algorithm, dict) or "algorithm" not in cfg.algorithm:
@@ -125,6 +144,9 @@ def _validate(cfg: RunConfig) -> None:
     kind = cfg.problem.get("kind")
     if kind not in ("quadratic", "logistic"):
         raise ConfigError(f"problem kind must be 'quadratic' or 'logistic', got {kind!r}")
+    missing = [key for key in _PROBLEM_KEYS[kind] if key not in cfg.problem]
+    if missing:
+        raise ConfigError(f"{kind} problem is missing required keys {missing}")
     if kind == "logistic":
         dataset = cfg.problem.get("dataset")
         if not dataset:
@@ -258,12 +280,9 @@ def _make_algorithm(cfg: RunConfig, gm, family, X0: np.ndarray):
         }
         if name == "adaptive":
             guard = spec.get("safeguard") or {}
-            radius = float(guard["R_tilde"]) if guard.get("enabled") else None
-            return AdaptiveAlgorithm(
-                gm, family, X0, d0=int(spec.get("d0", 1)), safeguard_radius=radius, **common
-            )
-        mode = "global" if name == "nips_global" else "local"
-        return BaselineAlgorithm(gm, family, X0, mode=mode, **common)
+            common["d0"] = int(spec.get("d0", 1))
+            common["safeguard_radius"] = float(guard["R_tilde"]) if guard.get("enabled") else None
+        return AdaptiveAlgorithm(gm, family, X0, method=name, **common)
     except (ValueError, TypeError) as exc:
         if isinstance(exc, ConfigError):
             raise

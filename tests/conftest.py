@@ -31,3 +31,18 @@ def synthetic_logistic(m: int, h: int, d: int, seed: int) -> LogisticFamily:
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def written_out_step(W, family, X, Y, theta, pi):
+    """The primal-dual recurrence written out with given stepsizes theta and pi.
+
+    X_half = W X,  Y_half = W (Y + grad F(X_half)),
+    X+ = X_half - diag(theta) Y_half,
+    Y+ = Y_half + (I - W) diag(pi)^-1 X - grad F(X_half).
+    """
+    X_half = W @ X
+    G_half = family.gradients(X_half)
+    Y_half = W @ (Y + G_half)
+    X_new = X_half - theta[:, None] * Y_half
+    Y_new = Y_half + (np.eye(len(W)) - W) @ (X / pi[:, None]) - G_half
+    return X_new, Y_new

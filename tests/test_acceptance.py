@@ -11,14 +11,12 @@ import pytest
 from gossipopt import (
     AdaptiveAlgorithm,
     AdaptiveState,
-    BaselineState,
     FixedPoint,
     NeighborExchange,
     QuadraticFamily,
     RunConfig,
     adaptive_step,
     backtrack,
-    baseline_adaptive_step,
     build_erdos_renyi,
     build_line_graph,
     diameter,
@@ -32,9 +30,10 @@ from gossipopt import (
     run,
     spectral_data,
 )
+from gossipopt.algorithms import METHODS
 from gossipopt.graphs import Graph
 from gossipopt.harness import experiment_suite
-from conftest import find_a3a, synthetic_logistic
+from conftest import find_a3a, synthetic_logistic, written_out_step
 
 
 def _passed(num: int, label: str) -> None:
@@ -128,6 +127,8 @@ def test_criterion_3_convex_sublinear_on_a3a():
 
 
 def test_criterion_4_equivalence_oracle(rng):
+    # one step of each merge rule equals the recurrence written out with the
+    # stepsizes that step chose; nips_global's are uniform, the benchmark update
     checked = 0
     while checked < 50:
         m = int(rng.integers(2, 6))
@@ -137,17 +138,16 @@ def test_criterion_4_equivalence_oracle(rng):
         fam = generate_quadratic(m=m, h=4, n=d, ridge=float(rng.uniform(0, 1)), seed=checked)
         X = rng.standard_normal((m, d))
         Y = rng.standard_normal((m, d))
-        theta = float(rng.uniform(1e-3, 1e-1))
-        sa = AdaptiveState.initial(X)
-        sa.Y = Y.copy()
-        sb = BaselineState.initial(X)
-        sb.Y = Y.copy()
-        adaptive_step(sa, NeighborExchange(gm), fam, 1.5, 1.0, force_theta=theta)
-        baseline_adaptive_step(
-            sb, NeighborExchange(gm), fam, 1.5, 1.0, "global", force_theta=theta
-        )
-        assert np.abs(sa.X - sb.X).max() <= 1e-12
-        assert np.abs(sa.Y - sb.Y).max() <= 1e-12
+        theta0 = float(rng.uniform(1e-3, 1.0))
+        for method in METHODS:
+            state = AdaptiveState.initial(X, theta0=theta0)
+            state.Y = Y.copy()
+            adaptive_step(state, NeighborExchange(gm), fam, 1.5, 1.0, method)
+            X_ref, Y_ref = written_out_step(gm.W, fam, X, Y, state.theta, state.pi)
+            assert np.abs(state.X - X_ref).max() <= 1e-12
+            assert np.abs(state.Y - Y_ref).max() <= 1e-12
+            if method == "nips_global":
+                assert state.theta.max() == state.theta.min()
         checked += 1
     _passed(4, "uniform-stepsize step equals the benchmark update")
 

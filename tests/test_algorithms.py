@@ -1,11 +1,14 @@
+import copy
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import shortest_path
 
 from gossipopt import (
     AdaptiveAlgorithm,
     AdaptiveState,
-    BaselineAlgorithm,
-    BaselineState,
     DivergenceError,
     ExtraAlgorithm,
     GammaSchedule,
@@ -14,7 +17,6 @@ from gossipopt import (
     QuadraticFamily,
     adaptive_step,
     backtrack,
-    baseline_adaptive_step,
     build_complete_graph,
     build_erdos_renyi,
     build_line_graph,
@@ -26,7 +28,8 @@ from gossipopt import (
     local_max_consensus,
     local_min_consensus,
 )
-from conftest import synthetic_logistic
+from gossipopt.algorithms import DIVERGENCE_NORM, METHODS
+from conftest import synthetic_logistic, written_out_step
 
 
 def scalar_quadratic(scale=0.5):
@@ -78,6 +81,40 @@ def test_min_consensus_reaches_global_within_diameter(rng):
         assert np.all(out == v.min())
 
 
+connected_er = st.builds(
+    build_erdos_renyi,
+    m=st.integers(2, 24),
+    p=st.floats(0.2, 1.0),
+    seed=st.integers(0, 2**31 - 1),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=connected_er, data=st.data())
+def test_consensus_is_local_and_reaches_in_exactly_diameter_rounds(g, data):
+    # the reference neighborhoods come from the edge set, not from g.neighbors
+    closed = g.adjacency() + np.eye(g.m) > 0
+    v = np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=g.m, max_size=g.m)))
+    masked = np.where(closed, v[None, :], np.inf)
+    np.testing.assert_array_equal(local_min_consensus(v, g), masked.min(axis=1))
+    masked = np.where(closed, v[None, :], -np.inf)
+    np.testing.assert_array_equal(local_max_consensus(v, g), masked.max(axis=1))
+
+    # a unique minimum at one end of a diametral pair floods the graph in
+    # exactly diameter-many rounds
+    hops = shortest_path(g.adjacency(), unweighted=True)
+    source, far = np.unravel_index(np.argmax(hops), hops.shape)
+    d = diameter(g)
+    assert hops[source, far] == d
+    out = np.ones(g.m)
+    out[source] = 0.0
+    for _ in range(d - 1):
+        out = local_min_consensus(out, g)
+    assert out[far] == 1.0
+    out = local_min_consensus(out, g)
+    assert np.all(out == 0.0)
+
+
 # --- gamma schedule ---
 
 
@@ -99,18 +136,6 @@ def test_gamma_schedule_validation():
 # --- exchange layer ---
 
 
-def test_exchange_round_accounting_and_audit():
-    g = build_line_graph(4)
-    gm = gossip_matrix(g, c=0.5)
-    fam = generate_quadratic(m=4, h=5, n=3, ridge=0.0, seed=1)
-    algo = AdaptiveAlgorithm(gm, fam, X0=np.zeros((4, 3)), record=True)
-    for _ in range(5):
-        algo.step()
-    assert algo.exchange.vector_rounds == 15  # 3 per iteration
-    assert algo.exchange.scalar_rounds == 15  # 3 per iteration
-    algo.exchange.audit_locality()
-
-
 def test_exchange_detects_offpattern_weight():
     g = build_line_graph(4)
     gm = gossip_matrix(g, c=0.5)
@@ -119,46 +144,33 @@ def test_exchange_detects_offpattern_weight():
         NeighborExchange(gm)
 
 
-def test_audit_detects_injected_violation():
-    gm = gossip_matrix(build_line_graph(3), c=0.5)
-    ex = NeighborExchange(gm, record=True)
-    ex.messages.append((0, 2, 1))  # not an edge of the line graph
-    with pytest.raises(LocalityError):
-        ex.audit_locality()
-
-
-def test_safeguard_adds_one_scalar_round():
-    gm = gossip_matrix(build_line_graph(3), c=0.5)
-    fam = generate_quadratic(m=3, h=4, n=2, ridge=0.0, seed=2)
-    algo = AdaptiveAlgorithm(gm, fam, X0=np.zeros((3, 2)), safeguard_radius=1e9)
-    for _ in range(4):
-        algo.step()
-    assert algo.exchange.scalar_rounds == 16  # 4 per iteration with the safeguard
-
-
-def test_baseline_round_accounting():
+@pytest.mark.parametrize(
+    "name,scalars_per_iter",
+    [
+        ("adaptive", 3),
+        ("adaptive+safeguard", 4),
+        ("nips_global", 4),  # flooded min: diameter-many, 4 on the 5-agent line
+        ("nips_local", 1),
+        ("extra", 0),
+    ],
+)
+def test_round_accounting(name, scalars_per_iter):
     g = build_line_graph(5)
+    assert diameter(g) == 4
     gm = gossip_matrix(g, c=0.5)
     fam = generate_quadratic(m=5, h=4, n=3, ridge=0.0, seed=3)
-    glob = BaselineAlgorithm(gm, fam, X0=np.zeros((5, 3)), mode="global")
-    loc = BaselineAlgorithm(gm, fam, X0=np.zeros((5, 3)), mode="local")
-    for _ in range(3):
-        glob.step()
-        loc.step()
-    assert glob.exchange.vector_rounds == 9
-    assert glob.exchange.scalar_rounds == 3 * diameter(g)  # flooded min
-    assert loc.exchange.vector_rounds == 9
-    assert loc.exchange.scalar_rounds == 3
-
-
-def test_extra_round_accounting():
-    gm = gossip_matrix(build_line_graph(4), c=0.5)
-    fam = generate_quadratic(m=4, h=3, n=2, ridge=0.0, seed=4)
-    algo = ExtraAlgorithm(gm, fam, X0=np.zeros((4, 2)), alpha=1e-3)
-    for _ in range(6):
+    X0 = np.zeros((5, 3))
+    if name == "extra":
+        algo = ExtraAlgorithm(gm, fam, X0=X0, alpha=1e-3)
+    else:
+        method, _, guard = name.partition("+")
+        radius = 1e9 if guard else None
+        algo = AdaptiveAlgorithm(gm, fam, X0=X0, method=method, safeguard_radius=radius)
+    k = 4
+    for _ in range(k):
         algo.step()
-    assert algo.exchange.vector_rounds == 6
-    assert algo.exchange.scalar_rounds == 0
+    assert algo.exchange.vector_rounds == (k if name == "extra" else 3 * k)
+    assert algo.exchange.scalar_rounds == scalars_per_iter * k
 
 
 # --- adaptive method ---
@@ -195,35 +207,23 @@ def test_fixed_point_is_stationary():
     assert moved / scale <= 1e-10
 
 
-def test_forced_uniform_step_matches_baseline_global(rng):
+@pytest.mark.parametrize("method", METHODS)
+def test_step_matches_written_out_recurrence(method, rng):
     fam = generate_quadratic(m=4, h=5, n=3, ridge=0.1, seed=7)
     gm = gossip_matrix(build_erdos_renyi(4, 0.9, seed=2), c=0.5)
     for _ in range(5):
         X = rng.standard_normal((4, 3))
         Y = rng.standard_normal((4, 3))
-        theta = float(rng.uniform(1e-3, 1e-1))
-        sa = AdaptiveState.initial(X, theta0=1.0)
-        sa.Y = Y.copy()
-        sb = BaselineState.initial(X, theta0=1.0)
-        sb.Y = Y.copy()
-        adaptive_step(sa, NeighborExchange(gm), fam, 1.5, 1.0, force_theta=theta)
-        baseline_adaptive_step(sb, NeighborExchange(gm), fam, 1.5, 1.0, "global", force_theta=theta)
-        assert np.abs(sa.X - sb.X).max() <= 1e-12
-        assert np.abs(sa.Y - sb.Y).max() <= 1e-12
-
-
-def test_global_uniform_trajectory_matches_baseline_global():
-    fam = generate_quadratic(m=4, h=6, n=3, ridge=0.0, seed=8)
-    gm = gossip_matrix(build_line_graph(4), c=0.5)
-    X0 = np.zeros((4, 3))
-    ada = AdaptiveAlgorithm(gm, fam, X0=X0, global_uniform=True)
-    base = BaselineAlgorithm(gm, fam, X0=X0, mode="global")
-    for _ in range(30):
-        ada.step()
-        base.step()
-        assert np.abs(ada.X - base.X).max() <= 1e-12
-        assert np.abs(ada.Y - base.Y).max() <= 1e-12
-        np.testing.assert_array_equal(ada.state.theta, base.state.theta)
+        state = AdaptiveState.initial(X, theta0=float(rng.uniform(1e-3, 1.0)))
+        state.Y = Y.copy()
+        adaptive_step(state, NeighborExchange(gm), fam, 1.5, 1.0, method)
+        X_ref, Y_ref = written_out_step(gm.W, fam, X, Y, state.theta, state.pi)
+        assert np.abs(state.X - X_ref).max() <= 1e-12
+        assert np.abs(state.Y - Y_ref).max() <= 1e-12
+        if method != "adaptive":
+            np.testing.assert_array_equal(state.pi, state.theta)
+        if method == "nips_global":
+            assert state.theta.max() == state.theta.min()
 
 
 def test_dual_column_sums_conserved():
@@ -358,10 +358,22 @@ def test_safeguard_huge_radius_matches_default():
 def test_adaptive_divergence_guard():
     fam = generate_quadratic(m=3, h=4, n=2, ridge=0.0, seed=11)
     gm = gossip_matrix(build_line_graph(3), c=0.5)
-    state = AdaptiveState.initial(np.full((3, 2), 1e11), theta0=1.0)
+    state = AdaptiveState.initial(np.full((3, 2), 10 * DIVERGENCE_NORM), theta0=1.0)
     with pytest.raises(DivergenceError):
-        for _ in range(50):
-            adaptive_step(state, NeighborExchange(gm), fam, 2.0, 1.0, force_theta=1e6)
+        adaptive_step(state, NeighborExchange(gm), fam, 2.0, 1.0)
+    assert state.k == 0
+
+
+def test_divergence_leaves_state_untouched():
+    fam = generate_quadratic(m=3, h=4, n=2, ridge=0.0, seed=11)
+    gm = gossip_matrix(build_line_graph(3), c=0.5)
+    state = AdaptiveState.initial(np.full((3, 2), 1e13), theta0=1.0)
+    state.X0 = np.zeros((3, 2))  # every agent is outside the safeguard radius
+    before = copy.deepcopy(state)
+    with pytest.raises(DivergenceError):
+        adaptive_step(state, NeighborExchange(gm), fam, 2.0, 1.0, safeguard_radius=1.0)
+    for f in fields(state):
+        np.testing.assert_array_equal(getattr(state, f.name), getattr(before, f.name), err_msg=f.name)
 
 
 def test_state_validation():
@@ -374,7 +386,7 @@ def test_state_validation():
     with pytest.raises(ValueError):
         AdaptiveAlgorithm(gm, fam, X0=np.zeros((2, 2)), delta=1.5)
     with pytest.raises(ValueError):
-        BaselineAlgorithm(gm, fam, X0=np.zeros((2, 2)), mode="sideways")
+        AdaptiveAlgorithm(gm, fam, X0=np.zeros((2, 2)), method="sideways")
     with pytest.raises(ValueError):
         ExtraAlgorithm(gm, fam, X0=np.zeros((2, 2)), alpha=0.0)
     with pytest.raises(ValueError):
@@ -391,8 +403,8 @@ def test_baseline_modes_differ_on_heterogeneous_losses():
     A = np.array([[[np.sqrt(s)]] for s in scales])
     fam = QuadraticFamily(A, np.ones((3, 1)), ridge=0.0)
     gm = gossip_matrix(build_line_graph(3), c=0.5)
-    glob = BaselineAlgorithm(gm, fam, X0=np.zeros((3, 1)), mode="global")
-    loc = BaselineAlgorithm(gm, fam, X0=np.zeros((3, 1)), mode="local")
+    glob = AdaptiveAlgorithm(gm, fam, X0=np.zeros((3, 1)), method="nips_global")
+    loc = AdaptiveAlgorithm(gm, fam, X0=np.zeros((3, 1)), method="nips_local")
     saw_heterogeneous = False
     for _ in range(20):
         glob.step()
@@ -408,7 +420,7 @@ def test_baseline_single_agent_matches_adaptive():
     fam = generate_quadratic(m=1, h=5, n=3, ridge=0.0, seed=12)
     gm = gossip_matrix(build_line_graph(1), c=0.5)
     ada = AdaptiveAlgorithm(gm, fam, X0=np.ones((1, 3)))
-    base = BaselineAlgorithm(gm, fam, X0=np.ones((1, 3)), mode="global")
+    base = AdaptiveAlgorithm(gm, fam, X0=np.ones((1, 3)), method="nips_global")
     for _ in range(20):
         ada.step()
         base.step()

@@ -278,6 +278,42 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "missing.yaml")]) == 3
 
 
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: d.update(max_iterations="lots"),
+        lambda d: d.update(max_vector_rounds=1.0e5),
+        lambda d: d.update(stride=2.5),
+        lambda d: d.update(seed=True),
+        lambda d: d.update(c="half"),
+        lambda d: d.update(epsilon=None),
+        lambda d: d.update(fixed_point_tol="tight"),
+        lambda d: d["problem"].pop("n"),
+    ],
+    ids=["max_iterations", "max_vector_rounds", "stride", "seed", "c", "epsilon",
+         "fixed_point_tol", "missing_n"],
+)
+def test_cli_rejects_mistyped_config(tmp_path, capsys, mutate):
+    raw = small_quadratic_config()
+    mutate(raw)
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(raw))
+    assert main(["run", "--config", str(cfg_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("method", ["adaptive", "nips_global", "nips_local"])
+@pytest.mark.parametrize("theta0", [0.0, -1.0])
+def test_cli_rejects_nonpositive_theta0(tmp_path, capsys, method, theta0):
+    raw = small_quadratic_config()
+    raw["algorithm"] = {"algorithm": method, "theta0": theta0}
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(raw))
+    assert main(["run", "--config", str(cfg_path)]) == 3
+    assert "theta0" in capsys.readouterr().err
+
+
 def test_cli_tune_extra(tmp_path, capsys):
     raw = small_quadratic_config(epsilon=1e-4)
     raw["algorithm"] = {"algorithm": "extra", "extra_alpha_grid": [1e-3, 1e-2]}
