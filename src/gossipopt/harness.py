@@ -24,9 +24,8 @@ from .algorithms import (
     ExtraAlgorithm,
     GammaSchedule,
 )
-from .graphs import GraphError, gossip_matrix, graph_from_spec, spectral_data
+from .graphs import gossip_matrix, graph_from_spec, spectral_data
 from .losses import (
-    LossError,
     generate_quadratic,
     parse_libsvm,
     partition_logistic,
@@ -49,8 +48,6 @@ __all__ = [
 ]
 
 CSV_HEADER = "k,vector_rounds,scalar_rounds,err_rel,V,M_erg,theta_min,theta_max,pi_min,pi_max,d_max,status"
-
-SUITE_NAMES = ("quadratic_graphs", "condition_sweep", "diameter_sweep", "logistic_graphs")
 
 _ALGORITHMS = (*METHODS, "extra")
 
@@ -298,12 +295,12 @@ def run(config: RunConfig) -> RunTrace:
         graph = graph_from_spec(graph_spec)
         gm = gossip_matrix(graph, c=config.c)
         family = _build_family(config.problem, config.seed)
-    except (GraphError, LossError) as exc:
+        if family.m != graph.m:
+            raise ConfigError(f"family has {family.m} agents but graph has {graph.m}")
+        fp = fixed_point(family, tol=config.fixed_point_tol)
+        delta = float(config.algorithm.get("delta", 1.0))
+    except ValueError as exc:  # also GraphError, LossError, MetricsError, int()/float()
         raise ConfigError(str(exc)) from exc
-    if family.m != graph.m:
-        raise ConfigError(f"family has {family.m} agents but graph has {graph.m}")
-
-    fp = fixed_point(family, tol=config.fixed_point_tol)
     M = spectral_data(gm).M
     X0 = np.zeros((family.m, family.dim))
     algo = _make_algorithm(config, gm, family, X0)
@@ -317,9 +314,7 @@ def run(config: RunConfig) -> RunTrace:
     while True:
         stats = algo.stats()
         err_rel = float(np.linalg.norm(algo.X - fp.X_star)) / denom
-        m_erg = (
-            merit_cvx(erg.value, fp, family, gm, _delta_of(config)) if erg.count else None
-        )
+        m_erg = merit_cvx(erg.value, fp, family, gm, delta) if erg.count else None
         V = (
             merit_sc(algo.X, algo.Y, stats["theta_min"], fp, M)
             if algo.Y is not None
@@ -376,10 +371,6 @@ def run(config: RunConfig) -> RunTrace:
     return trace
 
 
-def _delta_of(config: RunConfig) -> float:
-    return float(config.algorithm.get("delta", 1.0))
-
-
 def tune_extra(config: RunConfig, grid=None) -> tuple[float, RunTrace]:
     """Grid-search EXTRA's stepsize: fewest vector rounds to target wins.
 
@@ -432,33 +423,61 @@ def _algo_spec(name: str, **extra) -> dict:
     return spec
 
 
-def _suite_run(base: dict, algo: str, out_path: Path, alpha_grid=None):
-    """Run one suite member, tuning EXTRA on the spot; returns (trace, alpha).
-
-    A tuning grid with no converged stepsize yields (None, None) instead of
-    aborting the whole suite; the summary row records ``tune_failed``.
-    """
-    cfg = RunConfig.from_dict({**base, "algorithm": _algo_spec(algo)})
-    if algo == "extra":
-        tune_cfg = replace(cfg, algorithm=_algo_spec("extra"))
-        try:
-            alpha, trace = tune_extra(tune_cfg, grid=alpha_grid)
-        except TuneExtraError:
-            return None, None
-        trace.comment.update({"algorithm": _algo_spec("extra", extra_alpha=alpha)})
-    else:
-        alpha = None
-        trace = run(cfg)
-    trace.comment["suite_member"] = out_path.stem
-    trace.write_csv(out_path)
-    return trace, alpha
+def _quadratic(m: int, h: int, ridge: float, seed: int) -> dict:
+    return {"kind": "quadratic", "m": m, "h": h, "n": 100, "lambda": ridge, "seed": seed}
 
 
-def _write_summary(path: Path, header: str, lines: list[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for line in lines:
-            fh.write(line + "\n")
+def _graph_members(problem: dict) -> list:
+    return [((label,), label, spec, problem, 1) for label, spec in _SUITE_GRAPHS.items()]
+
+
+def _condition_members(data_path) -> list:
+    members = []
+    for ridge in (0.0, 1.0, 10.0, 100.0, 1000.0):
+        problem = _quadratic(20, 110, ridge, 1)
+        kappa = float(quadratic_condition_numbers(_build_family(problem, 1)).max())
+        key = (_fmt(ridge), _fmt(kappa))
+        members.append((key, f"lambda{ridge:g}", _SUITE_GRAPHS["er05"], problem, 1))
+    return members
+
+
+def _diameter_members(data_path) -> list:
+    return [
+        ((str(m), str(m - 1)), f"m{m}", {"kind": "line", "m": m}, _quadratic(m, 1, 0.0, 3), 3)
+        for m in (5, 10, 20, 40)
+    ]
+
+
+def _logistic_members(data_path) -> list:
+    if not data_path or not Path(data_path).exists():
+        raise ConfigError("logistic_graphs needs --data pointing at a libsvm file (a3a)")
+    return _graph_members(
+        {"kind": "logistic", "dataset": str(data_path), "m": 20, "h": 159, "seed": 1}
+    )
+
+
+# name -> (summary key columns, members(data_path), algorithms, epsilon, result columns);
+# a member is (summary key values, file stem, graph spec, problem spec, seed)
+_SUITES = {
+    "quadratic_graphs": (
+        "graph",
+        lambda data_path: _graph_members(_quadratic(20, 110, 0.0, 1)),
+        _ALGORITHMS,
+        1e-5,
+        ("alpha", "status", "iterations", "vector_rounds", "scalar_rounds", "err_rel"),
+    ),
+    "condition_sweep": (
+        "lambda,kappa", _condition_members, _ALGORITHMS, 1e-5, ("alpha", "status", "vector_rounds")
+    ),
+    "diameter_sweep": (
+        "m,diameter", _diameter_members, ("adaptive", "nips_global"), 1e-5, ("status", "vector_rounds")
+    ),
+    "logistic_graphs": (
+        "graph", _logistic_members, _ALGORITHMS, 1e-3, ("alpha", "status", "vector_rounds", "merit")
+    ),
+}
+
+SUITE_NAMES = tuple(_SUITES)
 
 
 def experiment_suite(
@@ -468,119 +487,52 @@ def experiment_suite(
     max_vector_rounds: int | None = None,
     alpha_grid=None,
 ) -> Path:
-    """Run one named experiment suite; returns the summary CSV path."""
-    if name not in SUITE_NAMES:
+    """Run one named experiment suite; returns the summary CSV path.
+
+    Every member runs under every algorithm of the suite, EXTRA tuned on the
+    spot over ``alpha_grid``. A grid with no converged stepsize gives a
+    ``tune_failed`` summary row, and no trace, instead of aborting the suite.
+    Every run is configured, and so validated, before anything is written.
+    """
+    if name not in _SUITES:
         raise ConfigError(f"unknown suite {name!r}; pick one of {SUITE_NAMES}")
+    keys, members, algorithms, epsilon, columns = _SUITES[name]
+    budget = 200_000 if max_vector_rounds is None else max_vector_rounds
+    runs = [
+        (key, f"{stem}_{algo}", RunConfig.from_dict({
+            "graph": graph, "problem": problem, "algorithm": _algo_spec(algo),
+            "epsilon": epsilon, "max_vector_rounds": budget, "seed": seed,
+        }))
+        for key, stem, graph, problem, seed in members(data_path)
+        for algo in algorithms
+    ]
     out = Path(out_dir) / name
     out.mkdir(parents=True, exist_ok=True)
-    budget = max_vector_rounds or 200_000
-
-    if name == "quadratic_graphs":
-        problem = {"kind": "quadratic", "m": 20, "h": 110, "n": 100, "lambda": 0.0, "seed": 1}
-        lines = []
-        for glabel, gspec in _SUITE_GRAPHS.items():
-            base = {
-                "graph": gspec,
-                "problem": problem,
-                "epsilon": 1e-5,
-                "max_vector_rounds": budget,
-                "seed": 1,
-            }
-            for algo in _ALGORITHMS:
-                trace, alpha = _suite_run(base, algo, out / f"{glabel}_{algo}.csv", alpha_grid)
-                if trace is None:
-                    lines.append(f"{glabel},{algo},,tune_failed,,,,")
-                    continue
-                f = trace.final
-                lines.append(
-                    f"{glabel},{algo},{_fmt(alpha)},{trace.status},{f.k},"
-                    f"{f.vector_rounds},{f.scalar_rounds},{_fmt(f.err_rel)}"
-                )
-        summary = out / "summary.csv"
-        _write_summary(
-            summary,
-            "graph,algorithm,alpha,status,iterations,vector_rounds,scalar_rounds,err_rel",
-            lines,
-        )
-        return summary
-
-    if name == "condition_sweep":
-        lines = []
-        for ridge in (0.0, 1.0, 10.0, 100.0, 1000.0):
-            problem = {
-                "kind": "quadratic",
-                "m": 20,
-                "h": 110,
-                "n": 100,
-                "lambda": ridge,
-                "seed": 1,
-            }
-            kappa = float(
-                quadratic_condition_numbers(_build_family(problem, 1)).max()
-            )
-            base = {
-                "graph": _SUITE_GRAPHS["er05"],
-                "problem": problem,
-                "epsilon": 1e-5,
-                "max_vector_rounds": budget,
-                "seed": 1,
-            }
-            for algo in _ALGORITHMS:
-                out_path = out / f"lambda{ridge:g}_{algo}.csv"
-                trace, alpha = _suite_run(base, algo, out_path, alpha_grid)
-                if trace is None:
-                    lines.append(f"{_fmt(ridge)},{_fmt(kappa)},{algo},,tune_failed,")
-                    continue
-                f = trace.final
-                lines.append(
-                    f"{_fmt(ridge)},{_fmt(kappa)},{algo},{_fmt(alpha)},{trace.status},"
-                    f"{f.vector_rounds}"
-                )
-        summary = out / "summary.csv"
-        _write_summary(summary, "lambda,kappa,algorithm,alpha,status,vector_rounds", lines)
-        return summary
-
-    if name == "diameter_sweep":
-        lines = []
-        for m in (5, 10, 20, 40):
-            problem = {"kind": "quadratic", "m": m, "h": 1, "n": 100, "lambda": 0.0, "seed": 3}
-            base = {
-                "graph": {"kind": "line", "m": m},
-                "problem": problem,
-                "epsilon": 1e-5,
-                "max_vector_rounds": budget,
-                "seed": 3,
-            }
-            for algo in ("adaptive", "nips_global"):
-                trace, _ = _suite_run(base, algo, out / f"m{m}_{algo}.csv")
-                f = trace.final
-                lines.append(f"{m},{m - 1},{algo},{trace.status},{f.vector_rounds}")
-        summary = out / "summary.csv"
-        _write_summary(summary, "m,diameter,algorithm,status,vector_rounds", lines)
-        return summary
-
-    # logistic_graphs
-    if not data_path or not Path(data_path).exists():
-        raise ConfigError("logistic_graphs needs --data pointing at a libsvm file (a3a)")
-    problem = {"kind": "logistic", "dataset": str(data_path), "m": 20, "h": 159, "seed": 1}
-    lines = []
-    for glabel, gspec in _SUITE_GRAPHS.items():
-        base = {
-            "graph": gspec,
-            "problem": problem,
-            "epsilon": 1e-3,
-            "max_vector_rounds": budget,
-            "seed": 1,
-        }
-        for algo in _ALGORITHMS:
-            trace, alpha = _suite_run(base, algo, out / f"{glabel}_{algo}.csv", alpha_grid)
-            if trace is None:
-                lines.append(f"{glabel},{algo},,tune_failed,,")
-                continue
+    lines = [",".join((keys, "algorithm", *columns))]
+    for key, stem, cfg in runs:
+        algo = cfg.algorithm["algorithm"]
+        alpha = None
+        try:
+            if algo == "extra":
+                alpha, trace = tune_extra(cfg, grid=alpha_grid)
+            else:
+                trace = run(cfg)
+        except TuneExtraError:
+            cells = {"status": "tune_failed"}
+        else:
+            trace.comment["suite_member"] = stem
+            trace.write_csv(out / f"{stem}.csv")
             f = trace.final
-            lines.append(
-                f"{glabel},{algo},{_fmt(alpha)},{trace.status},{f.vector_rounds},{_fmt(f.M_erg)}"
-            )
+            cells = {
+                "alpha": _fmt(alpha),
+                "status": trace.status,
+                "iterations": str(f.k),
+                "vector_rounds": str(f.vector_rounds),
+                "scalar_rounds": str(f.scalar_rounds),
+                "err_rel": _fmt(f.err_rel),
+                "merit": _fmt(f.M_erg),
+            }
+        lines.append(",".join((*key, algo, *(cells.get(c, "") for c in columns))))
     summary = out / "summary.csv"
-    _write_summary(summary, "graph,algorithm,alpha,status,vector_rounds,merit", lines)
+    summary.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     return summary

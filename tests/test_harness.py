@@ -5,6 +5,7 @@ import yaml
 from gossipopt import ConfigError, RunConfig, TuneExtraError, load_config, run, tune_extra
 from gossipopt.cli import main
 from gossipopt.harness import CSV_HEADER, experiment_suite
+from conftest import synthetic_logistic
 
 
 def small_quadratic_config(**overrides):
@@ -229,23 +230,54 @@ def test_extra_rounds_trend_with_conditioning():
     assert rows[2] >= rows[1] / 2
 
 
-def test_suite_quadratic_graphs_smoke(tmp_path):
-    # counting contract at a tiny budget: one summary row per (graph, algorithm)
-    summary = experiment_suite("quadratic_graphs", tmp_path, max_vector_rounds=60)
-    lines = summary.read_text().splitlines()
-    assert lines[0] == "graph,algorithm,alpha,status,iterations,vector_rounds,scalar_rounds,err_rel"
-    assert len(lines) == 1 + 3 * 4
-    assert all(len(line.split(",")) == 8 for line in lines[1:])
+def write_family_libsvm(path, family):
+    """Write a logistic family's samples, agent by agent, as a dense libsvm file."""
+    lines = []
+    for rows, labels in zip(family.features, family.labels):
+        for row, label in zip(rows, labels):
+            tokens = " ".join(f"{j}:{float(v)!r}" for j, v in enumerate(row, start=1))
+            lines.append(f"{float(label)!r} {tokens}")
+    path.write_text("\n".join(lines) + "\n")
 
 
-def test_suite_diameter_sweep_smoke(tmp_path):
-    summary = experiment_suite("diameter_sweep", tmp_path, max_vector_rounds=300)
+SUITE_FORMATS = {
+    "quadratic_graphs": ("graph,algorithm,alpha,status,iterations,vector_rounds,scalar_rounds,err_rel", 3 * 4),
+    "condition_sweep": ("lambda,kappa,algorithm,alpha,status,vector_rounds", 5 * 4),
+    "diameter_sweep": ("m,diameter,algorithm,status,vector_rounds", 4 * 2),
+    "logistic_graphs": ("graph,algorithm,alpha,status,vector_rounds,merit", 3 * 4),
+}
+
+
+@pytest.mark.parametrize("name", list(SUITE_FORMATS))
+def test_suite_summary_format(tmp_path, name):
+    # counting contract at a tiny budget: one summary row per (member, algorithm),
+    # each with the header's field count, and one trace CSV per run
+    data = tmp_path / "synth.svm"
+    write_family_libsvm(data, synthetic_logistic(20, 159, 10, 3))
+    summary = experiment_suite(
+        name, tmp_path, data_path=str(data), max_vector_rounds=60, alpha_grid=(1e-2,)
+    )
+    header, n_rows = SUITE_FORMATS[name]
     lines = summary.read_text().splitlines()
-    assert lines[0] == "m,diameter,algorithm,status,vector_rounds"
-    assert len(lines) == 1 + 4 * 2  # one row per (m, algorithm)
-    for m in (5, 10, 20, 40):
-        for algo in ("adaptive", "nips_global"):
-            assert (tmp_path / "diameter_sweep" / f"m{m}_{algo}.csv").is_file()
+    assert lines[0] == header
+    assert len(lines) == 1 + n_rows
+    assert all(len(line.split(",")) == len(header.split(",")) for line in lines[1:])
+    n_runs = sum(",tune_failed," not in line for line in lines[1:])
+    assert len(list(summary.parent.glob("*.csv"))) == 1 + n_runs
+    if name == "condition_sweep":
+        keys = sorted({(float(line.split(",")[0]), float(line.split(",")[1])) for line in lines[1:]})
+        assert [ridge for ridge, _ in keys] == [0.0, 1.0, 10.0, 100.0, 1000.0]
+        kappas = [kappa for _, kappa in keys]
+        assert kappas == sorted(kappas, reverse=True) and len(set(kappas)) == len(kappas)
+
+
+def test_suite_tune_failed_row(tmp_path):
+    summary = experiment_suite(
+        "quadratic_graphs", tmp_path, max_vector_rounds=60, alpha_grid=(10.0,)
+    )
+    lines = summary.read_text().splitlines()
+    assert "line,extra,,tune_failed,,,," in lines
+    assert not (summary.parent / "line_extra.csv").exists()
 
 
 def test_suite_rejects_unknown_name(tmp_path):
@@ -256,6 +288,7 @@ def test_suite_rejects_unknown_name(tmp_path):
 def test_suite_logistic_requires_data(tmp_path):
     with pytest.raises(ConfigError, match="data"):
         experiment_suite("logistic_graphs", tmp_path, data_path=None)
+    assert not (tmp_path / "logistic_graphs").exists()
 
 
 def test_cli_run_and_exit_codes(tmp_path, capsys):
@@ -289,9 +322,17 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
         lambda d: d.update(epsilon=None),
         lambda d: d.update(fixed_point_tol="tight"),
         lambda d: d["problem"].pop("n"),
+        lambda d: d["problem"].update(n="abc"),
+        lambda d: d["problem"].update({"lambda": "x"}),
+        lambda d: d["problem"].update(seed="x"),
+        lambda d: d["graph"].update(p="x"),
+        lambda d: d["graph"].update(seed="x"),
+        lambda d: d.update(fixed_point_tol=-1),
+        lambda d: d.update(fixed_point_tol=1e-30),
     ],
     ids=["max_iterations", "max_vector_rounds", "stride", "seed", "c", "epsilon",
-         "fixed_point_tol", "missing_n"],
+         "fixed_point_tol", "missing_n", "problem_n", "problem_lambda", "problem_seed",
+         "graph_p", "graph_seed", "fixed_point_tol_negative", "fixed_point_tol_unreachable"],
 )
 def test_cli_rejects_mistyped_config(tmp_path, capsys, mutate):
     raw = small_quadratic_config()
@@ -326,3 +367,10 @@ def test_cli_tune_extra(tmp_path, capsys):
 def test_cli_suite(tmp_path):
     assert main(["suite", "diameter_sweep", "--out", str(tmp_path), "--max-rounds", "120"]) == 0
     assert (tmp_path / "diameter_sweep" / "summary.csv").is_file()
+
+
+def test_cli_suite_rejects_zero_round_budget(tmp_path, capsys):
+    assert main(["suite", "diameter_sweep", "--out", str(tmp_path), "--max-rounds", "0"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not (tmp_path / "diameter_sweep").exists()
