@@ -62,14 +62,14 @@ class LocalityError(RuntimeError):
 
 def local_min_consensus(v: np.ndarray, g: Graph) -> np.ndarray:
     """One round of neighborhood minima: out_i = min_{j in N_i} v_j."""
-    v = np.asarray(v)
-    return np.array([v.take(nbrs).min() for nbrs in g.neighbors])
+    index, starts = g.neighbor_index
+    return np.minimum.reduceat(np.asarray(v)[index], starts)
 
 
 def local_max_consensus(v: np.ndarray, g: Graph) -> np.ndarray:
     """One round of neighborhood maxima: out_i = max_{j in N_i} v_j."""
-    v = np.asarray(v)
-    return np.array([v.take(nbrs).max() for nbrs in g.neighbors])
+    index, starts = g.neighbor_index
+    return np.maximum.reduceat(np.asarray(v)[index], starts)
 
 
 def gamma_schedule(k: int, beta1: float = 2.0, beta2: float = 1.0) -> float:
@@ -237,7 +237,7 @@ def adaptive_step(
 
     # per-agent line search along the negated dual direction, then merge the
     # trial stepsizes by a network-wide or a one-hop minimum
-    theta_bar, _ = backtrack_batch(state.theta, family, X_half, -Y_half, gamma_bt, delta)
+    theta_bar, _ = backtrack_batch(state.theta, family, X_half, G_half, -Y_half, gamma_bt, delta)
     if method == "nips_global":
         exchange.charge_flood()
         theta_new = np.full(m, theta_bar.min())

@@ -63,27 +63,28 @@ def backtrack_batch(
     theta: np.ndarray,
     family,
     X: np.ndarray,
+    G: np.ndarray,
     directions: np.ndarray,
     gamma: float | np.ndarray,
     delta: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run all m agents' searches in lockstep on stacked rows.
 
-    Equivalent to calling :func:`backtrack` per agent with f_i, row x_i and
-    direction y_i; returns (accepted stepsizes, per-agent trial counts).
+    ``G`` is the caller's gradient stack at ``X``. Equivalent to calling
+    :func:`backtrack` per agent with f_i, row x_i and direction y_i; returns
+    (accepted stepsizes, per-agent trial counts).
     """
     theta = np.asarray(theta, dtype=float)
     if np.any(theta <= 0.0):
         raise BacktrackingError("initial stepsizes must be positive")
     fx = family.values(X)
-    gx = family.gradients(X)
     theta_plus = np.asarray(gamma, dtype=float) * theta
     trials = np.ones(len(theta), dtype=int)
     active = np.ones(len(theta), dtype=bool)
     while True:
         X_plus = X + theta_plus[:, None] * directions
         dx = X_plus - X
-        bound = fx + np.einsum("ad,ad->a", gx, dx) + (delta / (2.0 * theta_plus)) * np.einsum(
+        bound = fx + np.einsum("ad,ad->a", G, dx) + (delta / (2.0 * theta_plus)) * np.einsum(
             "ad,ad->a", dx, dx
         )
         fail = active & (family.values(X_plus) > bound)

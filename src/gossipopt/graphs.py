@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 __all__ = [
     "Graph",
@@ -57,18 +60,20 @@ class Graph:
             a[i, j] = a[j, i] = 1.0
         return a
 
+    @cached_property
+    def neighbor_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR layout of ``neighbors``: the concatenated indices and the row starts."""
+        sizes = np.fromiter(map(len, self.neighbors), dtype=np.intp, count=self.m)
+        index = np.fromiter(chain.from_iterable(self.neighbors), dtype=np.intp, count=int(sizes.sum()))
+        starts = np.zeros(self.m, dtype=np.intp)
+        np.cumsum(sizes[:-1], out=starts[1:])
+        return index, starts
 
-def _bfs_hops(neighbors: tuple[tuple[int, ...], ...], source: int) -> np.ndarray:
-    hops = np.full(len(neighbors), -1, dtype=int)
-    hops[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in neighbors[u]:
-            if hops[v] < 0:
-                hops[v] = hops[u] + 1
-                queue.append(v)
-    return hops
+
+def _hop_matrix(g: Graph) -> csr_array:
+    """Sparse 0/1 matrix of the closed neighborhoods, for scipy's graph routines."""
+    index, starts = g.neighbor_index
+    return csr_array((np.ones(index.size), index, np.append(starts, index.size)), shape=(g.m, g.m))
 
 
 def _make_graph(m: int, edges) -> Graph:
@@ -84,9 +89,12 @@ def _make_graph(m: int, edges) -> Graph:
         adjacency[i].add(j)
         adjacency[j].add(i)
     neighbors = tuple(tuple(sorted(adjacency[i] | {i})) for i in range(m))
-    if np.any(_bfs_hops(neighbors, 0) < 0):
+    graph = Graph(m=m, edges=frozenset(normalized), neighbors=neighbors)
+    # the hop matrix is symmetric, so its strong components are the connected
+    # ones; the strong search skips the symmetrizing copy of directed=False
+    if connected_components(_hop_matrix(graph), connection="strong", return_labels=False) > 1:
         raise GraphError("graph is disconnected")
-    return Graph(m=m, edges=frozenset(normalized), neighbors=neighbors)
+    return graph
 
 
 def build_line_graph(m: int) -> Graph:
@@ -148,14 +156,11 @@ def graph_from_spec(spec: dict) -> Graph:
 
 
 def diameter(g: Graph) -> int:
-    """Exact hop diameter via BFS from every node; errors on disconnected input."""
-    best = 0
-    for s in range(g.m):
-        hops = _bfs_hops(g.neighbors, s)
-        if hops.min() < 0:
-            raise GraphError("diameter of a disconnected graph")
-        best = max(best, int(hops.max()))
-    return best
+    """Exact hop diameter from all-pairs BFS; errors on disconnected input."""
+    hops = shortest_path(_hop_matrix(g), directed=False, unweighted=True)
+    if np.isinf(hops).any():
+        raise GraphError("diameter of a disconnected graph")
+    return int(hops.max())
 
 
 def metropolis_weights(g: Graph) -> np.ndarray:
@@ -183,6 +188,11 @@ class GossipMatrix:
     W_tilde: np.ndarray
     c: float
     W: np.ndarray
+
+    @cached_property
+    def I_minus_W(self) -> np.ndarray:
+        """I - W, the matrix of the convex merit's consensus form; built on first use."""
+        return np.eye(self.graph.m) - self.W
 
 
 def gossip_matrix(g: Graph, c: float = 0.5, W_tilde: np.ndarray | None = None) -> GossipMatrix:

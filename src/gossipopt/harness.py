@@ -299,7 +299,7 @@ def run(config: RunConfig) -> RunTrace:
             raise ConfigError(f"family has {family.m} agents but graph has {graph.m}")
         fp = fixed_point(family, tol=config.fixed_point_tol)
         delta = float(config.algorithm.get("delta", 1.0))
-    except ValueError as exc:  # also GraphError, LossError, MetricsError, int()/float()
+    except (ValueError, TypeError) as exc:  # GraphError, LossError, MetricsError, int()/float()
         raise ConfigError(str(exc)) from exc
     M = spectral_data(gm).M
     X0 = np.zeros((family.m, family.dim))

@@ -29,12 +29,14 @@ class FixedPoint:
     """Consensual optimum: X* stacks x* on every row, Y* = -grad F(X*).
 
     The dual rows sum to ~0 across agents (x* zeroes the aggregate gradient),
-    which places Y* in the range of I - W.
+    which places Y* in the range of I - W. ``F_star`` is the unscaled optimal
+    value F(X*) = sum_i f_i(x*).
     """
 
     x_star: np.ndarray
     X_star: np.ndarray
     Y_star: np.ndarray
+    F_star: float
 
 
 def fixed_point(family, tol: float = 1e-8) -> FixedPoint:
@@ -45,7 +47,8 @@ def fixed_point(family, tol: float = 1e-8) -> FixedPoint:
     drift = float(np.linalg.norm(Y_star.sum(axis=0)))
     if drift > family.m * tol:
         raise MetricsError(f"fixed point inconsistent: ||sum of dual rows|| = {drift:.3e}")
-    return FixedPoint(x_star=x_star, X_star=X_star, Y_star=Y_star)
+    F_star = float(family.values(X_star).sum())
+    return FixedPoint(x_star=x_star, X_star=X_star, Y_star=Y_star, F_star=F_star)
 
 
 def merit_sc(
@@ -75,9 +78,8 @@ def merit_cvx(X: np.ndarray, fp: FixedPoint, family, gm: GossipMatrix, delta: fl
     max( delta <(I-W) X, X>,  F(X) - F(X*) + <Y*, X> ) with unscaled
     F(X) = sum_i f_i(x_i); zero exactly at consensual optimal points.
     """
-    IW = np.eye(gm.graph.m) - gm.W
-    consensus = max(delta * float(np.sum(X * (IW @ X))), 0.0)
-    gap = float(family.values(X).sum() - family.values(fp.X_star).sum() + np.sum(fp.Y_star * X))
+    consensus = max(delta * float(np.sum(X * (gm.I_minus_W @ X))), 0.0)
+    gap = float(family.values(X).sum() - fp.F_star + np.sum(fp.Y_star * X))
     return max(consensus, gap)
 
 

@@ -46,3 +46,33 @@ def written_out_step(W, family, X, Y, theta, pi):
     X_new = X_half - theta[:, None] * Y_half
     Y_new = Y_half + (np.eye(len(W)) - W) @ (X / pi[:, None]) - G_half
     return X_new, Y_new
+
+
+def floyd_warshall_diameter(g) -> int:
+    """Hop diameter from the edge set by Floyd-Warshall, independent of the package."""
+    dist = np.full((g.m, g.m), np.inf)
+    np.fill_diagonal(dist, 0.0)
+    for i, j in g.edges:
+        dist[i, j] = dist[j, i] = 1.0
+    for k in range(g.m):
+        dist = np.minimum(dist, dist[:, [k]] + dist[[k], :])
+    return int(dist.max())
+
+
+class CountingFamily:
+    """Delegates to a loss family and counts its stacked value and gradient calls."""
+
+    def __init__(self, family):
+        self.family = family
+        self.calls = {"values": 0, "gradients": 0}
+
+    def __getattr__(self, name):
+        return getattr(self.family, name)
+
+    def values(self, X):
+        self.calls["values"] += 1
+        return self.family.values(X)
+
+    def gradients(self, X):
+        self.calls["gradients"] += 1
+        return self.family.gradients(X)

@@ -29,7 +29,12 @@ from gossipopt import (
     local_min_consensus,
 )
 from gossipopt.algorithms import DIVERGENCE_NORM, METHODS
-from conftest import synthetic_logistic, written_out_step
+from conftest import (
+    CountingFamily,
+    floyd_warshall_diameter,
+    synthetic_logistic,
+    written_out_step,
+)
 
 
 def scalar_quadratic(scale=0.5):
@@ -92,20 +97,25 @@ connected_er = st.builds(
 @settings(max_examples=60, deadline=None)
 @given(g=connected_er, data=st.data())
 def test_consensus_is_local_and_reaches_in_exactly_diameter_rounds(g, data):
-    # the reference neighborhoods come from the edge set, not from g.neighbors
+    # the reference neighborhoods come from the edge set, not from g.neighbors;
+    # float and integer payloads keep their values and their dtype
     closed = g.adjacency() + np.eye(g.m) > 0
-    v = np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=g.m, max_size=g.m)))
-    masked = np.where(closed, v[None, :], np.inf)
-    np.testing.assert_array_equal(local_min_consensus(v, g), masked.min(axis=1))
-    masked = np.where(closed, v[None, :], -np.inf)
-    np.testing.assert_array_equal(local_max_consensus(v, g), masked.max(axis=1))
+    floats = np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=g.m, max_size=g.m)))
+    ints = np.array(data.draw(st.lists(st.integers(-2**40, 2**40), min_size=g.m, max_size=g.m)))
+    for v, low, high in ((floats, -np.inf, np.inf), (ints, -2**41, 2**41)):
+        for consensus, pad, reduce in ((local_min_consensus, high, np.min),
+                                       (local_max_consensus, low, np.max)):
+            out = consensus(v, g)
+            ref = reduce(np.where(closed, v[None, :], pad), axis=1)
+            assert out.dtype == ref.dtype == v.dtype
+            np.testing.assert_array_equal(out, ref)
 
     # a unique minimum at one end of a diametral pair floods the graph in
     # exactly diameter-many rounds
     hops = shortest_path(g.adjacency(), unweighted=True)
     source, far = np.unravel_index(np.argmax(hops), hops.shape)
     d = diameter(g)
-    assert hops[source, far] == d
+    assert hops[source, far] == d == floyd_warshall_diameter(g)
     out = np.ones(g.m)
     out[source] = 0.0
     for _ in range(d - 1):
@@ -171,6 +181,17 @@ def test_round_accounting(name, scalars_per_iter):
         algo.step()
     assert algo.exchange.vector_rounds == (k if name == "extra" else 3 * k)
     assert algo.exchange.scalar_rounds == scalars_per_iter * k
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_one_gradient_call_per_step(method):
+    # the line search reuses the step's gradient at X_half
+    fam = CountingFamily(generate_quadratic(m=6, h=5, n=4, ridge=0.1, seed=3))
+    gm = gossip_matrix(build_erdos_renyi(6, 0.5, seed=1), c=0.5)
+    algo = AdaptiveAlgorithm(gm, fam, X0=np.zeros((6, 4)), method=method)
+    for k in range(1, 6):
+        algo.step()
+        assert fam.calls["gradients"] == k
 
 
 # --- adaptive method ---

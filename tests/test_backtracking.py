@@ -139,7 +139,7 @@ def test_batch_matches_scalar_per_agent(rng):
         gamma = float(rng.uniform(1.0, 2.0))
         X = rng.standard_normal((6, 4))
         D = rng.standard_normal((6, 4))
-        thetas, trials = backtrack_batch(theta, fam, X, D, gamma, delta=0.8)
+        thetas, trials = backtrack_batch(theta, fam, X, fam.gradients(X), D, gamma, delta=0.8)
         for i in range(6):
             ref = backtrack(theta[i], fam.agent_loss(i), X[i], D[i], gamma, delta=0.8)
             assert thetas[i] == ref.theta
@@ -152,12 +152,13 @@ def test_batch_per_agent_gamma(rng):
     gammas = np.array([1.0, 1.5, 2.0])
     X = rng.standard_normal((3, 3))
     D = np.zeros((3, 3))  # zero directions accept at the first trial
-    thetas, trials = backtrack_batch(theta, fam, X, D, gammas, delta=1.0)
+    thetas, trials = backtrack_batch(theta, fam, X, fam.gradients(X), D, gammas, delta=1.0)
     np.testing.assert_allclose(thetas, gammas * theta)
     assert trials.tolist() == [1, 1, 1]
 
 
 def test_batch_rejects_nonpositive_theta():
     fam = generate_quadratic(m=2, h=3, n=2, ridge=0.0, seed=0)
+    X = np.zeros((2, 2))
     with pytest.raises(BacktrackingError):
-        backtrack_batch(np.array([1.0, -1.0]), fam, np.zeros((2, 2)), np.zeros((2, 2)), 1.0, 1.0)
+        backtrack_batch(np.array([1.0, -1.0]), fam, X, fam.gradients(X), np.zeros((2, 2)), 1.0, 1.0)

@@ -14,22 +14,16 @@ from gossipopt import (
     spectral_data,
 )
 from gossipopt.graphs import Graph
-
-
-def floyd_warshall_diameter(g) -> int:
-    dist = np.full((g.m, g.m), np.inf)
-    np.fill_diagonal(dist, 0.0)
-    for i, j in g.edges:
-        dist[i, j] = dist[j, i] = 1.0
-    for k in range(g.m):
-        dist = np.minimum(dist, dist[:, [k]] + dist[[k], :])
-    return int(dist.max())
+from conftest import floyd_warshall_diameter
 
 
 def test_line_graph_edges():
     g = build_line_graph(3)
     assert g.edges == frozenset({(0, 1), (1, 2)})
     assert g.neighbors[1] == (0, 1, 2)  # self included
+    index, starts = g.neighbor_index  # the same neighborhoods in CSR layout
+    assert index.tolist() == [0, 1, 0, 1, 2, 1, 2]
+    assert starts.tolist() == [0, 2, 5]
 
 
 def test_line_graph_m20_diameter():

@@ -329,10 +329,13 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
         lambda d: d["graph"].update(seed="x"),
         lambda d: d.update(fixed_point_tol=-1),
         lambda d: d.update(fixed_point_tol=1e-30),
+        lambda d: d["problem"].update(n=[1]),
+        lambda d: d["graph"].update(p=[1]),
     ],
     ids=["max_iterations", "max_vector_rounds", "stride", "seed", "c", "epsilon",
          "fixed_point_tol", "missing_n", "problem_n", "problem_lambda", "problem_seed",
-         "graph_p", "graph_seed", "fixed_point_tol_negative", "fixed_point_tol_unreachable"],
+         "graph_p", "graph_seed", "fixed_point_tol_negative", "fixed_point_tol_unreachable",
+         "problem_n_list", "graph_p_list"],
 )
 def test_cli_rejects_mistyped_config(tmp_path, capsys, mutate):
     raw = small_quadratic_config()

@@ -16,6 +16,7 @@ from gossipopt import (
     merit_sc,
     spectral_data,
 )
+from conftest import CountingFamily
 
 
 def two_agent_pull():
@@ -71,7 +72,9 @@ def test_merit_sc_hand_dual_term():
     # dual offset [1, -1] with theta 2 contributes 4 * 2 = 8
     gm = gossip_matrix(build_complete_graph(2), c=0.5)
     M = spectral_data(gm).M
-    fp = FixedPoint(x_star=np.zeros(1), X_star=np.zeros((2, 1)), Y_star=np.zeros((2, 1)))
+    fp = FixedPoint(
+        x_star=np.zeros(1), X_star=np.zeros((2, 1)), Y_star=np.zeros((2, 1)), F_star=0.0
+    )
     Y = np.array([[1.0], [-1.0]])
     assert merit_sc(fp.X_star, Y, 2.0, fp, M) == pytest.approx(8.0, abs=1e-12)
 
@@ -112,9 +115,22 @@ def test_merit_cvx_hand_consensus_term():
     # so X = [1, -1] gives <(I-W)X, X> = 1 with zero losses
     fam = zero_losses()
     gm = gossip_matrix(build_complete_graph(2), c=0.5)
-    fp = FixedPoint(x_star=np.zeros(1), X_star=np.zeros((2, 1)), Y_star=np.zeros((2, 1)))
+    fp = FixedPoint(
+        x_star=np.zeros(1), X_star=np.zeros((2, 1)), Y_star=np.zeros((2, 1)), F_star=0.0
+    )
     X = np.array([[1.0], [-1.0]])
     assert merit_cvx(X, fp, fam, gm, delta=1.0) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_merit_cvx_one_value_call(rng):
+    # F(X*) is cached on the fixed point, so a merit costs one value-oracle call
+    fam = generate_quadratic(m=4, h=5, n=3, ridge=0.0, seed=32)
+    gm = gossip_matrix(build_erdos_renyi(4, 0.7, seed=6), c=0.5)
+    fp = fixed_point(fam, tol=1e-8)
+    counted = CountingFamily(fam)
+    for calls in range(1, 4):
+        merit_cvx(rng.standard_normal((4, 3)), fp, counted, gm, delta=1.0)
+        assert counted.calls == {"values": calls, "gradients": 0}
 
 
 def test_merit_cvx_nonnegative_random(rng):
