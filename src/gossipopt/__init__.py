@@ -9,12 +9,10 @@ from .algorithms import (
     LocalityError,
     NeighborExchange,
     adaptive_step,
-    gamma_schedule,
     local_max_consensus,
     local_min_consensus,
-    safeguard_update,
 )
-from .backtracking import BacktrackResult, BacktrackingError, backtrack, backtrack_batch
+from .backtracking import BacktrackingError, backtrack_batch
 from .graphs import (
     GossipMatrix,
     Graph,

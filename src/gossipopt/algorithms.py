@@ -22,7 +22,8 @@ scalar consensus rounds separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -39,10 +40,8 @@ __all__ = [
     "LocalityError",
     "NeighborExchange",
     "adaptive_step",
-    "gamma_schedule",
     "local_max_consensus",
     "local_min_consensus",
-    "safeguard_update",
 ]
 
 # Iterates larger than this abort the run: the stepsize is unstable.
@@ -72,23 +71,19 @@ def local_max_consensus(v: np.ndarray, g: Graph) -> np.ndarray:
     return np.maximum.reduceat(np.asarray(v)[index], starts)
 
 
-def gamma_schedule(k: int, beta1: float = 2.0, beta2: float = 1.0) -> float:
-    """Growth factor ((k + beta1)/(k + 1))**beta2; decays to 1 from beta1**beta2."""
-    if beta1 < 1.0 or beta2 <= 0.0:
-        raise ValueError(f"need beta1 >= 1 and beta2 > 0, got {(beta1, beta2)}")
-    return float(((k + beta1) / (k + 1.0)) ** beta2)
-
-
 @dataclass(frozen=True)
 class GammaSchedule:
+    """Growth factor ((k + beta1)/(k + 1))**beta2; decays to 1 from beta1**beta2."""
+
     beta1: float = 2.0
     beta2: float = 1.0
 
     def __post_init__(self):
-        gamma_schedule(0, self.beta1, self.beta2)  # validate parameters
+        if not (1.0 <= self.beta1 < np.inf and 0.0 < self.beta2 < np.inf):
+            raise ValueError(f"need finite beta1 >= 1 and beta2 > 0, got {(self.beta1, self.beta2)}")
 
     def __call__(self, k: int) -> float:
-        return gamma_schedule(k, self.beta1, self.beta2)
+        return float(((k + self.beta1) / (k + 1.0)) ** self.beta2)
 
 
 class NeighborExchange:
@@ -143,8 +138,9 @@ class AdaptiveState:
     ``theta``, ``theta_tracker`` and ``pi`` hold the values produced by the
     previous iteration (the -1 initializations before the first step).
     ``diam`` is each agent's current effective-diameter estimate, ``bounded``
-    the safeguard bits, and ``double_count`` accumulates per-agent doubling
-    events of the estimator. The tracker and the diameter estimate belong to
+    the safeguard bits, ``X0``/``Y0`` the starting rows the safeguard measures
+    drift from, and ``double_count`` accumulates per-agent doubling events of
+    the estimator. The tracker and the diameter estimate belong to
     the ``adaptive`` merge; the ``nips_*`` merges leave them at their initial
     values and set ``pi`` to ``theta``.
     """
@@ -156,17 +152,17 @@ class AdaptiveState:
     pi: np.ndarray
     diam: np.ndarray
     bounded: np.ndarray
+    X0: np.ndarray
+    Y0: np.ndarray
+    double_count: np.ndarray
     k: int = 0
-    X0: np.ndarray | None = None
-    Y0: np.ndarray | None = None
-    double_count: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     @classmethod
     def initial(cls, X0: np.ndarray, theta0: float = 1.0, d0: int = 1) -> "AdaptiveState":
         X0 = np.asarray(X0, dtype=float)
         m = X0.shape[0]
-        if theta0 <= 0.0 or d0 < 1:
-            raise ValueError(f"need theta0 > 0 and d0 >= 1, got {(theta0, d0)}")
+        if not (0.0 < theta0 < np.inf) or d0 < 1:
+            raise ValueError(f"need a finite theta0 > 0 and d0 >= 1, got {(theta0, d0)}")
         return cls(
             X=X0.copy(),
             Y=np.zeros_like(X0),
@@ -175,14 +171,13 @@ class AdaptiveState:
             pi=np.full(m, float(theta0)),
             diam=np.full(m, int(d0), dtype=int),
             bounded=np.ones(m, dtype=int),
-            k=0,
             X0=X0.copy(),
             Y0=np.zeros_like(X0),
             double_count=np.zeros(m, dtype=int),
         )
 
 
-def safeguard_update(state: AdaptiveState, exchange: NeighborExchange, radius: float) -> np.ndarray:
+def _safeguard_update(state: AdaptiveState, exchange: NeighborExchange, radius: float) -> np.ndarray:
     """Boundedness bits: 0 once the iterate leaves the radius, min-spread after.
 
     An agent whose primal drift, or dual drift scaled by its stepsize, reaches
@@ -226,7 +221,7 @@ def adaptive_step(
     gamma_bt: float | np.ndarray = gamma_prev
     bounded_new = state.bounded
     if safeguard_radius is not None:
-        bounded_new = safeguard_update(state, exchange, safeguard_radius)
+        bounded_new = _safeguard_update(state, exchange, safeguard_radius)
         # 1 + h*(gamma-1), written so the h=1 branch is bit-exact gamma
         gamma_bt = np.where(state.bounded == 1, gamma_prev, 1.0)
 
@@ -289,21 +284,13 @@ def adaptive_step(
     return state
 
 
-def _as_gamma_fn(gamma):
-    if callable(gamma):
-        return gamma
-    value = float(gamma)
-    if value < 1.0:
-        raise ValueError(f"constant gamma must be >= 1, got {value}")
-    return lambda k: value
-
-
 class AdaptiveAlgorithm:
     """Driver owning the state, exchange, and gamma schedule of one run.
 
     ``method`` is ``adaptive`` (the default), ``nips_global`` or
     ``nips_local``; ``d0`` and ``safeguard_radius`` belong to the adaptive
-    method.
+    method. ``gamma`` maps the iteration k to the growth factor, as
+    :class:`GammaSchedule` does.
     """
 
     def __init__(
@@ -315,7 +302,7 @@ class AdaptiveAlgorithm:
         delta: float = 1.0,
         theta0: float = 1.0,
         d0: int = 1,
-        gamma=GammaSchedule(),
+        gamma: Callable[[int], float] = GammaSchedule(),
         safeguard_radius: float | None = None,
     ):
         _check_method(method)
@@ -326,7 +313,9 @@ class AdaptiveAlgorithm:
         self.state = AdaptiveState.initial(X0, theta0=theta0, d0=d0)
         self.name = method
         self.delta = delta
-        self.gamma = _as_gamma_fn(gamma)
+        if not callable(gamma):
+            raise TypeError(f"gamma must be a callable k -> growth factor, got {gamma!r}")
+        self.gamma = gamma
         self.safeguard_radius = safeguard_radius
 
     def _gamma_prev(self) -> float:

@@ -10,53 +10,17 @@ The loop continues on strict ``>``; ties accept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["BacktrackResult", "BacktrackingError", "backtrack", "backtrack_batch"]
+__all__ = ["BacktrackingError", "backtrack_batch"]
 
 # Below this the trial stepsize has underflowed: the objective is not smooth
-# along the direction (or the handle is buggy), so the search cannot end.
+# along the direction (or the oracle is buggy), so the search cannot end.
 _THETA_FLOOR = 1e-300
 
 
 class BacktrackingError(RuntimeError):
     """The sufficient-decrease test never passed before stepsize underflow."""
-
-
-@dataclass(frozen=True)
-class BacktrackResult:
-    """Accepted stepsize, number of test evaluations, and the trial point.
-
-    ``theta == gamma * theta_in / 2**(trials - 1)`` always holds.
-    """
-
-    theta: float
-    trials: int
-    x_plus: np.ndarray
-
-
-def backtrack(theta: float, f, x: np.ndarray, y: np.ndarray, gamma: float, delta: float) -> BacktrackResult:
-    """Run the search for one agent; ``f`` exposes value(x) and gradient(x)."""
-    if theta <= 0.0:
-        raise BacktrackingError(f"initial stepsize must be positive, got {theta}")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    fx = f.value(x)
-    gx = f.gradient(x)
-    theta_plus = gamma * theta
-    trials = 1
-    while True:
-        x_plus = x + theta_plus * y
-        dx = x_plus - x
-        bound = fx + float(np.vdot(gx, dx)) + (delta / (2.0 * theta_plus)) * float(np.vdot(dx, dx))
-        if not (f.value(x_plus) > bound):
-            return BacktrackResult(theta=theta_plus, trials=trials, x_plus=x_plus)
-        theta_plus *= 0.5
-        trials += 1
-        if theta_plus < _THETA_FLOOR:
-            raise BacktrackingError("stepsize underflow: sufficient decrease never reached")
 
 
 def backtrack_batch(
@@ -70,9 +34,10 @@ def backtrack_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run all m agents' searches in lockstep on stacked rows.
 
-    ``G`` is the caller's gradient stack at ``X``. Equivalent to calling
-    :func:`backtrack` per agent with f_i, row x_i and direction y_i; returns
-    (accepted stepsizes, per-agent trial counts).
+    Agent i searches from row x_i along direction y_i with its own loss f_i;
+    ``G`` is the caller's gradient stack at ``X``. Returns (accepted stepsizes,
+    per-agent trial counts); each accepted stepsize equals
+    ``gamma * theta / 2**(trials - 1)``.
     """
     theta = np.asarray(theta, dtype=float)
     if np.any(theta <= 0.0):

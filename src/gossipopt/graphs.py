@@ -14,7 +14,6 @@ __all__ = [
     "Graph",
     "GraphError",
     "GossipMatrix",
-    "SpectralData",
     "build_line_graph",
     "build_cycle_graph",
     "build_complete_graph",
@@ -218,26 +217,14 @@ def gossip_matrix(g: Graph, c: float = 0.5, W_tilde: np.ndarray | None = None) -
     return GossipMatrix(graph=g, W_tilde=W_tilde, c=c, W=W)
 
 
-@dataclass(frozen=True)
-class SpectralData:
-    """Eigen summary of a gossip matrix plus the dual-metric matrix.
+def spectral_data(gm: GossipMatrix) -> np.ndarray:
+    """Dual-metric matrix M = c^-1 pinv(I - W_tilde) - I of the strongly convex merit.
 
-    ``M = c^-1 pinv(I - W_tilde) - I`` weights the dual distance in the
-    strongly convex merit; it is positive definite on the complement of the
-    all-ones direction whenever c <= 1/2.
+    M weights the dual distance; it is positive definite on the complement of
+    the all-ones direction whenever c <= 1/2.
     """
-
-    lambda2: float
-    lambda_min: float
-    M: np.ndarray
-
-
-def spectral_data(gm: GossipMatrix) -> SpectralData:
-    vals, vecs = np.linalg.eigh(gm.W_tilde)  # ascending order
-    lambda2 = float(vals[-2]) if gm.graph.m > 1 else float("nan")
-    lambda_min = float(vals[0])
+    vals, vecs = np.linalg.eigh(gm.W_tilde)
     gap = 1.0 - vals
     inv = np.where(np.abs(gap) > _PINV_CUTOFF, 1.0 / np.where(gap == 0.0, 1.0, gap), 0.0)
     pinv = (vecs * inv) @ vecs.T
-    M = pinv / gm.c - np.eye(gm.graph.m)
-    return SpectralData(lambda2=lambda2, lambda_min=lambda_min, M=M)
+    return pinv / gm.c - np.eye(gm.graph.m)

@@ -248,18 +248,32 @@ def _build_family(problem: dict, default_seed: int):
     )
 
 
-def _gamma_from_cfg(raw) -> GammaSchedule | float:
+def _gamma_from_cfg(raw):
+    """The growth factor k -> gamma of a spec: {beta1, beta2}, {constant: c} or a bare c."""
     if raw is None:
         return GammaSchedule()
-    if isinstance(raw, (int, float)):
-        return float(raw)
-    if isinstance(raw, dict):
-        if "constant" in raw:
-            return float(raw["constant"])
+    if isinstance(raw, dict) and "constant" not in raw:
         return GammaSchedule(
             beta1=float(raw.get("beta1", 2.0)), beta2=float(raw.get("beta2", 1.0))
         )
-    raise ConfigError(f"cannot interpret gamma spec {raw!r}")
+    if not isinstance(raw, (dict, int, float)):
+        raise ConfigError(f"cannot interpret gamma spec {raw!r}")
+    value = float(raw["constant"] if isinstance(raw, dict) else raw)
+    if not (1.0 <= value < np.inf):
+        raise ConfigError(f"constant gamma must be finite and >= 1, got {value}")
+    return lambda k: value
+
+
+def _safeguard_radius(raw) -> float | None:
+    """R_tilde of an enabled safeguard spec; None when the spec is absent or disabled."""
+    if raw is not None and not isinstance(raw, dict):
+        raise ConfigError(f"safeguard must be a mapping {{enabled, R_tilde}}, got {raw!r}")
+    if not raw or not raw.get("enabled"):
+        return None
+    radius = raw.get("R_tilde")
+    if not (_is_real(radius) and 0.0 < radius < np.inf):
+        raise ConfigError(f"enabled safeguard needs a positive finite R_tilde, got {radius!r}")
+    return float(radius)
 
 
 def _make_algorithm(cfg: RunConfig, gm, family, X0: np.ndarray):
@@ -276,9 +290,8 @@ def _make_algorithm(cfg: RunConfig, gm, family, X0: np.ndarray):
             "gamma": _gamma_from_cfg(spec.get("gamma")),
         }
         if name == "adaptive":
-            guard = spec.get("safeguard") or {}
             common["d0"] = int(spec.get("d0", 1))
-            common["safeguard_radius"] = float(guard["R_tilde"]) if guard.get("enabled") else None
+            common["safeguard_radius"] = _safeguard_radius(spec.get("safeguard"))
         return AdaptiveAlgorithm(gm, family, X0, method=name, **common)
     except (ValueError, TypeError) as exc:
         if isinstance(exc, ConfigError):
@@ -301,7 +314,7 @@ def run(config: RunConfig) -> RunTrace:
         delta = float(config.algorithm.get("delta", 1.0))
     except (ValueError, TypeError) as exc:  # GraphError, LossError, MetricsError, int()/float()
         raise ConfigError(str(exc)) from exc
-    M = spectral_data(gm).M
+    M = spectral_data(gm)
     X0 = np.zeros((family.m, family.dim))
     algo = _make_algorithm(config, gm, family, X0)
 

@@ -1,13 +1,11 @@
 """Per-agent differentiable losses, data generation, and the exact-solution oracle.
 
 Losses are held in "stacked" form: the m agents' variables are the rows of an
-(m, d) matrix X, and ``gradients(X)`` stacks the per-agent gradients row-wise
-with no 1/m scaling.
+(m, d) matrix X; ``values(X)`` and ``gradients(X)`` evaluate agent i's loss at
+row i, for every agent at once, with no 1/m scaling.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -17,7 +15,6 @@ __all__ = [
     "LossError",
     "QuadraticFamily",
     "LogisticFamily",
-    "AgentLoss",
     "generate_quadratic",
     "parse_libsvm",
     "partition_logistic",
@@ -30,38 +27,15 @@ class LossError(ValueError):
     """Malformed loss data, dimension mismatch, or oracle failure."""
 
 
-@dataclass(frozen=True)
-class AgentLoss:
-    """Single agent's loss as a (value, gradient) handle for line searches."""
-
-    family: "QuadraticFamily | LogisticFamily"
-    agent: int
-
-    def value(self, x: np.ndarray) -> float:
-        return self.family.value(self.agent, x)
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.family.gradient(self.agent, x)
-
-
 class _FamilyBase:
     m: int
     dim: int
-
-    def _check_vector(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise LossError(f"expected vector of dimension {self.dim}, got shape {x.shape}")
-        return x
 
     def _check_stack(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.shape != (self.m, self.dim):
             raise LossError(f"expected stacked iterate {(self.m, self.dim)}, got {X.shape}")
         return X
-
-    def agent_loss(self, i: int) -> AgentLoss:
-        return AgentLoss(self, i)
 
     def total_value(self, x: np.ndarray) -> float:
         X = np.broadcast_to(x, (self.m, self.dim))
@@ -87,15 +61,6 @@ class QuadraticFamily(_FamilyBase):
         self.ridge = float(ridge)
         self.m = A.shape[0]
         self.dim = A.shape[2]
-
-    def value(self, i: int, x: np.ndarray) -> float:
-        x = self._check_vector(x)
-        r = self.A[i] @ x - self.b[i]
-        return float(r @ r + 0.5 * self.ridge * (x @ x))
-
-    def gradient(self, i: int, x: np.ndarray) -> np.ndarray:
-        x = self._check_vector(x)
-        return 2.0 * (self.A[i].T @ (self.A[i] @ x - self.b[i])) + self.ridge * x
 
     def values(self, X: np.ndarray) -> np.ndarray:
         X = self._check_stack(X)
@@ -125,17 +90,6 @@ class LogisticFamily(_FamilyBase):
         self.m = features.shape[0]
         self.dim = features.shape[2]
         self._h = features.shape[1]
-
-    def value(self, i: int, x: np.ndarray) -> float:
-        x = self._check_vector(x)
-        z = self.labels[i] * (self.features[i] @ x)
-        return float(np.logaddexp(0.0, -z).mean())
-
-    def gradient(self, i: int, x: np.ndarray) -> np.ndarray:
-        x = self._check_vector(x)
-        z = self.labels[i] * (self.features[i] @ x)
-        w = self.labels[i] * expit(-z)
-        return -(self.features[i].T @ w) / self._h
 
     def values(self, X: np.ndarray) -> np.ndarray:
         X = self._check_stack(X)

@@ -69,7 +69,11 @@ def merit_sc(
     dY = Y - fp.Y_star
     dY = dY - dY.mean(axis=0, keepdims=True)
     m_form = max(float(np.sum(dY * (M @ dY))), 0.0)
-    return float(np.sum(dX * dX)) + theta_min_prev**2 * m_form
+    try:
+        theta_sq = theta_min_prev**2
+    except OverflowError:  # a Python float above about 1.34e154
+        theta_sq = np.inf
+    return float(np.sum(dX * dX)) + theta_sq * m_form
 
 
 def merit_cvx(X: np.ndarray, fp: FixedPoint, family, gm: GossipMatrix, delta: float) -> float:

@@ -3,8 +3,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
-from gossipopt import LogisticFamily
+from gossipopt import BacktrackingError, LogisticFamily, QuadraticFamily, backtrack_batch
 
 
 def find_a3a() -> Path | None:
@@ -26,6 +27,63 @@ def synthetic_logistic(m: int, h: int, d: int, seed: int) -> LogisticFamily:
     margins = np.einsum("ahd,d->ah", feats, w)
     labels = np.where(rng.random((m, h)) < 1.0 / (1.0 + np.exp(-margins)), 1.0, -1.0)
     return LogisticFamily(feats, labels)
+
+
+def agent_value(family, i: int, x: np.ndarray) -> float:
+    """f_i(x) from agent i's own data, independent of the stacked kernels."""
+    if isinstance(family, QuadraticFamily):
+        r = family.A[i] @ x - family.b[i]
+        return float(r @ r + 0.5 * family.ridge * (x @ x))
+    z = family.labels[i] * (family.features[i] @ x)
+    return float(np.logaddexp(0.0, -z).mean())
+
+
+def agent_gradient(family, i: int, x: np.ndarray) -> np.ndarray:
+    """grad f_i(x) from agent i's own data, independent of the stacked kernels."""
+    if isinstance(family, QuadraticFamily):
+        return 2.0 * (family.A[i].T @ (family.A[i] @ x - family.b[i])) + family.ridge * x
+    z = family.labels[i] * (family.features[i] @ x)
+    w = family.labels[i] * expit(-z)
+    return -(family.features[i].T @ w) / family.features.shape[1]
+
+
+def backtrack(theta: float, family, i: int, x, y, gamma: float, delta: float) -> tuple[float, int]:
+    """Agent i's line search alone, on the per-agent oracle: (accepted stepsize, trials).
+
+    The reference for ``backtrack_batch``: grow by gamma, then halve while
+    f(x + t y) > f(x) + <grad f(x), t y> + (delta / 2t) ||t y||^2.
+    """
+    fx = agent_value(family, i, x)
+    gx = agent_gradient(family, i, x)
+    theta_plus = gamma * theta
+    trials = 1
+    while True:
+        x_plus = x + theta_plus * y
+        dx = x_plus - x
+        bound = fx + float(np.vdot(gx, dx)) + (delta / (2.0 * theta_plus)) * float(np.vdot(dx, dx))
+        if not (agent_value(family, i, x_plus) > bound):
+            return theta_plus, trials
+        theta_plus *= 0.5
+        trials += 1
+        if theta_plus < 1e-300:
+            raise BacktrackingError("stepsize underflow: sufficient decrease never reached")
+
+
+def curvature_family(L: float, m: int = 1, dim: int = 1) -> QuadraticFamily:
+    """m agents with f_i(x) = (L/2) ||x||^2, written as the ridge term alone.
+
+    The ridge form keeps the arithmetic exact for the hand examples: the
+    equivalent A = sqrt(L/2) I rounds, since sqrt(1/2)**2 != 1/2 in floating point.
+    """
+    return QuadraticFamily(np.zeros((m, 1, dim)), np.zeros((m, 1)), ridge=L)
+
+
+def search_one(family, theta: float, x, y, gamma: float, delta: float) -> tuple[float, int]:
+    """One agent's search through ``backtrack_batch`` on a one-row family: (stepsize, trials)."""
+    X = np.asarray(x, dtype=float)[None, :]
+    D = np.asarray(y, dtype=float)[None, :]
+    thetas, trials = backtrack_batch(np.array([theta]), family, X, family.gradients(X), D, gamma, delta)
+    return float(thetas[0]), int(trials[0])
 
 
 @pytest.fixture

@@ -12,11 +12,12 @@ from gossipopt import (
     AdaptiveAlgorithm,
     AdaptiveState,
     FixedPoint,
+    GammaSchedule,
     NeighborExchange,
     QuadraticFamily,
     RunConfig,
     adaptive_step,
-    backtrack,
+    backtrack_batch,
     build_erdos_renyi,
     build_line_graph,
     diameter,
@@ -33,7 +34,7 @@ from gossipopt import (
 from gossipopt.algorithms import METHODS
 from gossipopt.graphs import Graph
 from gossipopt.harness import experiment_suite
-from conftest import find_a3a, synthetic_logistic, written_out_step
+from conftest import curvature_family, find_a3a, search_one, synthetic_logistic, written_out_step
 
 
 def _passed(num: int, label: str) -> None:
@@ -160,7 +161,7 @@ def test_criterion_5_fixed_point_stationarity(rng):
         gm = gossip_matrix(g, c=0.5)
         fam = generate_quadratic(m=m, h=d + 2, n=d, ridge=0.1, seed=200 + trial)
         fp = fixed_point(fam, tol=1e-10)
-        algo = AdaptiveAlgorithm(gm, fam, X0=fp.X_star, theta0=1e-3, gamma=1.0)
+        algo = AdaptiveAlgorithm(gm, fam, X0=fp.X_star, theta0=1e-3, gamma=GammaSchedule(beta1=1.0))
         algo.state.Y = fp.Y_star.copy()
         algo.step()
         scale = 1.0 + np.linalg.norm(fp.X_star) + np.linalg.norm(fp.Y_star)
@@ -169,39 +170,27 @@ def test_criterion_5_fixed_point_stationarity(rng):
     _passed(5, "one step from a fixed point stays put")
 
 
-class _Curvature:
-    def __init__(self, L):
-        self.L = L
-
-    def value(self, x):
-        return 0.5 * self.L * float(np.vdot(x, x))
-
-    def gradient(self, x):
-        return self.L * np.asarray(x, dtype=float)
-
-
 def test_criterion_6_backtracking_properties(rng):
-    # hand-derived example: theta=4 halves twice
-    res = backtrack(4.0, _Curvature(1.0), np.array([1.0]), np.array([-1.0]), 1.0, 1.0)
-    assert res.theta == 1.0 and res.trials == 3
+    # hand-derived example on f(x) = x^2/2: theta=4 halves twice
+    assert search_one(curvature_family(1.0), 4.0, [1.0], [-1.0], 1.0, 1.0) == (1.0, 3)
 
     # dichotomy over 10^4 randomized calls with a shared running stepsize
-    f = _Curvature(5.0)
+    fam = curvature_family(5.0, dim=2)
     theta = 1.0
     for _ in range(10_000):
         gamma = float(rng.uniform(1.0, 2.0 - 1e-9))
-        new = backtrack(theta, f, rng.standard_normal(2), rng.standard_normal(2), gamma, 1.0).theta
+        new, _ = search_one(fam, theta, rng.standard_normal(2), rng.standard_normal(2), gamma, 1.0)
         assert new < theta or new == gamma * theta
         theta = new
 
-    # termination floor on known-curvature quadratics
+    # termination floor on known-curvature quadratics, 300 agents per curvature
     for L in (1.0, 10.0, 100.0):
-        f = _Curvature(L)
-        for _ in range(300):
-            theta0 = float(rng.uniform(1e-4, 10.0))
-            gamma = float(rng.uniform(1.0, 2.0))
-            res = backtrack(theta0, f, rng.standard_normal(3), rng.standard_normal(3), gamma, 1.0)
-            assert res.theta >= min(gamma * theta0, 1.0 / (2.0 * L)) - 1e-15
+        fam = curvature_family(L, m=300, dim=3)
+        theta0 = rng.uniform(1e-4, 10.0, size=300)
+        gamma = rng.uniform(1.0, 2.0, size=300)
+        X = rng.standard_normal((300, 3))
+        theta, _ = backtrack_batch(theta0, fam, X, fam.gradients(X), rng.standard_normal((300, 3)), gamma, 1.0)
+        assert np.all(theta >= np.minimum(gamma * theta0, 1.0 / (2.0 * L)) - 1e-15)
     _passed(6, "backtracking dichotomy, floor, and hand examples")
 
 
@@ -276,16 +265,15 @@ def test_criterion_8_diameter_estimator(m):
 def test_criterion_9_gradient_checks(rng):
     quad = generate_quadratic(m=4, h=6, n=5, ridge=0.3, seed=301)
     logi = synthetic_logistic(4, 9, 5, seed=302)
+    eps = 1e-6
     for fam in (quad, logi):
-        for probe in range(100):
-            i = probe % fam.m
-            x = rng.standard_normal(fam.dim)
-            u = rng.standard_normal(fam.dim)
-            u /= np.linalg.norm(u)
-            exact = float(fam.gradient(i, x) @ u)
-            eps = 1e-6
-            approx = (fam.value(i, x + eps * u) - fam.value(i, x - eps * u)) / (2 * eps)
-            assert abs(exact - approx) <= 1e-5 * max(1.0, abs(exact))
+        for probe in range(25):  # 100 row checks over the 4 agents
+            X = rng.standard_normal((fam.m, fam.dim))
+            U = rng.standard_normal((fam.m, fam.dim))
+            U /= np.linalg.norm(U, axis=1, keepdims=True)
+            exact = np.einsum("ad,ad->a", fam.gradients(X), U)
+            approx = (fam.values(X + eps * U) - fam.values(X - eps * U)) / (2 * eps)
+            assert np.all(np.abs(exact - approx) <= 1e-5 * np.maximum(1.0, np.abs(exact)))
     _passed(9, "analytic gradients match central differences")
 
 
@@ -296,15 +284,15 @@ def test_criterion_10_gossip_and_merit_algebra(rng):
         for W in (gm.W_tilde, gm.W):
             assert np.abs(W.sum(axis=1) - 1.0).max() <= 1e-12
             assert np.abs(W - W.T).max() <= 1e-12
-        sd = spectral_data(gm)
+        M = spectral_data(gm)
         ones = np.ones((10, 1)) / np.sqrt(10.0)
         proj = np.eye(10) - ones @ ones.T
-        eig = np.linalg.eigvalsh(proj @ sd.M @ proj)
+        eig = np.linalg.eigvalsh(proj @ M @ proj)
         assert eig[np.abs(eig) > 1e-9].min() > 0.0  # positive definite on 1-perp
 
     # hand-computed merit values on the two-agent complete graph
     gm2 = gossip_matrix(build_erdos_renyi(2, 1.0, seed=0), c=0.5)
-    M = spectral_data(gm2).M
+    M = spectral_data(gm2)
     fp = FixedPoint(
         x_star=np.zeros(1), X_star=np.zeros((2, 1)), Y_star=np.zeros((2, 1)), F_star=0.0
     )

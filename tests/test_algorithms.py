@@ -16,13 +16,11 @@ from gossipopt import (
     NeighborExchange,
     QuadraticFamily,
     adaptive_step,
-    backtrack,
     build_complete_graph,
     build_erdos_renyi,
     build_line_graph,
     diameter,
     fixed_point,
-    gamma_schedule,
     generate_quadratic,
     gossip_matrix,
     local_max_consensus,
@@ -31,6 +29,8 @@ from gossipopt import (
 from gossipopt.algorithms import DIVERGENCE_NORM, METHODS
 from conftest import (
     CountingFamily,
+    agent_gradient,
+    backtrack,
     floyd_warshall_diameter,
     synthetic_logistic,
     written_out_step,
@@ -129,18 +129,18 @@ def test_consensus_is_local_and_reaches_in_exactly_diameter_rounds(g, data):
 
 
 def test_gamma_schedule_default_values():
-    assert gamma_schedule(0) == 2.0
-    assert gamma_schedule(1) == 1.5
-    assert gamma_schedule(10**9) == pytest.approx(1.0, abs=1e-8)
+    gamma = GammaSchedule()
+    assert gamma(0) == 2.0
+    assert gamma(1) == 1.5
+    assert gamma(10**9) == pytest.approx(1.0, abs=1e-8)
+    assert all(GammaSchedule(beta1=1.0, beta2=b)(k) == 1.0 for b in (0.5, 1.0, 3.0) for k in range(50))
 
 
 def test_gamma_schedule_validation():
-    with pytest.raises(ValueError):
-        gamma_schedule(0, beta1=0.5)
-    with pytest.raises(ValueError):
-        gamma_schedule(0, beta2=0.0)
-    with pytest.raises(ValueError):
-        GammaSchedule(beta1=2.0, beta2=-1.0)
+    for beta1, beta2 in ((0.5, 1.0), (2.0, 0.0), (2.0, -1.0), (np.nan, 1.0), (2.0, np.nan),
+                         (np.inf, 1.0), (2.0, np.inf)):
+        with pytest.raises(ValueError):
+            GammaSchedule(beta1=beta1, beta2=beta2)
 
 
 # --- exchange layer ---
@@ -205,13 +205,11 @@ def test_single_agent_collapses_to_backtracked_gradient_descent():
 
     x = x0[0].copy()
     theta = 1.0
-    handle = fam.agent_loss(0)
     for k in range(25):
         algo.step()
-        gamma_prev = gamma_schedule(max(k - 1, 0))
-        res = backtrack(theta, handle, x, -handle.gradient(x), gamma_prev, 1.0)
-        theta = res.theta
-        x = x - theta * handle.gradient(x)
+        gamma_prev = GammaSchedule()(max(k - 1, 0))
+        theta, _ = backtrack(theta, fam, 0, x, -agent_gradient(fam, 0, x), gamma_prev, 1.0)
+        x = x - theta * agent_gradient(fam, 0, x)
         np.testing.assert_allclose(algo.X[0], x, rtol=1e-12, atol=1e-12)
         assert np.all(algo.Y == 0.0)  # dual stays at its zero start
 
@@ -220,7 +218,7 @@ def test_fixed_point_is_stationary():
     fam = generate_quadratic(m=4, h=6, n=3, ridge=0.0, seed=6)
     gm = gossip_matrix(build_erdos_renyi(4, 0.8, seed=1), c=0.5)
     fp = fixed_point(fam, tol=1e-10)
-    algo = AdaptiveAlgorithm(gm, fam, X0=fp.X_star, theta0=1e-3, gamma=1.0)
+    algo = AdaptiveAlgorithm(gm, fam, X0=fp.X_star, theta0=1e-3, gamma=GammaSchedule(beta1=1.0))
     algo.state.Y = fp.Y_star.copy()
     algo.step()
     scale = 1.0 + np.linalg.norm(fp.X_star) + np.linalg.norm(fp.Y_star)
@@ -398,8 +396,9 @@ def test_divergence_leaves_state_untouched():
 
 
 def test_state_validation():
-    with pytest.raises(ValueError):
-        AdaptiveState.initial(np.zeros((2, 2)), theta0=0.0)
+    for theta0 in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="theta0"):
+            AdaptiveState.initial(np.zeros((2, 2)), theta0=theta0)
     with pytest.raises(ValueError):
         AdaptiveState.initial(np.zeros((2, 2)), d0=0)
     gm = gossip_matrix(build_line_graph(2), c=0.5)
@@ -410,8 +409,8 @@ def test_state_validation():
         AdaptiveAlgorithm(gm, fam, X0=np.zeros((2, 2)), method="sideways")
     with pytest.raises(ValueError):
         ExtraAlgorithm(gm, fam, X0=np.zeros((2, 2)), alpha=0.0)
-    with pytest.raises(ValueError):
-        AdaptiveAlgorithm(gm, fam, X0=np.zeros((2, 2)), gamma=0.5)
+    with pytest.raises(TypeError, match="callable"):
+        AdaptiveAlgorithm(gm, fam, X0=np.zeros((2, 2)), gamma=1.5)
 
 
 # --- baseline ---

@@ -3,97 +3,77 @@ import pytest
 
 from gossipopt import (
     BacktrackingError,
-    backtrack,
     backtrack_batch,
     generate_quadratic,
 )
-
-
-class Scaled1D:
-    """f(x) = (L/2) x^2 on vectors; constant curvature L along any direction."""
-
-    def __init__(self, L=1.0):
-        self.L = L
-
-    def value(self, x):
-        return 0.5 * self.L * float(np.vdot(x, x))
-
-    def gradient(self, x):
-        return self.L * np.asarray(x, dtype=float)
+from conftest import backtrack, curvature_family, search_one
 
 
 def test_hand_example_unit_quadratic():
-    res = backtrack(1.0, Scaled1D(), np.array([1.0]), np.array([-1.0]), gamma=1.0, delta=1.0)
-    assert res.theta == 1.0
-    assert res.trials == 1
-    np.testing.assert_allclose(res.x_plus, [0.0])
+    assert search_one(curvature_family(1.0), 1.0, [1.0], [-1.0], gamma=1.0, delta=1.0) == (1.0, 1)
 
 
 def test_hand_example_halves_twice():
-    res = backtrack(4.0, Scaled1D(), np.array([1.0]), np.array([-1.0]), gamma=1.0, delta=1.0)
-    assert res.theta == 1.0
-    assert res.trials == 3
+    assert search_one(curvature_family(1.0), 4.0, [1.0], [-1.0], gamma=1.0, delta=1.0) == (1.0, 3)
 
 
 def test_zero_direction_accepts_immediately():
-    res = backtrack(0.7, Scaled1D(5.0), np.array([2.0, -1.0]), np.zeros(2), gamma=1.6, delta=0.5)
-    assert res.trials == 1
-    assert res.theta == 1.6 * 0.7
-    np.testing.assert_array_equal(res.x_plus, [2.0, -1.0])
+    # f(x + t 0) equals the bound exactly: ties accept
+    fam = curvature_family(5.0, dim=2)
+    assert search_one(fam, 0.7, [2.0, -1.0], np.zeros(2), gamma=1.6, delta=0.5) == (1.6 * 0.7, 1)
 
 
 def test_result_invariant_theta_formula(rng):
-    f = Scaled1D(3.0)
-    for _ in range(200):
-        theta = float(rng.uniform(0.01, 10.0))
-        gamma = float(rng.uniform(1.0, 2.0))
-        x = rng.standard_normal(3)
-        y = rng.standard_normal(3)
-        res = backtrack(theta, f, x, y, gamma, delta=1.0)
-        assert res.theta == gamma * theta / 2.0 ** (res.trials - 1)
+    m = 200
+    fam = curvature_family(3.0, m=m, dim=3)
+    theta = rng.uniform(0.01, 10.0, size=m)
+    gamma = rng.uniform(1.0, 2.0, size=m)
+    X = rng.standard_normal((m, 3))
+    thetas, trials = backtrack_batch(theta, fam, X, fam.gradients(X), rng.standard_normal((m, 3)), gamma, 1.0)
+    assert np.array_equal(thetas, gamma * theta / 2.0 ** (trials - 1))
 
 
 def test_dichotomy_over_shared_theta_sequence(rng):
     # either a strict decrease or exactly gamma * previous, along a running theta
-    f = Scaled1D(7.0)
+    fam = curvature_family(7.0, dim=2)
     theta = 1.0
     for k in range(2000):
         gamma = float(rng.uniform(1.0, 2.0 - 1e-9))
         x = rng.standard_normal(2)
         y = rng.standard_normal(2)
-        new = backtrack(theta, f, x, y, gamma, delta=1.0).theta
+        new, _ = search_one(fam, theta, x, y, gamma, delta=1.0)
         assert new < theta or new == gamma * theta
         theta = new
 
 
 def test_nonincreasing_with_unit_gamma(rng):
-    f = Scaled1D(4.0)
+    fam = curvature_family(4.0, dim=2)
     theta = 2.0
     prev = theta
     for _ in range(300):
-        theta = backtrack(theta, f, rng.standard_normal(2), rng.standard_normal(2), 1.0, 1.0).theta
+        theta, _ = search_one(fam, theta, rng.standard_normal(2), rng.standard_normal(2), 1.0, 1.0)
         assert theta <= prev
         prev = theta
 
 
 @pytest.mark.parametrize("L", [1.0, 10.0, 100.0])
 def test_termination_floor(L, rng):
-    f = Scaled1D(L)
+    m = 100
+    fam = curvature_family(L, m=m, dim=3)
     delta = 1.0
-    for _ in range(100):
-        theta = float(rng.uniform(1e-4, 10.0))
-        gamma = float(rng.uniform(1.0, 2.0))
-        x = rng.standard_normal(3)
-        y = rng.standard_normal(3)
-        res = backtrack(theta, f, x, y, gamma, delta)
-        assert res.theta >= min(gamma * theta, delta / (2.0 * L)) - 1e-15
+    theta = rng.uniform(1e-4, 10.0, size=m)
+    gamma = rng.uniform(1.0, 2.0, size=m)
+    X = rng.standard_normal((m, 3))
+    thetas, _ = backtrack_batch(theta, fam, X, fam.gradients(X), rng.standard_normal((m, 3)), gamma, delta)
+    assert np.all(thetas >= np.minimum(gamma * theta, delta / (2.0 * L)) - 1e-15)
 
 
 def test_decrease_count_bounded_by_log_growth(rng):
     # halvings are paid for by gamma growth: sum(trials - 1) equals
     # log2(theta_0 / theta_K) + sum log2(gamma_k), and theta never drops
     # below delta / (2 L), so decreases are O(sum log gamma)
-    f = Scaled1D(10.0)
+    L = 10.0
+    fam = curvature_family(L, dim=2)
     delta = 1.0
     theta0 = theta = 1.0
     decreases = 0
@@ -102,34 +82,34 @@ def test_decrease_count_bounded_by_log_growth(rng):
     K = 10_000
     for k in range(K):
         gamma = (k + 2.0) / (k + 1.0)
-        res = backtrack(theta, f, rng.standard_normal(2), rng.standard_normal(2), gamma, delta)
-        if res.theta < theta:
+        new, trials = search_one(fam, theta, rng.standard_normal(2), rng.standard_normal(2), gamma, delta)
+        if new < theta:
             decreases += 1
-        halvings += res.trials - 1
+        halvings += trials - 1
         log2_gamma_sum += np.log2(gamma)
-        theta = res.theta
-    bound = log2_gamma_sum + np.log2(theta0 * 2.0 * f.L / delta) + 1.0
+        theta = new
+    bound = log2_gamma_sum + np.log2(theta0 * 2.0 * L / delta) + 1.0
     assert decreases <= halvings <= bound
     print(f"decrease probe: {decreases} decreases, {halvings} halvings, bound {bound:.1f}")
 
 
+class _StepFamily:
+    """Zero at the origin and one elsewhere: no stepsize gives sufficient decrease."""
+
+    def values(self, X):
+        return np.any(X != 0.0, axis=1).astype(float)
+
+
 def test_underflow_raises():
-    class Hostile:
-        # claims a huge descent slope but never decreases: the test can
-        # never pass and the stepsize underflows
-        def value(self, x):
-            return 0.0 if float(np.vdot(x, x)) == 0.0 else 1.0
-
-        def gradient(self, x):
-            return np.full_like(np.asarray(x, dtype=float), -1e6)
-
+    # a huge claimed descent slope that the values never follow
+    X = np.zeros((1, 2))
     with pytest.raises(BacktrackingError, match="underflow"):
-        backtrack(1.0, Hostile(), np.zeros(2), np.ones(2), gamma=1.0, delta=1.0)
+        backtrack_batch(np.array([1.0]), _StepFamily(), X, np.full((1, 2), -1e6), np.ones((1, 2)), 1.0, 1.0)
 
 
 def test_rejects_nonpositive_theta():
     with pytest.raises(BacktrackingError):
-        backtrack(0.0, Scaled1D(), np.zeros(1), np.ones(1), 1.0, 1.0)
+        search_one(curvature_family(1.0), 0.0, np.zeros(1), np.ones(1), 1.0, 1.0)
 
 
 def test_batch_matches_scalar_per_agent(rng):
@@ -141,9 +121,7 @@ def test_batch_matches_scalar_per_agent(rng):
         D = rng.standard_normal((6, 4))
         thetas, trials = backtrack_batch(theta, fam, X, fam.gradients(X), D, gamma, delta=0.8)
         for i in range(6):
-            ref = backtrack(theta[i], fam.agent_loss(i), X[i], D[i], gamma, delta=0.8)
-            assert thetas[i] == ref.theta
-            assert trials[i] == ref.trials
+            assert (thetas[i], trials[i]) == backtrack(theta[i], fam, i, X[i], D[i], gamma, delta=0.8)
 
 
 def test_batch_per_agent_gamma(rng):

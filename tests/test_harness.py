@@ -331,11 +331,21 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
         lambda d: d.update(fixed_point_tol=1e-30),
         lambda d: d["problem"].update(n=[1]),
         lambda d: d["graph"].update(p=[1]),
+        lambda d: d["algorithm"].update(safeguard={"enabled": True}),
+        lambda d: d["algorithm"].update(safeguard=5),
+        lambda d: d["algorithm"].update(safeguard={"enabled": True, "R_tilde": float("nan")}),
+        lambda d: d["algorithm"].update(safeguard={"enabled": True, "R_tilde": -1}),
+        lambda d: d["algorithm"].update(theta0=float("nan")),
+        lambda d: d["algorithm"].update(gamma={"beta1": float("nan")}),
+        lambda d: d["algorithm"].update(gamma=float("nan")),
+        lambda d: d["algorithm"].update(gamma=0.5),
     ],
     ids=["max_iterations", "max_vector_rounds", "stride", "seed", "c", "epsilon",
          "fixed_point_tol", "missing_n", "problem_n", "problem_lambda", "problem_seed",
          "graph_p", "graph_seed", "fixed_point_tol_negative", "fixed_point_tol_unreachable",
-         "problem_n_list", "graph_p_list"],
+         "problem_n_list", "graph_p_list", "safeguard_no_radius", "safeguard_scalar",
+         "safeguard_nan_radius", "safeguard_negative_radius", "theta0_nan", "gamma_beta1_nan",
+         "gamma_nan", "gamma_below_one"],
 )
 def test_cli_rejects_mistyped_config(tmp_path, capsys, mutate):
     raw = small_quadratic_config()
@@ -356,6 +366,16 @@ def test_cli_rejects_nonpositive_theta0(tmp_path, capsys, method, theta0):
     cfg_path.write_text(yaml.safe_dump(raw))
     assert main(["run", "--config", str(cfg_path)]) == 3
     assert "theta0" in capsys.readouterr().err
+
+
+def test_cli_huge_theta0_ends_diverged(tmp_path, capsys):
+    # theta0**2 overflows a float in the first merit row; the run must still end with a status
+    raw = small_quadratic_config()
+    raw["algorithm"]["theta0"] = 1e160
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(raw))
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    assert "status=diverged" in capsys.readouterr().out
 
 
 def test_cli_tune_extra(tmp_path, capsys):

@@ -11,11 +11,12 @@ from gossipopt import (
     partition_logistic,
     quadratic_condition_numbers,
 )
-from conftest import find_a3a, synthetic_logistic
+from conftest import agent_gradient, agent_value, find_a3a, synthetic_logistic
 
 
-def directional_fd(fam, i, x, u, eps=1e-6):
-    return (fam.value(i, x + eps * u) - fam.value(i, x - eps * u)) / (2.0 * eps)
+def row_directional_fd(fam, X, U, eps=1e-6):
+    """Central differences of every agent's loss at its row x_i along its row u_i."""
+    return (fam.values(X + eps * U) - fam.values(X - eps * U)) / (2.0 * eps)
 
 
 def test_quadratic_gradient_zero_at_least_squares_solution(rng):
@@ -23,13 +24,12 @@ def test_quadratic_gradient_zero_at_least_squares_solution(rng):
     b = rng.standard_normal((1, 8))
     fam = QuadraticFamily(A, b, ridge=0.0)
     x_star = np.linalg.lstsq(A[0], b[0], rcond=None)[0]
-    assert np.linalg.norm(fam.gradient(0, x_star)) < 1e-10
+    assert np.linalg.norm(fam.gradients(x_star[None, :])[0]) < 1e-10
 
 
 def test_logistic_value_at_zero_is_log2(rng):
     fam = synthetic_logistic(3, 7, 4, seed=0)
-    for i in range(3):
-        assert fam.value(i, np.zeros(4)) == pytest.approx(np.log(2.0), rel=1e-12)
+    np.testing.assert_allclose(fam.values(np.zeros((3, 4))), np.log(2.0), rtol=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
@@ -38,25 +38,24 @@ def test_gradients_match_finite_differences(kind, rng):
         fam = generate_quadratic(m=4, h=6, n=5, ridge=0.3, seed=1)
     else:
         fam = synthetic_logistic(4, 9, 5, seed=1)
-    for probe in range(100):
-        i = probe % fam.m
-        x = rng.standard_normal(fam.dim)
-        u = rng.standard_normal(fam.dim)
-        u /= np.linalg.norm(u)
-        exact = float(fam.gradient(i, x) @ u)
-        approx = directional_fd(fam, i, x, u)
-        assert abs(exact - approx) <= 1e-5 * max(1.0, abs(exact))
+    for probe in range(25):  # 100 row checks over the 4 agents
+        X = rng.standard_normal((fam.m, fam.dim))
+        U = rng.standard_normal((fam.m, fam.dim))
+        U /= np.linalg.norm(U, axis=1, keepdims=True)
+        exact = np.einsum("ad,ad->a", fam.gradients(X), U)
+        approx = row_directional_fd(fam, X, U)
+        assert np.all(np.abs(exact - approx) <= 1e-5 * np.maximum(1.0, np.abs(exact)))
 
 
 def test_stacked_gradients_match_per_agent(rng):
-    fam = generate_quadratic(m=5, h=4, n=3, ridge=0.1, seed=2)
-    X = rng.standard_normal((5, 3))
-    G = fam.gradients(X)
-    for i in range(5):
-        np.testing.assert_allclose(G[i], fam.gradient(i, X[i]), rtol=1e-13)
-    V = fam.values(X)
-    for i in range(5):
-        assert V[i] == pytest.approx(fam.value(i, X[i]), rel=1e-13)
+    # the stacked kernels against the per-agent reference written from each agent's data
+    for fam in (generate_quadratic(m=5, h=4, n=3, ridge=0.1, seed=2), synthetic_logistic(5, 4, 3, seed=2)):
+        X = rng.standard_normal((5, 3))
+        G = fam.gradients(X)
+        V = fam.values(X)
+        for i in range(5):
+            np.testing.assert_allclose(G[i], agent_gradient(fam, i, X[i]), rtol=1e-13)
+            assert V[i] == pytest.approx(agent_value(fam, i, X[i]), rel=1e-13)
 
 
 def test_generate_quadratic_benchmark_dimensions():
@@ -73,40 +72,32 @@ def test_generate_quadratic_deterministic():
     assert np.array_equal(f1.A, f2.A) and np.array_equal(f1.b, f2.b)
 
 
+def _lower_bounds(fam, X, Y, mu):
+    """Row-wise f_i(x_i) + <grad f_i(x_i), y_i - x_i> + (mu/2) ||y_i - x_i||^2."""
+    D = Y - X
+    return fam.values(X) + np.einsum("ad,ad->a", fam.gradients(X), D) + 0.5 * mu * np.einsum("ad,ad->a", D, D)
+
+
 def test_quadratic_strong_convexity(rng):
     fam = generate_quadratic(m=3, h=5, n=4, ridge=0.8, seed=3)
-    for _ in range(50):
-        i = int(rng.integers(3))
-        x, y = rng.standard_normal((2, 4))
-        lower = fam.value(i, x) + fam.gradient(i, x) @ (y - x) + 0.4 * np.sum((y - x) ** 2)
-        assert fam.value(i, y) >= lower - 1e-9
+    for _ in range(17):  # 51 row checks
+        X, Y = rng.standard_normal((2, 3, 4))
+        assert np.all(fam.values(Y) >= _lower_bounds(fam, X, Y, 0.8) - 1e-9)
 
 
 def test_logistic_convexity(rng):
     fam = synthetic_logistic(3, 6, 4, seed=4)
-    for _ in range(50):
-        i = int(rng.integers(3))
-        x, y = rng.standard_normal((2, 4))
-        lower = fam.value(i, x) + fam.gradient(i, x) @ (y - x)
-        assert fam.value(i, y) >= lower - 1e-12
+    for _ in range(17):  # 51 row checks
+        X, Y = rng.standard_normal((2, 3, 4))
+        assert np.all(fam.values(Y) >= _lower_bounds(fam, X, Y, 0.0) - 1e-12)
 
 
 def test_dimension_mismatch_errors():
-    fam = generate_quadratic(m=2, h=3, n=4, ridge=0.0, seed=0)
-    with pytest.raises(LossError):
-        fam.value(0, np.zeros(3))
-    with pytest.raises(LossError):
-        fam.gradient(1, np.zeros(5))
-    with pytest.raises(LossError):
-        fam.gradients(np.zeros((3, 4)))
-
-
-def test_agent_loss_handle(rng):
-    fam = generate_quadratic(m=3, h=4, n=3, ridge=0.2, seed=5)
-    handle = fam.agent_loss(1)
-    x = rng.standard_normal(3)
-    assert handle.value(x) == fam.value(1, x)
-    np.testing.assert_array_equal(handle.gradient(x), fam.gradient(1, x))
+    for fam in (generate_quadratic(m=2, h=3, n=4, ridge=0.0, seed=0), synthetic_logistic(2, 3, 4, seed=0)):
+        for oracle in (fam.values, fam.gradients):
+            for shape in ((3, 4), (2, 5), (4,)):
+                with pytest.raises(LossError):
+                    oracle(np.zeros(shape))
 
 
 # --- libsvm parsing ---

@@ -53,14 +53,14 @@ def test_fixed_point_random_residual():
 
 def test_merit_sc_zero_at_fixed_point():
     gm = gossip_matrix(build_complete_graph(2), c=0.5)
-    M = spectral_data(gm).M
+    M = spectral_data(gm)
     fp = fixed_point(two_agent_pull(), tol=1e-10)
     assert merit_sc(fp.X_star, fp.Y_star, 0.7, fp, M) <= 1e-24
 
 
 def test_merit_sc_frobenius_term_only(rng):
     gm = gossip_matrix(build_complete_graph(2), c=0.5)
-    M = spectral_data(gm).M
+    M = spectral_data(gm)
     fp = fixed_point(two_agent_pull(), tol=1e-10)
     E = rng.standard_normal((2, 1))
     E /= np.linalg.norm(E)
@@ -71,7 +71,7 @@ def test_merit_sc_hand_dual_term():
     # complete graph m=2, c=1/2: the disagreement direction has M-eigenvalue 1;
     # dual offset [1, -1] with theta 2 contributes 4 * 2 = 8
     gm = gossip_matrix(build_complete_graph(2), c=0.5)
-    M = spectral_data(gm).M
+    M = spectral_data(gm)
     fp = FixedPoint(
         x_star=np.zeros(1), X_star=np.zeros((2, 1)), Y_star=np.zeros((2, 1)), F_star=0.0
     )
@@ -82,7 +82,7 @@ def test_merit_sc_hand_dual_term():
 def test_merit_sc_positive_under_perturbations(rng):
     g = build_erdos_renyi(5, 0.6, seed=5)
     gm = gossip_matrix(g, c=0.5)
-    M = spectral_data(gm).M
+    M = spectral_data(gm)
     fam = generate_quadratic(m=5, h=6, n=3, ridge=0.0, seed=31)
     fp = fixed_point(fam, tol=1e-8)
     IW = np.eye(5) - gm.W
