@@ -6,7 +6,6 @@ from .algorithms import (
     DivergenceError,
     ExtraAlgorithm,
     GammaSchedule,
-    LocalityError,
     NeighborExchange,
     adaptive_step,
     local_max_consensus,

@@ -1,4 +1,4 @@
-"""Decentralized optimization over a locality-enforcing neighbor-exchange layer.
+"""Decentralized optimization over a neighbor-exchange layer.
 
 The adaptive method and the prior adaptive scheme it improves on are one
 primal-dual recurrence, ``adaptive_step``: gossip the primal rows, gossip the
@@ -37,7 +37,6 @@ __all__ = [
     "DivergenceError",
     "ExtraAlgorithm",
     "GammaSchedule",
-    "LocalityError",
     "NeighborExchange",
     "adaptive_step",
     "local_max_consensus",
@@ -53,10 +52,6 @@ METHODS = ("adaptive", "nips_global", "nips_local")
 
 class DivergenceError(RuntimeError):
     """Iterate norm exploded; for EXTRA this signals alpha is too large."""
-
-
-class LocalityError(RuntimeError):
-    """A payload would cross a non-edge of the communication graph."""
 
 
 def local_min_consensus(v: np.ndarray, g: Graph) -> np.ndarray:
@@ -87,22 +82,17 @@ class GammaSchedule:
 
 
 class NeighborExchange:
-    """Locality-enforcing message layer with communication accounting.
+    """Neighbor-exchange message layer with communication accounting.
 
     ``gossip_rows`` multiplies by W and charges one vector round (one
     d-dimensional payload per edge direction plus self-loops);
     ``neighbor_min``/``neighbor_max`` charge one scalar round unless they
-    piggyback on an exchange already charged this iteration. Locality is
-    enforced once, at construction: W may carry weight only on graph edges
-    and self-loops.
+    piggyback on an exchange already charged this iteration. Locality holds
+    by construction: ``GossipMatrix`` derives W from the graph's edges and
+    keeps it read-only.
     """
 
     def __init__(self, gm: GossipMatrix):
-        off_pattern = gm.W.copy()
-        np.fill_diagonal(off_pattern, 0.0)
-        off_pattern[gm.graph.adjacency() != 0.0] = 0.0
-        if np.any(off_pattern != 0.0):
-            raise LocalityError("gossip matrix has weight on a non-edge")
         self.graph = gm.graph
         self.W = gm.W
         self.vector_rounds = 0

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 
@@ -51,13 +51,6 @@ class Graph:
 
     def degree(self, i: int) -> int:
         return len(self.neighbors[i]) - 1
-
-    def adjacency(self) -> np.ndarray:
-        """0/1 adjacency matrix with zero diagonal."""
-        a = np.zeros((self.m, self.m))
-        for i, j in self.edges:
-            a[i, j] = a[j, i] = 1.0
-        return a
 
     @cached_property
     def neighbor_index(self) -> tuple[np.ndarray, np.ndarray]:
@@ -177,16 +170,26 @@ def metropolis_weights(g: Graph) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GossipMatrix:
-    """Mixing pair (W_tilde, W) with W = (1-c) I + c W_tilde, c in (0, 1/2].
+    """Mixing pair (W_tilde, W) of a graph, with W = (1-c) I + c W_tilde, c in (0, 1/2].
 
-    One multiplication by W models one synchronous round of neighbor
-    exchanges; the sparsity pattern of W matches the graph exactly.
+    Both matrices are derived from the graph's Metropolis weights and are
+    read-only, so weight sits only on graph edges and self-loops: one
+    multiplication by W models one synchronous round of neighbor exchanges.
     """
 
     graph: Graph
-    W_tilde: np.ndarray
     c: float
-    W: np.ndarray
+    W_tilde: np.ndarray = field(init=False)
+    W: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        if not (0.0 < self.c <= 0.5):
+            raise GraphError(f"mixing coefficient c must lie in (0, 1/2], got {self.c}")
+        W_tilde = metropolis_weights(self.graph)
+        W = (1.0 - self.c) * np.eye(self.graph.m) + self.c * W_tilde
+        for name, matrix in (("W_tilde", W_tilde), ("W", W)):
+            matrix.setflags(write=False)
+            object.__setattr__(self, name, matrix)
 
     @cached_property
     def I_minus_W(self) -> np.ndarray:
@@ -194,27 +197,9 @@ class GossipMatrix:
         return np.eye(self.graph.m) - self.W
 
 
-def gossip_matrix(g: Graph, c: float = 0.5, W_tilde: np.ndarray | None = None) -> GossipMatrix:
-    """Validate W_tilde against the graph and build W = (1-c) I + c W_tilde."""
-    if not (0.0 < c <= 0.5):
-        raise GraphError(f"mixing coefficient c must lie in (0, 1/2], got {c}")
-    if W_tilde is None:
-        W_tilde = metropolis_weights(g)
-    W_tilde = np.asarray(W_tilde, dtype=float)
-    if W_tilde.shape != (g.m, g.m):
-        raise GraphError(f"W_tilde has shape {W_tilde.shape}, expected {(g.m, g.m)}")
-    if not np.array_equal(W_tilde, W_tilde.T):
-        raise GraphError("W_tilde must be symmetric")
-    if np.abs(W_tilde.sum(axis=1) - 1.0).max() > 1e-12:
-        raise GraphError("W_tilde rows must sum to 1")
-    if np.any(np.diag(W_tilde) <= 0.0):
-        raise GraphError("W_tilde must have a strictly positive diagonal")
-    adj = g.adjacency()
-    off = W_tilde - np.diag(np.diag(W_tilde))
-    if np.any((off != 0.0) != (adj != 0.0)) or np.any(off[adj != 0.0] <= 0.0):
-        raise GraphError("W_tilde sparsity pattern must match the graph edges")
-    W = (1.0 - c) * np.eye(g.m) + c * W_tilde
-    return GossipMatrix(graph=g, W_tilde=W_tilde, c=c, W=W)
+def gossip_matrix(g: Graph, c: float = 0.5) -> GossipMatrix:
+    """Metropolis weights W_tilde of ``g`` and W = (1-c) I + c W_tilde."""
+    return GossipMatrix(g, c)
 
 
 def spectral_data(gm: GossipMatrix) -> np.ndarray:

@@ -276,27 +276,26 @@ def _safeguard_radius(raw) -> float | None:
     return float(radius)
 
 
-def _make_algorithm(cfg: RunConfig, gm, family, X0: np.ndarray):
+def _make_algorithm(cfg: RunConfig, gm, family, X0: np.ndarray, delta: float):
     spec = cfg.algorithm
     name = spec["algorithm"]
-    try:
-        if name == "extra":
-            if "extra_alpha" not in spec:
-                raise ConfigError("EXTRA needs 'extra_alpha' (or run tune-extra first)")
-            return ExtraAlgorithm(gm, family, X0, alpha=float(spec["extra_alpha"]))
-        common = {
-            "delta": float(spec.get("delta", 1.0)),
-            "theta0": float(spec.get("theta0", 1.0)),
-            "gamma": _gamma_from_cfg(spec.get("gamma")),
-        }
-        if name == "adaptive":
-            common["d0"] = int(spec.get("d0", 1))
-            common["safeguard_radius"] = _safeguard_radius(spec.get("safeguard"))
-        return AdaptiveAlgorithm(gm, family, X0, method=name, **common)
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"bad algorithm parameters: {exc}") from exc
+    if name != "adaptive":
+        stray = sorted({"d0", "safeguard"} & set(spec))
+        if stray:
+            raise ConfigError(f"{stray} apply only to the adaptive method, not {name!r}")
+    if name == "extra":
+        if "extra_alpha" not in spec:
+            raise ConfigError("EXTRA needs 'extra_alpha' (or run tune-extra first)")
+        return ExtraAlgorithm(gm, family, X0, alpha=float(spec["extra_alpha"]))
+    common = {
+        "delta": delta,
+        "theta0": float(spec.get("theta0", 1.0)),
+        "gamma": _gamma_from_cfg(spec.get("gamma")),
+    }
+    if name == "adaptive":
+        common["d0"] = int(spec.get("d0", 1))
+        common["safeguard_radius"] = _safeguard_radius(spec.get("safeguard"))
+    return AdaptiveAlgorithm(gm, family, X0, method=name, **common)
 
 
 def run(config: RunConfig) -> RunTrace:
@@ -312,11 +311,11 @@ def run(config: RunConfig) -> RunTrace:
             raise ConfigError(f"family has {family.m} agents but graph has {graph.m}")
         fp = fixed_point(family, tol=config.fixed_point_tol)
         delta = float(config.algorithm.get("delta", 1.0))
+        X0 = np.zeros((family.m, family.dim))
+        algo = _make_algorithm(config, gm, family, X0, delta)
     except (ValueError, TypeError) as exc:  # GraphError, LossError, MetricsError, int()/float()
         raise ConfigError(str(exc)) from exc
     M = spectral_data(gm)
-    X0 = np.zeros((family.m, family.dim))
-    algo = _make_algorithm(config, gm, family, X0)
 
     kind = config.problem["kind"]
     erg = ErgodicAverage(X0.shape)

@@ -3,9 +3,24 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from scipy.special import expit
 
-from gossipopt import BacktrackingError, LogisticFamily, QuadraticFamily, backtrack_batch
+from gossipopt import (
+    BacktrackingError,
+    LogisticFamily,
+    QuadraticFamily,
+    backtrack_batch,
+    build_erdos_renyi,
+)
+
+# connected Erdos-Renyi graphs for the graph property tests
+connected_er = st.builds(
+    build_erdos_renyi,
+    m=st.integers(2, 24),
+    p=st.floats(0.2, 1.0),
+    seed=st.integers(0, 2**31 - 1),
+)
 
 
 def find_a3a() -> Path | None:
@@ -106,12 +121,18 @@ def written_out_step(W, family, X, Y, theta, pi):
     return X_new, Y_new
 
 
+def edge_adjacency(g) -> np.ndarray:
+    """0/1 adjacency matrix with zero diagonal, rebuilt from the edge set alone."""
+    a = np.zeros((g.m, g.m))
+    for i, j in g.edges:
+        a[i, j] = a[j, i] = 1.0
+    return a
+
+
 def floyd_warshall_diameter(g) -> int:
     """Hop diameter from the edge set by Floyd-Warshall, independent of the package."""
-    dist = np.full((g.m, g.m), np.inf)
+    dist = np.where(edge_adjacency(g) > 0, 1.0, np.inf)
     np.fill_diagonal(dist, 0.0)
-    for i, j in g.edges:
-        dist[i, j] = dist[j, i] = 1.0
     for k in range(g.m):
         dist = np.minimum(dist, dist[:, [k]] + dist[[k], :])
     return int(dist.max())

@@ -12,7 +12,7 @@ from gossipopt import (
     DivergenceError,
     ExtraAlgorithm,
     GammaSchedule,
-    LocalityError,
+    GossipMatrix,
     NeighborExchange,
     QuadraticFamily,
     adaptive_step,
@@ -31,6 +31,8 @@ from conftest import (
     CountingFamily,
     agent_gradient,
     backtrack,
+    connected_er,
+    edge_adjacency,
     floyd_warshall_diameter,
     synthetic_logistic,
     written_out_step,
@@ -86,20 +88,12 @@ def test_min_consensus_reaches_global_within_diameter(rng):
         assert np.all(out == v.min())
 
 
-connected_er = st.builds(
-    build_erdos_renyi,
-    m=st.integers(2, 24),
-    p=st.floats(0.2, 1.0),
-    seed=st.integers(0, 2**31 - 1),
-)
-
-
 @settings(max_examples=60, deadline=None)
 @given(g=connected_er, data=st.data())
 def test_consensus_is_local_and_reaches_in_exactly_diameter_rounds(g, data):
     # the reference neighborhoods come from the edge set, not from g.neighbors;
     # float and integer payloads keep their values and their dtype
-    closed = g.adjacency() + np.eye(g.m) > 0
+    closed = edge_adjacency(g) + np.eye(g.m) > 0
     floats = np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=g.m, max_size=g.m)))
     ints = np.array(data.draw(st.lists(st.integers(-2**40, 2**40), min_size=g.m, max_size=g.m)))
     for v, low, high in ((floats, -np.inf, np.inf), (ints, -2**41, 2**41)):
@@ -112,7 +106,7 @@ def test_consensus_is_local_and_reaches_in_exactly_diameter_rounds(g, data):
 
     # a unique minimum at one end of a diametral pair floods the graph in
     # exactly diameter-many rounds
-    hops = shortest_path(g.adjacency(), unweighted=True)
+    hops = shortest_path(edge_adjacency(g), unweighted=True)
     source, far = np.unravel_index(np.argmax(hops), hops.shape)
     d = diameter(g)
     assert hops[source, far] == d == floyd_warshall_diameter(g)
@@ -146,12 +140,25 @@ def test_gamma_schedule_validation():
 # --- exchange layer ---
 
 
-def test_exchange_detects_offpattern_weight():
-    g = build_line_graph(4)
+def test_gossip_weights_come_only_from_the_graph(rng):
+    g = build_erdos_renyi(12, 0.3, seed=2)
     gm = gossip_matrix(g, c=0.5)
-    gm.W[0, 3] = 1e-3  # smuggle weight onto a non-edge
-    with pytest.raises(LocalityError):
-        NeighborExchange(gm)
+    non_edge = np.setdiff1d(np.arange(g.m), g.neighbors[0])[0]
+    for W in (gm.W, gm.W_tilde):
+        with pytest.raises(ValueError):
+            W[0, non_edge] = 1e-3  # read-only: no weight can be smuggled onto a non-edge
+    with pytest.raises(TypeError):
+        GossipMatrix(g, 0.5, W=np.eye(g.m))
+
+    # row i of one gossip round reads only the rows of N_i
+    exchange = NeighborExchange(gm)
+    V = rng.standard_normal((g.m, 3))
+    out = exchange.gossip_rows(V)
+    for i in range(g.m):
+        outside = np.setdiff1d(np.arange(g.m), g.neighbors[i])
+        moved = V.copy()
+        moved[outside] = rng.standard_normal((outside.size, 3)) * 1e6
+        np.testing.assert_array_equal(exchange.gossip_rows(moved)[i], out[i])
 
 
 @pytest.mark.parametrize(

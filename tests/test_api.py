@@ -11,7 +11,7 @@ from gossipopt import algorithms
 PUBLIC_NAMES = {
     "AdaptiveAlgorithm", "AdaptiveState", "BacktrackingError", "ConfigError", "DivergenceError",
     "ErgodicAverage", "ExtraAlgorithm", "FixedPoint", "GammaSchedule", "GossipMatrix", "Graph",
-    "GraphError", "LocalityError", "LogisticFamily", "LossError", "MeritRow", "MetricsError",
+    "GraphError", "LogisticFamily", "LossError", "MeritRow", "MetricsError",
     "NeighborExchange", "QuadraticFamily", "RunConfig", "RunTrace", "TuneExtraError",
     "adaptive_step", "backtrack_batch", "build_complete_graph", "build_cycle_graph",
     "build_erdos_renyi", "build_line_graph", "centralized_solve", "diameter", "experiment_suite",

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gossipopt import (
     GraphError,
@@ -14,7 +15,7 @@ from gossipopt import (
     spectral_data,
 )
 from gossipopt.graphs import Graph
-from conftest import floyd_warshall_diameter
+from conftest import connected_er, edge_adjacency, floyd_warshall_diameter
 
 
 def test_line_graph_edges():
@@ -141,24 +142,28 @@ def test_gossip_rejects_illegal_c(c):
         gossip_matrix(build_line_graph(3), c=c)
 
 
-def test_gossip_rejects_wrong_pattern():
-    g = build_line_graph(3)
-    w = metropolis_weights(build_complete_graph(3))
-    with pytest.raises(GraphError, match="pattern"):
-        gossip_matrix(g, c=0.5, W_tilde=w)
+any_graph = st.one_of(
+    connected_er,
+    *(st.builds(build, st.integers(1, 24))
+      for build in (build_line_graph, build_cycle_graph, build_complete_graph)),
+)
 
 
-def test_gossip_invariants_random_graphs():
-    for seed in range(10):
-        g = build_erdos_renyi(12, 0.35, seed=seed)
-        gm = gossip_matrix(g, c=0.5)
-        for W in (gm.W_tilde, gm.W):
-            assert np.abs(W.sum(axis=1) - 1.0).max() <= 1e-12
-            assert np.abs(W - W.T).max() <= 1e-12
-        adj = g.adjacency()
-        off = gm.W_tilde - np.diag(np.diag(gm.W_tilde))
-        assert np.array_equal(off != 0.0, adj != 0.0)
-        assert np.diag(gm.W).min() >= 1.0 - gm.c
+@settings(max_examples=80, deadline=None)
+@given(g=any_graph, c=st.floats(1e-3, 0.5))
+def test_gossip_invariants_random_graphs(g, c):
+    # W_tilde and W are doubly stochastic, exactly symmetric, and carry weight
+    # off the diagonal exactly on the edge set
+    gm = gossip_matrix(g, c=c)
+    edges = edge_adjacency(g) != 0.0
+    for W in (gm.W_tilde, gm.W):
+        assert np.array_equal(W, W.T)
+        assert np.abs(W.sum(axis=1) - 1.0).max() <= 1e-12
+        assert np.abs(W.sum(axis=0) - 1.0).max() <= 1e-12
+        off = W - np.diag(np.diag(W))
+        assert np.array_equal(off != 0.0, edges)
+    assert np.diag(gm.W_tilde).min() > 0.0
+    assert np.diag(gm.W).min() >= 1.0 - c
 
 
 def test_mixing_limit_small_c():

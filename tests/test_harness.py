@@ -339,13 +339,23 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
         lambda d: d["algorithm"].update(gamma={"beta1": float("nan")}),
         lambda d: d["algorithm"].update(gamma=float("nan")),
         lambda d: d["algorithm"].update(gamma=0.5),
+        # d0 and safeguard belong to the adaptive method alone
+        lambda d: d["algorithm"].update(algorithm="nips_global"),
+        lambda d: d["algorithm"].update(algorithm="nips_local"),
+        lambda d: d["algorithm"].update(algorithm="extra", extra_alpha=1e-3),
+        lambda d: d["algorithm"].update(
+            algorithm="nips_global", d0=0, safeguard={"enabled": True, "R_tilde": -1}),
+        lambda d: d.update(algorithm={"algorithm": "nips_local", "safeguard": {"enabled": False}}),
+        lambda d: d.update(algorithm={"algorithm": "extra", "extra_alpha": 1e-3,
+                                      "safeguard": {"enabled": True, "R_tilde": 1.0}}),
     ],
     ids=["max_iterations", "max_vector_rounds", "stride", "seed", "c", "epsilon",
          "fixed_point_tol", "missing_n", "problem_n", "problem_lambda", "problem_seed",
          "graph_p", "graph_seed", "fixed_point_tol_negative", "fixed_point_tol_unreachable",
          "problem_n_list", "graph_p_list", "safeguard_no_radius", "safeguard_scalar",
          "safeguard_nan_radius", "safeguard_negative_radius", "theta0_nan", "gamma_beta1_nan",
-         "gamma_nan", "gamma_below_one"],
+         "gamma_nan", "gamma_below_one", "nips_global_d0", "nips_local_d0", "extra_d0",
+         "nips_global_d0_safeguard", "nips_local_safeguard", "extra_safeguard"],
 )
 def test_cli_rejects_mistyped_config(tmp_path, capsys, mutate):
     raw = small_quadratic_config()

@@ -11,10 +11,17 @@ byte-identical. The script uses only the public API (``RunConfig``,
 ``load_config``, ``run``, ``tune_extra``, ``experiment_suite``), so it runs
 against older source trees too. It takes a few minutes on two cores.
 
+The logistic traces depend on the BLAS thread count, so the script pins
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``, ``MKL_NUM_THREADS``,
+``BLIS_NUM_THREADS``, ``VECLIB_MAXIMUM_THREADS`` and ``NUMEXPR_NUM_THREADS``
+to 1 before numpy is first imported, as ``benchmarks/run.py`` does; two
+sides run in different environments then still compare byte for byte.
+
 The corpus:
 
 - ``examples_config/quadratic_line.yaml`` under adaptive, nips_global,
-  nips_local, and adaptive with the boundedness safeguard;
+  nips_local (without the adaptive-only ``d0``), and adaptive with the
+  boundedness safeguard;
 - a 200-agent ER(0.05) quadratic (h=10, n=20) under the three methods;
 - ``tune_extra`` on ``examples_config/extra_tune.yaml``;
 - the four suites at 3,000 vector rounds with alpha grid (1e-4, 1e-3, 1e-2),
@@ -29,6 +36,10 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "benchmarks"))
@@ -57,8 +68,8 @@ def main(argv: list[str]) -> int:
 
     line = load_config(ROOT / "examples_config" / "quadratic_line.yaml")
     for method in METHODS:
-        run(replace(line, algorithm={**line.algorithm, "algorithm": method},
-                    output=f"line/{method}.csv"))
+        spec = {k: v for k, v in line.algorithm.items() if method == "adaptive" or k != "d0"}
+        run(replace(line, algorithm={**spec, "algorithm": method}, output=f"line/{method}.csv"))
     guarded = {**line.algorithm, "safeguard": {"enabled": True, "R_tilde": 5.0}}
     run(replace(line, algorithm=guarded, output="line/adaptive_safeguard.csv"))
 
