@@ -217,12 +217,14 @@ def adaptive_step(
 
     # gossip the primal rows, then the gradient-tracking dual rows
     X_half = exchange.gossip_rows(state.X)
-    G_half = family.gradients(X_half)
+    F_half, G_half = family.values_and_gradients(X_half)
     Y_half = exchange.gossip_rows(state.Y + G_half)
 
     # per-agent line search along the negated dual direction, then merge the
     # trial stepsizes by a network-wide or a one-hop minimum
-    theta_bar, _ = backtrack_batch(state.theta, family, X_half, G_half, -Y_half, gamma_bt, delta)
+    theta_bar, _ = backtrack_batch(
+        state.theta, family, X_half, F_half, G_half, -Y_half, gamma_bt, delta
+    )
     if method == "nips_global":
         exchange.charge_flood()
         theta_new = np.full(m, theta_bar.min())

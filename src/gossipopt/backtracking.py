@@ -27,6 +27,7 @@ def backtrack_batch(
     theta: np.ndarray,
     family,
     X: np.ndarray,
+    fX: np.ndarray,
     G: np.ndarray,
     directions: np.ndarray,
     gamma: float | np.ndarray,
@@ -35,21 +36,21 @@ def backtrack_batch(
     """Run all m agents' searches in lockstep on stacked rows.
 
     Agent i searches from row x_i along direction y_i with its own loss f_i;
-    ``G`` is the caller's gradient stack at ``X``. Returns (accepted stepsizes,
+    ``fX`` and ``G`` are the caller's values and gradients at ``X`` (one
+    ``values_and_gradients(X)`` call). Returns (accepted stepsizes,
     per-agent trial counts); each accepted stepsize equals
     ``gamma * theta / 2**(trials - 1)``.
     """
     theta = np.asarray(theta, dtype=float)
     if np.any(theta <= 0.0):
         raise BacktrackingError("initial stepsizes must be positive")
-    fx = family.values(X)
     theta_plus = np.asarray(gamma, dtype=float) * theta
     trials = np.ones(len(theta), dtype=int)
     active = np.ones(len(theta), dtype=bool)
     while True:
         X_plus = X + theta_plus[:, None] * directions
         dx = X_plus - X
-        bound = fx + np.einsum("ad,ad->a", G, dx) + (delta / (2.0 * theta_plus)) * np.einsum(
+        bound = fX + np.einsum("ad,ad->a", G, dx) + (delta / (2.0 * theta_plus)) * np.einsum(
             "ad,ad->a", dx, dx
         )
         fail = active & (family.values(X_plus) > bound)

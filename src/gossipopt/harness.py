@@ -276,22 +276,32 @@ def _safeguard_radius(raw) -> float | None:
     return float(radius)
 
 
+# algorithm keys a method does not use, and so rejects
+_FOREIGN_KEYS = {
+    "adaptive": (),
+    "nips_global": ("d0", "safeguard"),
+    "nips_local": ("d0", "safeguard"),
+    "extra": ("d0", "safeguard", "gamma"),
+}
+
+
 def _make_algorithm(cfg: RunConfig, gm, family, X0: np.ndarray, delta: float):
     spec = cfg.algorithm
     name = spec["algorithm"]
-    if name != "adaptive":
-        stray = sorted({"d0", "safeguard"} & set(spec))
-        if stray:
-            raise ConfigError(f"{stray} apply only to the adaptive method, not {name!r}")
+    stray = sorted(set(_FOREIGN_KEYS[name]) & set(spec))
+    if stray:
+        raise ConfigError(f"{stray} do not apply to the {name!r} method")
+    # checked for every method: merit_cvx weighs consensus by delta on EXTRA runs too
+    theta0 = float(spec.get("theta0", 1.0))
+    if not (0.0 < theta0 < np.inf):
+        raise ConfigError(f"theta0 must be finite and > 0, got {theta0}")
+    if not (0.0 < delta <= 1.0):
+        raise ConfigError(f"delta must lie in (0, 1], got {delta}")
     if name == "extra":
         if "extra_alpha" not in spec:
             raise ConfigError("EXTRA needs 'extra_alpha' (or run tune-extra first)")
         return ExtraAlgorithm(gm, family, X0, alpha=float(spec["extra_alpha"]))
-    common = {
-        "delta": delta,
-        "theta0": float(spec.get("theta0", 1.0)),
-        "gamma": _gamma_from_cfg(spec.get("gamma")),
-    }
+    common = {"delta": delta, "theta0": theta0, "gamma": _gamma_from_cfg(spec.get("gamma"))}
     if name == "adaptive":
         common["d0"] = int(spec.get("d0", 1))
         common["safeguard_radius"] = _safeguard_radius(spec.get("safeguard"))

@@ -2,7 +2,9 @@
 
 Losses are held in "stacked" form: the m agents' variables are the rows of an
 (m, d) matrix X; ``values(X)`` and ``gradients(X)`` evaluate agent i's loss at
-row i, for every agent at once, with no 1/m scaling.
+row i, for every agent at once, with no 1/m scaling. ``values_and_gradients(X)``
+returns both from one shared contraction, bit for bit equal to the separate
+calls. The contractions are batched BLAS products, ``(A @ X[:, :, None])``.
 """
 
 from __future__ import annotations
@@ -62,15 +64,27 @@ class QuadraticFamily(_FamilyBase):
         self.m = A.shape[0]
         self.dim = A.shape[2]
 
+    def _residuals(self, X: np.ndarray) -> np.ndarray:
+        return (self.A @ X[:, :, None])[:, :, 0] - self.b
+
+    def _values(self, X: np.ndarray, r: np.ndarray) -> np.ndarray:
+        return np.einsum("ah,ah->a", r, r) + 0.5 * self.ridge * np.einsum("an,an->a", X, X)
+
+    def _gradients(self, X: np.ndarray, r: np.ndarray) -> np.ndarray:
+        return 2.0 * (r[:, None, :] @ self.A)[:, 0, :] + self.ridge * X
+
     def values(self, X: np.ndarray) -> np.ndarray:
         X = self._check_stack(X)
-        r = np.einsum("ahn,an->ah", self.A, X) - self.b
-        return np.einsum("ah,ah->a", r, r) + 0.5 * self.ridge * np.einsum("an,an->a", X, X)
+        return self._values(X, self._residuals(X))
 
     def gradients(self, X: np.ndarray) -> np.ndarray:
         X = self._check_stack(X)
-        r = np.einsum("ahn,an->ah", self.A, X) - self.b
-        return 2.0 * np.einsum("ah,ahn->an", r, self.A) + self.ridge * X
+        return self._gradients(X, self._residuals(X))
+
+    def values_and_gradients(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        X = self._check_stack(X)
+        r = self._residuals(X)
+        return self._values(X, r), self._gradients(X, r)
 
 
 class LogisticFamily(_FamilyBase):
@@ -91,16 +105,26 @@ class LogisticFamily(_FamilyBase):
         self.dim = features.shape[2]
         self._h = features.shape[1]
 
-    def values(self, X: np.ndarray) -> np.ndarray:
-        X = self._check_stack(X)
-        z = self.labels * np.einsum("ahd,ad->ah", self.features, X)
+    def _margins(self, X: np.ndarray) -> np.ndarray:
+        return self.labels * (self.features @ X[:, :, None])[:, :, 0]
+
+    @staticmethod
+    def _values(z: np.ndarray) -> np.ndarray:
         return np.logaddexp(0.0, -z).mean(axis=1)
 
-    def gradients(self, X: np.ndarray) -> np.ndarray:
-        X = self._check_stack(X)
-        z = self.labels * np.einsum("ahd,ad->ah", self.features, X)
+    def _gradients(self, z: np.ndarray) -> np.ndarray:
         w = self.labels * expit(-z)
-        return -np.einsum("ah,ahd->ad", w, self.features) / self._h
+        return -(w[:, None, :] @ self.features)[:, 0, :] / self._h
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        return self._values(self._margins(self._check_stack(X)))
+
+    def gradients(self, X: np.ndarray) -> np.ndarray:
+        return self._gradients(self._margins(self._check_stack(X)))
+
+    def values_and_gradients(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        z = self._margins(self._check_stack(X))
+        return self._values(z), self._gradients(z)
 
 
 def generate_quadratic(m: int, h: int, n: int, ridge: float, seed: int) -> QuadraticFamily:

@@ -97,7 +97,9 @@ def search_one(family, theta: float, x, y, gamma: float, delta: float) -> tuple[
     """One agent's search through ``backtrack_batch`` on a one-row family: (stepsize, trials)."""
     X = np.asarray(x, dtype=float)[None, :]
     D = np.asarray(y, dtype=float)[None, :]
-    thetas, trials = backtrack_batch(np.array([theta]), family, X, family.gradients(X), D, gamma, delta)
+    thetas, trials = backtrack_batch(
+        np.array([theta]), family, X, family.values(X), family.gradients(X), D, gamma, delta
+    )
     return float(thetas[0]), int(trials[0])
 
 
@@ -143,7 +145,7 @@ class CountingFamily:
 
     def __init__(self, family):
         self.family = family
-        self.calls = {"values": 0, "gradients": 0}
+        self.calls = {"values": 0, "gradients": 0, "values_and_gradients": 0}
 
     def __getattr__(self, name):
         return getattr(self.family, name)
@@ -155,3 +157,7 @@ class CountingFamily:
     def gradients(self, X):
         self.calls["gradients"] += 1
         return self.family.gradients(X)
+
+    def values_and_gradients(self, X):
+        self.calls["values_and_gradients"] += 1
+        return self.family.values_and_gradients(X)

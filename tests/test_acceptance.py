@@ -189,7 +189,8 @@ def test_criterion_6_backtracking_properties(rng):
         theta0 = rng.uniform(1e-4, 10.0, size=300)
         gamma = rng.uniform(1.0, 2.0, size=300)
         X = rng.standard_normal((300, 3))
-        theta, _ = backtrack_batch(theta0, fam, X, fam.gradients(X), rng.standard_normal((300, 3)), gamma, 1.0)
+        D = rng.standard_normal((300, 3))
+        theta, _ = backtrack_batch(theta0, fam, X, fam.values(X), fam.gradients(X), D, gamma, 1.0)
         assert np.all(theta >= np.minimum(gamma * theta0, 1.0 / (2.0 * L)) - 1e-15)
     _passed(6, "backtracking dichotomy, floor, and hand examples")
 

@@ -192,13 +192,14 @@ def test_round_accounting(name, scalars_per_iter):
 
 @pytest.mark.parametrize("method", METHODS)
 def test_one_gradient_call_per_step(method):
-    # the line search reuses the step's gradient at X_half
+    # one fused pass at X_half serves the dual update and the line search's f(X_half)
     fam = CountingFamily(generate_quadratic(m=6, h=5, n=4, ridge=0.1, seed=3))
     gm = gossip_matrix(build_erdos_renyi(6, 0.5, seed=1), c=0.5)
     algo = AdaptiveAlgorithm(gm, fam, X0=np.zeros((6, 4)), method=method)
     for k in range(1, 6):
         algo.step()
-        assert fam.calls["gradients"] == k
+        assert fam.calls["values_and_gradients"] == k
+        assert fam.calls["gradients"] == 0
 
 
 # --- adaptive method ---

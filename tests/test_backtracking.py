@@ -29,7 +29,8 @@ def test_result_invariant_theta_formula(rng):
     theta = rng.uniform(0.01, 10.0, size=m)
     gamma = rng.uniform(1.0, 2.0, size=m)
     X = rng.standard_normal((m, 3))
-    thetas, trials = backtrack_batch(theta, fam, X, fam.gradients(X), rng.standard_normal((m, 3)), gamma, 1.0)
+    D = rng.standard_normal((m, 3))
+    thetas, trials = backtrack_batch(theta, fam, X, fam.values(X), fam.gradients(X), D, gamma, 1.0)
     assert np.array_equal(thetas, gamma * theta / 2.0 ** (trials - 1))
 
 
@@ -64,7 +65,8 @@ def test_termination_floor(L, rng):
     theta = rng.uniform(1e-4, 10.0, size=m)
     gamma = rng.uniform(1.0, 2.0, size=m)
     X = rng.standard_normal((m, 3))
-    thetas, _ = backtrack_batch(theta, fam, X, fam.gradients(X), rng.standard_normal((m, 3)), gamma, delta)
+    D = rng.standard_normal((m, 3))
+    thetas, _ = backtrack_batch(theta, fam, X, fam.values(X), fam.gradients(X), D, gamma, delta)
     assert np.all(thetas >= np.minimum(gamma * theta, delta / (2.0 * L)) - 1e-15)
 
 
@@ -104,7 +106,9 @@ def test_underflow_raises():
     # a huge claimed descent slope that the values never follow
     X = np.zeros((1, 2))
     with pytest.raises(BacktrackingError, match="underflow"):
-        backtrack_batch(np.array([1.0]), _StepFamily(), X, np.full((1, 2), -1e6), np.ones((1, 2)), 1.0, 1.0)
+        backtrack_batch(
+            np.array([1.0]), _StepFamily(), X, np.zeros(1), np.full((1, 2), -1e6), np.ones((1, 2)), 1.0, 1.0
+        )
 
 
 def test_rejects_nonpositive_theta():
@@ -119,7 +123,7 @@ def test_batch_matches_scalar_per_agent(rng):
         gamma = float(rng.uniform(1.0, 2.0))
         X = rng.standard_normal((6, 4))
         D = rng.standard_normal((6, 4))
-        thetas, trials = backtrack_batch(theta, fam, X, fam.gradients(X), D, gamma, delta=0.8)
+        thetas, trials = backtrack_batch(theta, fam, X, fam.values(X), fam.gradients(X), D, gamma, delta=0.8)
         for i in range(6):
             assert (thetas[i], trials[i]) == backtrack(theta[i], fam, i, X[i], D[i], gamma, delta=0.8)
 
@@ -130,7 +134,7 @@ def test_batch_per_agent_gamma(rng):
     gammas = np.array([1.0, 1.5, 2.0])
     X = rng.standard_normal((3, 3))
     D = np.zeros((3, 3))  # zero directions accept at the first trial
-    thetas, trials = backtrack_batch(theta, fam, X, fam.gradients(X), D, gammas, delta=1.0)
+    thetas, trials = backtrack_batch(theta, fam, X, fam.values(X), fam.gradients(X), D, gammas, delta=1.0)
     np.testing.assert_allclose(thetas, gammas * theta)
     assert trials.tolist() == [1, 1, 1]
 
@@ -139,4 +143,6 @@ def test_batch_rejects_nonpositive_theta():
     fam = generate_quadratic(m=2, h=3, n=2, ridge=0.0, seed=0)
     X = np.zeros((2, 2))
     with pytest.raises(BacktrackingError):
-        backtrack_batch(np.array([1.0, -1.0]), fam, X, fam.gradients(X), np.zeros((2, 2)), 1.0, 1.0)
+        backtrack_batch(
+            np.array([1.0, -1.0]), fam, X, fam.values(X), fam.gradients(X), np.zeros((2, 2)), 1.0, 1.0
+        )

@@ -348,6 +348,10 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
         lambda d: d.update(algorithm={"algorithm": "nips_local", "safeguard": {"enabled": False}}),
         lambda d: d.update(algorithm={"algorithm": "extra", "extra_alpha": 1e-3,
                                       "safeguard": {"enabled": True, "R_tilde": 1.0}}),
+        # EXTRA has no growth factor; theta0 and delta are checked for every method
+        lambda d: d.update(algorithm={"algorithm": "extra", "extra_alpha": 1e-3, "gamma": 0.5}),
+        lambda d: d.update(algorithm={"algorithm": "extra", "extra_alpha": 1e-3, "theta0": -1}),
+        lambda d: d.update(algorithm={"algorithm": "extra", "extra_alpha": 1e-3, "delta": -3}),
     ],
     ids=["max_iterations", "max_vector_rounds", "stride", "seed", "c", "epsilon",
          "fixed_point_tol", "missing_n", "problem_n", "problem_lambda", "problem_seed",
@@ -355,7 +359,8 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
          "problem_n_list", "graph_p_list", "safeguard_no_radius", "safeguard_scalar",
          "safeguard_nan_radius", "safeguard_negative_radius", "theta0_nan", "gamma_beta1_nan",
          "gamma_nan", "gamma_below_one", "nips_global_d0", "nips_local_d0", "extra_d0",
-         "nips_global_d0_safeguard", "nips_local_safeguard", "extra_safeguard"],
+         "nips_global_d0_safeguard", "nips_local_safeguard", "extra_safeguard", "extra_gamma",
+         "extra_theta0_negative", "extra_delta_negative"],
 )
 def test_cli_rejects_mistyped_config(tmp_path, capsys, mutate):
     raw = small_quadratic_config()

@@ -58,6 +58,19 @@ def test_stacked_gradients_match_per_agent(rng):
             assert V[i] == pytest.approx(agent_value(fam, i, X[i]), rel=1e-13)
 
 
+@pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+def test_values_and_gradients_equal_separate_calls(kind, rng):
+    # the fused pass shares one residual (one margin z) and must not change a bit
+    if kind == "quadratic":
+        fam = generate_quadratic(m=6, h=11, n=7, ridge=0.4, seed=3)
+    else:
+        fam = synthetic_logistic(6, 11, 7, seed=3)
+    for _ in range(5):
+        X = rng.standard_normal((fam.m, fam.dim))
+        F, G = fam.values_and_gradients(X)
+        assert np.array_equal(F, fam.values(X)) and np.array_equal(G, fam.gradients(X))
+
+
 def test_generate_quadratic_benchmark_dimensions():
     fam = generate_quadratic(m=20, h=110, n=100, ridge=0.0, seed=1)
     assert fam.A.shape == (20, 110, 100)

@@ -130,7 +130,7 @@ def test_merit_cvx_one_value_call(rng):
     counted = CountingFamily(fam)
     for calls in range(1, 4):
         merit_cvx(rng.standard_normal((4, 3)), fp, counted, gm, delta=1.0)
-        assert counted.calls == {"values": calls, "gradients": 0}
+        assert counted.calls == {"values": calls, "gradients": 0, "values_and_gradients": 0}
 
 
 def test_merit_cvx_nonnegative_random(rng):
