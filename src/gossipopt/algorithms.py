@@ -89,12 +89,13 @@ class NeighborExchange:
     ``neighbor_min``/``neighbor_max`` charge one scalar round unless they
     piggyback on an exchange already charged this iteration. Locality holds
     by construction: ``GossipMatrix`` derives W from the graph's edges and
-    keeps it read-only.
+    keeps it read-only. ``W`` is the matrix's product operator ``gm.W_op``,
+    CSR on sparse graphs.
     """
 
     def __init__(self, gm: GossipMatrix):
         self.graph = gm.graph
-        self.W = gm.W
+        self.W = gm.W_op
         self.vector_rounds = 0
         self.scalar_rounds = 0
 

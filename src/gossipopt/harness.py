@@ -325,53 +325,65 @@ def run(config: RunConfig) -> RunTrace:
         algo = _make_algorithm(config, gm, family, X0, delta)
     except (ValueError, TypeError) as exc:  # GraphError, LossError, MetricsError, int()/float()
         raise ConfigError(str(exc)) from exc
-    M = spectral_data(gm)
+    # the strongly convex merit weighs the duals; EXTRA has none
+    M = spectral_data(gm) if algo.Y is not None else None
 
     kind = config.problem["kind"]
     erg = ErgodicAverage(X0.shape)
     denom = float(np.linalg.norm(X0 - fp.X_star)) or 1.0
 
+    def row(status: str) -> MeritRow:
+        """The row of iterate k; a quadratic run computes its merits only here."""
+        return MeritRow(
+            k=k,
+            vector_rounds=vector_rounds,
+            scalar_rounds=scalar_rounds,
+            err_rel=err_rel,
+            V=merit_sc(algo.X, algo.Y, stats["theta_min"], fp, M) if M is not None else None,
+            M_erg=(
+                merit_cvx(erg.value, fp, family, gm, delta)
+                if kind == "quadratic" and erg.count
+                else m_erg
+            ),
+            status=status,
+            **stats,
+        )
+
     rows: list[MeritRow] = []
     k = 0
     while True:
         stats = algo.stats()
+        vector_rounds, scalar_rounds = algo.exchange.vector_rounds, algo.exchange.scalar_rounds
         err_rel = float(np.linalg.norm(algo.X - fp.X_star)) / denom
-        m_erg = merit_cvx(erg.value, fp, family, gm, delta) if erg.count else None
-        V = (
-            merit_sc(algo.X, algo.Y, stats["theta_min"], fp, M)
-            if algo.Y is not None
+        # the logistic stop reads M_erg every iteration; the quadratic one only err_rel
+        m_erg = (
+            merit_cvx(erg.value, fp, family, gm, delta)
+            if kind == "logistic" and erg.count
             else None
-        )
-        fields = dict(
-            k=k,
-            vector_rounds=algo.exchange.vector_rounds,
-            scalar_rounds=algo.exchange.scalar_rounds,
-            err_rel=err_rel,
-            V=V,
-            M_erg=m_erg,
-            **stats,
         )
 
         if kind == "quadratic" and err_rel <= config.epsilon:
             status = "converged"
         elif kind == "logistic" and m_erg is not None and m_erg <= config.epsilon:
             status = "converged"
-        elif k >= config.max_iterations or algo.exchange.vector_rounds >= config.max_vector_rounds:
+        elif k >= config.max_iterations or vector_rounds >= config.max_vector_rounds:
             status = "budget_exhausted"
         else:
             status = None
         if status is not None:
-            rows.append(MeritRow(status=status, **fields))
+            rows.append(row(status))
             break
 
+        # a recorded row holds the iterate before the step
+        recorded = row("running") if k % config.stride == 0 else None
         try:
             algo.step()
         except DivergenceError:
-            rows.append(MeritRow(status="diverged", **fields))
-            status = "diverged"
+            # a failed step leaves the state untouched, though not the round counters
+            rows.append(row("diverged") if recorded is None else replace(recorded, status="diverged"))
             break
-        if k % config.stride == 0:
-            rows.append(MeritRow(status="running", **fields))
+        if recorded is not None:
+            rows.append(recorded)
         erg.update(algo.X)
         k += 1
 

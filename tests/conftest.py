@@ -123,6 +123,32 @@ def written_out_step(W, family, X, Y, theta, pi):
     return X_new, Y_new
 
 
+def erdos_renyi_reference(m: int, p: float, seed: int) -> tuple[frozenset, int]:
+    """Edge set of the first connected G(m, p) draw, by an explicit pair loop, and the draw count.
+
+    The reference for ``build_erdos_renyi``: one uniform draw per pair i < j in
+    row-major order, an edge where it falls below p, redrawn until a search
+    from agent 0 reaches every agent.
+    """
+    rng = np.random.default_rng(seed)
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    draws = 0
+    while True:
+        draws += 1
+        mask = rng.random(len(pairs)) < p
+        edges = frozenset(e for e, keep in zip(pairs, mask) if keep)
+        reached, frontier = {0}, [0]
+        while frontier:
+            u = frontier.pop()
+            for i, j in edges:
+                for a, b in ((i, j), (j, i)):
+                    if a == u and b not in reached:
+                        reached.add(b)
+                        frontier.append(b)
+        if len(reached) == m:
+            return edges, draws
+
+
 def edge_adjacency(g) -> np.ndarray:
     """0/1 adjacency matrix with zero diagonal, rebuilt from the edge set alone."""
     a = np.zeros((g.m, g.m))

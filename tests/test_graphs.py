@@ -15,7 +15,7 @@ from gossipopt import (
     spectral_data,
 )
 from gossipopt.graphs import Graph
-from conftest import connected_er, edge_adjacency, floyd_warshall_diameter
+from conftest import connected_er, edge_adjacency, erdos_renyi_reference, floyd_warshall_diameter
 
 
 def test_line_graph_edges():
@@ -72,6 +72,18 @@ def test_erdos_renyi_connected_and_deterministic():
         reached |= nxt
         frontier = nxt
     assert reached == set(range(20))
+
+
+def test_erdos_renyi_matches_pair_loop_reference():
+    # first draws connected and redraws up to tens deep: the retries consume
+    # the generator exactly as the pair loop does
+    draws = []
+    for m, p, seeds in ((20, 0.1, range(6)), (30, 0.08, range(4, 9)), (200, 0.05, (5,))):
+        for seed in seeds:
+            edges, n_draws = erdos_renyi_reference(m, p, seed)
+            assert build_erdos_renyi(m, p, seed).edges == edges
+            draws.append(n_draws)
+    assert min(draws) == 1 and max(draws) > 10
 
 
 def test_erdos_renyi_bad_p():

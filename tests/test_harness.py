@@ -3,6 +3,7 @@ import pytest
 import yaml
 
 from gossipopt import ConfigError, RunConfig, TuneExtraError, load_config, run, tune_extra
+from gossipopt import harness
 from gossipopt.cli import main
 from gossipopt.harness import CSV_HEADER, experiment_suite
 from conftest import synthetic_logistic
@@ -104,6 +105,55 @@ def test_run_stride_thins_rows():
     cfg = RunConfig.from_dict(small_quadratic_config(max_iterations=10, stride=4))
     trace = run(cfg)
     assert [r.k for r in trace.rows] == [0, 4, 8, 10]
+
+
+@pytest.mark.parametrize(
+    "algorithm,status",
+    [({"algorithm": "adaptive"}, "budget_exhausted"), ({"algorithm": "extra", "extra_alpha": 0.3}, "diverged")],
+)
+def test_stride_rows_are_the_full_rows_sampled(tmp_path, monkeypatch, algorithm, status):
+    # a thinned trace writes the every-iteration trace's rows at k % stride == 0
+    # and its final row, bit for bit, and computes merits for those rows only
+    calls = {"merit_sc": 0, "merit_cvx": 0, "spectral_data": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
+    lines, counts = {}, {}
+    for stride in (1, 4):
+        for name in calls:
+            calls[name] = 0
+        cfg = small_quadratic_config(max_iterations=30, stride=stride, algorithm=algorithm)
+        trace = run(RunConfig.from_dict(cfg))
+        assert trace.status == status
+        trace.write_csv(tmp_path / f"{stride}.csv")
+        lines[stride] = (tmp_path / f"{stride}.csv").read_text().splitlines()
+        counts[stride] = dict(calls)
+    full = lines[1][2:]
+    assert lines[4][:2] == lines[1][:2]
+    assert lines[4][2:] == [r for r in full[:-1] if int(r.split(",")[0]) % 4 == 0] + full[-1:]
+    rows = len(lines[4]) - 2
+    has_duals = algorithm["algorithm"] != "extra"
+    assert counts[4] == {"merit_sc": rows * has_duals, "merit_cvx": rows - 1, "spectral_data": has_duals}
+    assert counts[1]["merit_cvx"] == len(full) - 1 > counts[4]["merit_cvx"]
+
+
+def test_logistic_stop_reads_the_ergodic_merit_every_iteration(tmp_path, monkeypatch):
+    data = tmp_path / "synth.svm"
+    write_family_libsvm(data, synthetic_logistic(6, 20, 4, 3))
+    cvx_calls = []
+    merit_cvx = harness.merit_cvx
+    monkeypatch.setattr(harness, "merit_cvx", lambda *args: cvx_calls.append(1) or merit_cvx(*args))
+    cfg = small_quadratic_config(max_iterations=12, stride=5, epsilon=1e-12)
+    cfg["problem"] = {"kind": "logistic", "dataset": str(data), "m": 6, "h": 20, "seed": 1}
+    trace = run(RunConfig.from_dict(cfg))
+    assert [r.k for r in trace.rows] == [0, 5, 10, 12]
+    assert len(cvx_calls) == 12  # k = 1..12, with nothing averaged yet at k = 0
 
 
 def test_run_divergence_recorded_not_raised():

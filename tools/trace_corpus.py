@@ -38,7 +38,10 @@ The corpus:
 - ``examples_config/quadratic_line.yaml`` under adaptive, nips_global,
   nips_local (without the adaptive-only ``d0``), and adaptive with the
   boundedness safeguard;
-- a 200-agent ER(0.05) quadratic (h=10, n=20) under the three methods;
+- a 200-agent ER(0.05) quadratic (h=10, n=20) under the three methods:
+  ``er200/*`` is the corpus's coverage of the CSR product kernel, which
+  ``gossip_matrix`` picks for this graph; every other run is on graphs
+  dense enough for the dense BLAS product;
 - ``tune_extra`` on ``examples_config/extra_tune.yaml``;
 - the four suites at 3,000 vector rounds with alpha grid (1e-4, 1e-3, 1e-2),
   ``logistic_graphs`` on ``benchmarks/synthetic_logistic.generate(7)`` data;
