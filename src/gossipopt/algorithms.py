@@ -22,7 +22,8 @@ scalar consensus rounds separately.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -116,6 +117,16 @@ class NeighborExchange:
     def charge_flood(self) -> None:
         """Cost of one network-wide min: diameter-many scalar rounds."""
         self.scalar_rounds += self._diameter
+
+    @contextmanager
+    def charged_on_success(self) -> Iterator[None]:
+        """Keep the rounds charged inside the block only if it does not raise."""
+        rounds = self.vector_rounds, self.scalar_rounds
+        try:
+            yield
+        except BaseException:
+            self.vector_rounds, self.scalar_rounds = rounds
+            raise
 
     @cached_property
     def _diameter(self) -> int:
@@ -317,15 +328,17 @@ class AdaptiveAlgorithm:
         return self.gamma(max(self.state.k - 1, 0))
 
     def step(self) -> None:
-        adaptive_step(
-            self.state,
-            self.exchange,
-            self.family,
-            self._gamma_prev(),
-            self.delta,
-            self.name,
-            self.safeguard_radius,
-        )
+        """One iteration; a step that raises leaves the state and the round counters as they were."""
+        with self.exchange.charged_on_success():
+            adaptive_step(
+                self.state,
+                self.exchange,
+                self.family,
+                self._gamma_prev(),
+                self.delta,
+                self.name,
+                self.safeguard_radius,
+            )
 
     @property
     def X(self) -> np.ndarray:
@@ -375,24 +388,26 @@ class ExtraAlgorithm:
         return None
 
     def step(self) -> None:
-        WX = self.exchange.gossip_rows(self.X)
-        G = self.family.gradients(self.X)
-        if self.k == 0:
-            X_new = WX - self.alpha * G
-        else:
-            X_new = (
-                self.X
-                + WX
-                - 0.5 * (self._X_prev + self._WX_prev)
-                - self.alpha * (G - self._G_prev)
-            )
-        if not np.isfinite(X_new).all() or np.linalg.norm(X_new) > DIVERGENCE_NORM:
-            raise DivergenceError(f"EXTRA diverged at k={self.k} (alpha={self.alpha})")
-        self._X_prev = self.X
-        self._WX_prev = WX
-        self._G_prev = G
-        self.X = X_new
-        self.k += 1
+        """One iteration; a step that raises leaves the iterates and the round counters as they were."""
+        with self.exchange.charged_on_success():
+            WX = self.exchange.gossip_rows(self.X)
+            G = self.family.gradients(self.X)
+            if self.k == 0:
+                X_new = WX - self.alpha * G
+            else:
+                X_new = (
+                    self.X
+                    + WX
+                    - 0.5 * (self._X_prev + self._WX_prev)
+                    - self.alpha * (G - self._G_prev)
+                )
+            if not np.isfinite(X_new).all() or np.linalg.norm(X_new) > DIVERGENCE_NORM:
+                raise DivergenceError(f"EXTRA diverged at k={self.k} (alpha={self.alpha})")
+            self._X_prev = self.X
+            self._WX_prev = WX
+            self._G_prev = G
+            self.X = X_new
+            self.k += 1
 
     def stats(self) -> dict:
         return {

@@ -16,7 +16,7 @@ from .harness import (
     tune_extra,
 )
 
-_EXIT_BY_STATUS = {"converged": 0, "diverged": 1, "budget_exhausted": 2}
+_EXIT_BY_STATUS = {"converged": 0, "diverged": 1, "stalled": 1, "budget_exhausted": 2}
 
 
 def _build_parser() -> argparse.ArgumentParser:

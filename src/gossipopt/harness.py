@@ -24,6 +24,7 @@ from .algorithms import (
     ExtraAlgorithm,
     GammaSchedule,
 )
+from .backtracking import BacktrackingError
 from .graphs import gossip_matrix, graph_from_spec, spectral_data
 from .losses import (
     generate_quadratic,
@@ -309,7 +310,7 @@ def _make_algorithm(cfg: RunConfig, gm, family, X0: np.ndarray, delta: float):
 
 
 def run(config: RunConfig) -> RunTrace:
-    """Execute one seeded run; never raises on divergence (recorded in status)."""
+    """Execute one seeded run; a diverged or stalled step ends it with that status, not an error."""
     started = time.perf_counter()
     graph_spec = dict(config.graph)
     graph_spec.setdefault("seed", config.seed)
@@ -378,9 +379,10 @@ def run(config: RunConfig) -> RunTrace:
         recorded = row("running") if k % config.stride == 0 else None
         try:
             algo.step()
-        except DivergenceError:
-            # a failed step leaves the state untouched, though not the round counters
-            rows.append(row("diverged") if recorded is None else replace(recorded, status="diverged"))
+        except (DivergenceError, BacktrackingError) as exc:
+            # a failed step leaves the state and the round counters untouched
+            failed = "diverged" if isinstance(exc, DivergenceError) else "stalled"
+            rows.append(row(failed) if recorded is None else replace(recorded, status=failed))
             break
         if recorded is not None:
             rows.append(recorded)

@@ -4,13 +4,16 @@ Losses are held in "stacked" form: the m agents' variables are the rows of an
 (m, d) matrix X; ``values(X)`` and ``gradients(X)`` evaluate agent i's loss at
 row i, for every agent at once, with no 1/m scaling. ``values_and_gradients(X)``
 returns both from one shared contraction, bit for bit equal to the separate
-calls. The contractions are batched BLAS products, ``(A @ X[:, :, None])``.
+calls. The quadratic contractions are batched BLAS products,
+``(A @ X[:, :, None])``; the logistic ones are products with one label-signed,
+block-diagonal CSR matrix, which reads only the nonzero features.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.sparse import csr_array, get_index_dtype
 from scipy.special import expit
 
 __all__ = [
@@ -88,7 +91,13 @@ class QuadraticFamily(_FamilyBase):
 
 
 class LogisticFamily(_FamilyBase):
-    """f_i(x) = (1/h_i) sum_j log(1 + exp(-b_ij <x, a_ij>)) per agent."""
+    """f_i(x) = (1/h_i) sum_j log(1 + exp(-b_ij <x, a_ij>)) per agent.
+
+    ``features`` (m, h, d) and ``labels`` (m, h) stay as given. The oracle
+    runs on one CSR matrix S of shape (m*h, m*d), block-diagonal with block i
+    equal to diag(b_i) F_i, and on a CSR copy of its transpose: the margins
+    are S vec(X) and the gradients -S^T vec(expit(-z)) / h.
+    """
 
     def __init__(self, features: np.ndarray, labels: np.ndarray):
         features = np.asarray(features, dtype=float)
@@ -101,20 +110,30 @@ class LogisticFamily(_FamilyBase):
             raise LossError("labels must be -1 or +1")
         self.features = features
         self.labels = labels
-        self.m = features.shape[0]
-        self.dim = features.shape[2]
-        self._h = features.shape[1]
+        self.m, self._h, self.dim = features.shape
+        # sign each sample row by its label, then shift agent i's columns to
+        # block i: row r of the stacked samples belongs to agent r // h
+        rows = self.m * self._h
+        F = csr_array(features.reshape(rows, self.dim))
+        row_nnz = np.diff(F.indptr)
+        F.data *= np.repeat(labels.ravel(), row_nnz)
+        # m*d columns may outgrow the index dtype scipy picked for d
+        idx = get_index_dtype((F.indices, F.indptr), maxval=self.m * self.dim)
+        cols = F.indices.astype(idx, copy=False)
+        cols += np.repeat(np.arange(rows, dtype=idx) // self._h * self.dim, row_nnz)
+        self._S = csr_array((F.data, cols, F.indptr), shape=(rows, self.m * self.dim))
+        self._ST = self._S.T.tocsr()
 
     def _margins(self, X: np.ndarray) -> np.ndarray:
-        return self.labels * (self.features @ X[:, :, None])[:, :, 0]
+        return (self._S @ X.ravel()).reshape(self.m, self._h)
 
     @staticmethod
     def _values(z: np.ndarray) -> np.ndarray:
-        return np.logaddexp(0.0, -z).mean(axis=1)
+        # softplus(-z), stable for either sign of z
+        return (np.maximum(-z, 0.0) + np.log1p(np.exp(-np.abs(z)))).mean(axis=1)
 
     def _gradients(self, z: np.ndarray) -> np.ndarray:
-        w = self.labels * expit(-z)
-        return -(w[:, None, :] @ self.features)[:, 0, :] / self._h
+        return -(self._ST @ expit(-z).ravel()).reshape(self.m, self.dim) / self._h
 
     def values(self, X: np.ndarray) -> np.ndarray:
         return self._values(self._margins(self._check_stack(X)))
@@ -144,8 +163,9 @@ def parse_libsvm(path) -> tuple[np.ndarray, np.ndarray, int]:
     densified to the maximum index seen anywhere in the file.
     """
     labels: list[float] = []
-    rows: list[dict[int, float]] = []
-    n_features = 0
+    row_sizes: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             tokens = line.split()
@@ -163,15 +183,15 @@ def parse_libsvm(path) -> tuple[np.ndarray, np.ndarray, int]:
             except ValueError as exc:
                 raise LossError(f"{path}: malformed libsvm line {lineno}: {exc}") from exc
             labels.append(1.0 if raw > 0 else -1.0)
-            rows.append(entries)
-            if entries:
-                n_features = max(n_features, max(entries))
-    if not rows:
+            row_sizes.append(len(entries))
+            cols.extend(entries)
+            vals.extend(entries.values())
+    if not labels:
         raise LossError(f"{path}: empty libsvm file")
-    features = np.zeros((len(rows), n_features))
-    for r, entries in enumerate(rows):
-        for idx, val in entries.items():
-            features[r, idx - 1] = val
+    col_index = np.array(cols, dtype=np.intp) - 1
+    n_features = int(col_index.max()) + 1 if cols else 0
+    features = np.zeros((len(labels), n_features))
+    features[np.repeat(np.arange(len(labels)), row_sizes), col_index] = vals
     return np.array(labels), features, n_features
 
 
@@ -227,10 +247,11 @@ def _newton_polish(family: LogisticFamily, x: np.ndarray, tol: float, rounds: in
         g = family.total_gradient(x)
         if np.linalg.norm(g) <= 0.1 * tol:
             break
-        z = family.labels * np.einsum("ahd,ad->ah", family.features, np.broadcast_to(x, (family.m, family.dim)))
+        z = family._margins(np.broadcast_to(x, (family.m, family.dim)))
         s = expit(z) * expit(-z) / family._h
-        H = np.einsum("ah,ahd,ahe->de", s, family.features, family.features)
-        H += 1e-12 * np.eye(family.dim)
+        H = 1e-12 * np.eye(family.dim)
+        for F_i, s_i in zip(family.features, s):
+            H += F_i.T @ (s_i[:, None] * F_i)
         step = np.linalg.solve(H, g)
         t, f0 = 1.0, family.total_value(x)
         while t > 1e-12 and family.total_value(x - t * step) > f0:

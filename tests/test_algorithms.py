@@ -26,6 +26,7 @@ from gossipopt import (
     local_max_consensus,
     local_min_consensus,
 )
+from gossipopt import algorithms
 from gossipopt.algorithms import DIVERGENCE_NORM, METHODS
 from conftest import (
     CountingFamily,
@@ -499,3 +500,40 @@ def test_extra_converges_with_reasonable_alpha():
         if np.linalg.norm(algo.X - fp.X_star) / denom <= 1e-5:
             break
     assert np.linalg.norm(algo.X - fp.X_star) / denom <= 1e-5
+
+
+def _rounds(algo) -> tuple[int, int]:
+    return algo.exchange.vector_rounds, algo.exchange.scalar_rounds
+
+
+def test_failed_extra_step_charges_no_rounds():
+    # the line example with alpha = 10 diverges within a few steps
+    fam = generate_quadratic(m=20, h=110, n=100, ridge=0.0, seed=1)
+    algo = ExtraAlgorithm(gossip_matrix(build_line_graph(20), c=0.5), fam, np.zeros((20, 100)), alpha=10.0)
+    for _ in range(200):
+        before = _rounds(algo)
+        try:
+            algo.step()
+        except DivergenceError:
+            break
+    else:
+        pytest.fail("EXTRA with alpha = 10 did not diverge")
+    assert algo.k > 0
+    assert _rounds(algo) == before == (algo.k, 0)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_failed_adaptive_step_charges_no_rounds(monkeypatch, method):
+    fam = generate_quadratic(m=6, h=5, n=3, ridge=0.0, seed=15)
+    algo = AdaptiveAlgorithm(gossip_matrix(build_line_graph(6), c=0.5), fam, np.zeros((6, 3)), method=method)
+    for _ in range(4):
+        algo.step()
+    before, state = _rounds(algo), copy.deepcopy(algo.state)
+    # the divergence check runs after every gossip and consensus round of the step
+    monkeypatch.setattr(algorithms, "DIVERGENCE_NORM", -1.0)
+    with pytest.raises(DivergenceError):
+        algo.step()
+    assert before[0] == 12 and before[1] > 0
+    assert _rounds(algo) == before
+    assert algo.state.k == state.k == 4
+    np.testing.assert_array_equal(algo.X, state.X)

@@ -3,7 +3,7 @@ import pytest
 import yaml
 
 from gossipopt import ConfigError, RunConfig, TuneExtraError, load_config, run, tune_extra
-from gossipopt import harness
+from gossipopt import BacktrackingError, algorithms, harness
 from gossipopt.cli import main
 from gossipopt.harness import CSV_HEADER, experiment_suite
 from conftest import synthetic_logistic
@@ -441,6 +441,40 @@ def test_cli_huge_theta0_ends_diverged(tmp_path, capsys):
     cfg_path.write_text(yaml.safe_dump(raw))
     assert main(["run", "--config", str(cfg_path)]) == 1
     assert "status=diverged" in capsys.readouterr().out
+
+
+def _stall_after(monkeypatch, searches: int) -> None:
+    """Let the first ``searches`` line searches run, then make every later one fail."""
+    real = algorithms.backtrack_batch
+    calls = []
+
+    def stalling(*args):
+        calls.append(None)
+        if len(calls) > searches:
+            raise BacktrackingError("stepsize underflow: sufficient decrease never reached")
+        return real(*args)
+
+    monkeypatch.setattr(algorithms, "backtrack_batch", stalling)
+
+
+def test_run_ends_stalled_when_the_line_search_fails(monkeypatch):
+    _stall_after(monkeypatch, 3)
+    trace = run(RunConfig.from_dict(small_quadratic_config()))
+    assert trace.status == "stalled"
+    assert [r.k for r in trace.rows] == [0, 1, 2, 3]
+    assert [r.status for r in trace.rows] == ["running"] * 3 + ["stalled"]
+    # the stalled row is the iterate before the failed step: three steps of three rounds of each kind
+    assert (trace.final.vector_rounds, trace.final.scalar_rounds) == (9, 9)
+
+
+def test_cli_stalled_run_exits_1_without_traceback(tmp_path, capsys, monkeypatch):
+    _stall_after(monkeypatch, 0)
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(small_quadratic_config()))
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    out, err = capsys.readouterr()
+    assert "status=stalled k=0" in out
+    assert "Traceback" not in err and "Error" not in err
 
 
 def test_cli_tune_extra(tmp_path, capsys):

@@ -11,12 +11,28 @@ from gossipopt import (
     partition_logistic,
     quadratic_condition_numbers,
 )
+from gossipopt.losses import _newton_polish
 from conftest import agent_gradient, agent_value, find_a3a, synthetic_logistic
 
 
 def row_directional_fd(fam, X, U, eps=1e-6):
     """Central differences of every agent's loss at its row x_i along its row u_i."""
     return (fam.values(X + eps * U) - fam.values(X - eps * U)) / (2.0 * eps)
+
+
+def one_hot_logistic(m: int, h: int, groups: int, width: int, seed: int) -> LogisticFamily:
+    """a3a-like sparse data: one active binary feature per group of ``width`` columns.
+
+    Every tenth sample has no active feature at all, so S has empty rows too.
+    """
+    rng = np.random.default_rng(seed)
+    feats = np.zeros((m, h, groups * width))
+    for g in range(groups):
+        hit = rng.integers(width, size=(m, h))
+        np.put_along_axis(feats, (g * width + hit)[:, :, None], 1.0, axis=2)
+    feats[:, ::10] = 0.0
+    labels = np.where(rng.random((m, h)) < 0.4, 1.0, -1.0)
+    return LogisticFamily(feats, labels)
 
 
 def test_quadratic_gradient_zero_at_least_squares_solution(rng):
@@ -49,26 +65,56 @@ def test_gradients_match_finite_differences(kind, rng):
 
 def test_stacked_gradients_match_per_agent(rng):
     # the stacked kernels against the per-agent reference written from each agent's data
-    for fam in (generate_quadratic(m=5, h=4, n=3, ridge=0.1, seed=2), synthetic_logistic(5, 4, 3, seed=2)):
-        X = rng.standard_normal((5, 3))
+    for fam in (
+        generate_quadratic(m=5, h=4, n=3, ridge=0.1, seed=2),
+        synthetic_logistic(5, 4, 3, seed=2),
+        one_hot_logistic(5, 40, groups=6, width=5, seed=2),
+    ):
+        X = rng.standard_normal((fam.m, fam.dim))
         G = fam.gradients(X)
         V = fam.values(X)
-        for i in range(5):
+        for i in range(fam.m):
             np.testing.assert_allclose(G[i], agent_gradient(fam, i, X[i]), rtol=1e-13)
             assert V[i] == pytest.approx(agent_value(fam, i, X[i]), rel=1e-13)
 
 
-@pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+@pytest.mark.parametrize("kind", ["quadratic", "logistic", "one_hot_logistic"])
 def test_values_and_gradients_equal_separate_calls(kind, rng):
     # the fused pass shares one residual (one margin z) and must not change a bit
     if kind == "quadratic":
         fam = generate_quadratic(m=6, h=11, n=7, ridge=0.4, seed=3)
-    else:
+    elif kind == "logistic":
         fam = synthetic_logistic(6, 11, 7, seed=3)
+    else:
+        fam = one_hot_logistic(6, 30, groups=4, width=3, seed=3)
     for _ in range(5):
         X = rng.standard_normal((fam.m, fam.dim))
         F, G = fam.values_and_gradients(X)
         assert np.array_equal(F, fam.values(X)) and np.array_equal(G, fam.gradients(X))
+
+
+def test_logistic_values_are_stable_softplus():
+    # one sample per agent with a single feature: agent i's margin is exactly z_i
+    z = np.concatenate([np.linspace(-1e3, 1e3, 2001), np.geomspace(1e-12, 40.0, 200)])
+    z = np.concatenate([z, -z])
+    fam = LogisticFamily(z[:, None, None], np.ones((z.size, 1)))
+    values = fam.values(np.ones((z.size, 1)))
+    reference = np.logaddexp(0.0, -z)
+    assert np.isfinite(values).all()
+    assert np.all(np.abs(values - reference) <= 1e-15 * np.maximum(reference, 1.0))
+
+
+@pytest.mark.parametrize("data", ["one_hot", "gaussian"])
+def test_newton_polish_reaches_tolerance(data):
+    if data == "one_hot":
+        fam = one_hot_logistic(5, 40, groups=6, width=5, seed=21)
+    else:
+        fam = synthetic_logistic(5, 40, 30, seed=21)
+    tol = 1e-8
+    # from the origin the per-agent Hessian sum alone has to carry the descent
+    x = _newton_polish(fam, np.zeros(fam.dim), tol)
+    assert np.linalg.norm(fam.total_gradient(x)) <= tol
+    assert np.linalg.norm(fam.total_gradient(centralized_solve(fam, tol=tol))) <= tol
 
 
 def test_generate_quadratic_benchmark_dimensions():
