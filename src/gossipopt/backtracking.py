@@ -5,7 +5,8 @@ sufficient-decrease inequality with slack delta holds:
 
     f(x + t y) <= f(x) + <grad f(x), t y> + (delta / 2t) ||t y||^2
 
-The loop continues on strict ``>``; ties accept.
+The loop continues on strict ``>``; ties accept. A trial value that is not
+finite (an overflowed quadratic, 0 * inf = NaN) never passes the test.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ def backtrack_batch(
     if np.any(theta <= 0.0):
         raise BacktrackingError("initial stepsizes must be positive")
     theta_plus = np.asarray(gamma, dtype=float) * theta
+    if not np.isfinite(theta_plus).all():
+        raise BacktrackingError("stepsize overflow: the grown stepsize is not finite")
     trials = np.ones(len(theta), dtype=int)
     active = np.ones(len(theta), dtype=bool)
     while True:
@@ -53,7 +56,8 @@ def backtrack_batch(
         bound = fX + np.einsum("ad,ad->a", G, dx) + (delta / (2.0 * theta_plus)) * np.einsum(
             "ad,ad->a", dx, dx
         )
-        fail = active & (family.values(X_plus) > bound)
+        values = family.values(X_plus)
+        fail = active & ~(np.isfinite(values) & (values <= bound))
         if not fail.any():
             return theta_plus, trials
         theta_plus = np.where(fail, 0.5 * theta_plus, theta_plus)

@@ -7,8 +7,9 @@ from functools import cached_property
 from itertools import chain
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dtrtri
 from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components, shortest_path
+from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "Graph",
@@ -25,11 +26,11 @@ __all__ = [
     "spectral_data",
 ]
 
-# Eigenvalues of I - W_tilde below this are treated as exactly zero when
-# forming the pseudoinverse.
-_PINV_CUTOFF = 1e-10
-
 _ER_MAX_DRAWS = 1000
+
+# A spectral gap 1 - lambda_2(W_tilde) at or below this counts as zero: the
+# graph is disconnected, and I - W_tilde has more than one null direction.
+_GAP_CUTOFF = 1e-10
 
 
 class GraphError(ValueError):
@@ -48,9 +49,6 @@ class Graph:
     m: int
     edges: frozenset[tuple[int, int]]
     neighbors: tuple[tuple[int, ...], ...]
-
-    def degree(self, i: int) -> int:
-        return len(self.neighbors[i]) - 1
 
     @cached_property
     def neighbor_index(self) -> tuple[np.ndarray, np.ndarray]:
@@ -149,11 +147,26 @@ def graph_from_spec(spec: dict) -> Graph:
 
 
 def diameter(g: Graph) -> int:
-    """Exact hop diameter from all-pairs BFS; errors on disconnected input."""
-    hops = shortest_path(_hop_matrix(g), directed=False, unweighted=True)
-    if np.isinf(hops).any():
-        raise GraphError("diameter of a disconnected graph")
-    return int(hops.max())
+    """Exact hop diameter by flooding bitsets of heard-from agents; errors on disconnected input.
+
+    Agent i starts with bit i set, in ceil(m/64) uint64 words. Each round ORs
+    the bitsets over every closed neighborhood of ``g.neighbor_index``; the
+    diameter is the number of rounds until every bitset is full. A round that
+    changes nothing before then means some agent is unreachable.
+    """
+    index, starts = g.neighbor_index
+    agents = np.arange(g.m)
+    heard = np.zeros((g.m, -(-g.m // 64)), dtype=np.uint64)
+    heard[agents, agents // 64] = np.left_shift(np.uint64(1), (agents % 64).astype(np.uint64))
+    everyone = np.bitwise_or.reduce(heard, axis=0)
+    rounds = 0
+    while (heard != everyone).any():
+        flooded = np.bitwise_or.reduceat(heard[index], starts, axis=0)
+        if np.array_equal(flooded, heard):
+            raise GraphError("diameter of a disconnected graph")
+        heard = flooded
+        rounds += 1
+    return rounds
 
 
 def _product_operator(g: Graph, A: np.ndarray) -> np.ndarray | csr_array:
@@ -176,9 +189,14 @@ def metropolis_weights(g: Graph) -> np.ndarray:
     Off-diagonal: 1 / (1 + max(deg_i, deg_j)) on edges; the diagonal absorbs
     the remainder so every row sums to one.
     """
+    index, starts = g.neighbor_index
+    sizes = np.diff(starts, append=index.size)
+    degree = sizes - 1
+    rows = np.repeat(np.arange(g.m), sizes)
+    off = index != rows
+    i, j = rows[off], index[off]
     w = np.zeros((g.m, g.m))
-    for i, j in g.edges:
-        w[i, j] = w[j, i] = 1.0 / (1.0 + max(g.degree(i), g.degree(j)))
+    w[i, j] = 1.0 / (1.0 + np.maximum(degree[i], degree[j]))
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))
     return w
 
@@ -228,10 +246,27 @@ def spectral_data(gm: GossipMatrix) -> np.ndarray:
     """Dual-metric matrix M = c^-1 pinv(I - W_tilde) - I of the strongly convex merit.
 
     M weights the dual distance; it is positive definite on the complement of
-    the all-ones direction whenever c <= 1/2.
+    the all-ones direction whenever c <= 1/2. On a connected graph the only
+    null direction of I - W_tilde is the all-ones vector, so S = I - W_tilde +
+    11^T/m is positive definite and pinv(I - W_tilde) = S^-1 - 11^T/m. S^-1 is
+    R^-1 R^-T from the Cholesky factor S = R^T R (LAPACK ``dpotrf``, inverted
+    by ``dtrtri``): no eigendecomposition. The result is C-contiguous, the
+    layout the merit's ``M @ dY`` is fastest on.
     """
-    vals, vecs = np.linalg.eigh(gm.W_tilde)
-    gap = 1.0 - vals
-    inv = np.where(np.abs(gap) > _PINV_CUTOFF, 1.0 / np.where(gap == 0.0, 1.0, gap), 0.0)
-    pinv = (vecs * inv) @ vecs.T
-    return pinv / gm.c - np.eye(gm.graph.m)
+    m = gm.graph.m
+    S = -gm.W_tilde.T  # Fortran order, LAPACK's own: the factorization works in place
+    S += 1.0 / m
+    S.flat[:: m + 1] += 1.0
+    R, info = dpotrf(S, overwrite_a=1)
+    # every squared pivot is at least lambda_min(S) = min(gap, 1); a singular S
+    # rounds to a last pivot near sqrt(eps) rather than to info > 0
+    if info != 0 or R.diagonal().min() ** 2 <= _GAP_CUTOFF:
+        raise GraphError("I - W_tilde + 11^T/m is singular: the graph is disconnected")
+    R, info = dtrtri(R, overwrite_c=1)
+    if info != 0:
+        raise GraphError(f"triangular inverse failed (LAPACK info {info})")
+    M = R @ R.T
+    M -= 1.0 / m
+    M /= gm.c
+    M.flat[:: m + 1] -= 1.0
+    return M

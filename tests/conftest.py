@@ -66,17 +66,21 @@ def backtrack(theta: float, family, i: int, x, y, gamma: float, delta: float) ->
     """Agent i's line search alone, on the per-agent oracle: (accepted stepsize, trials).
 
     The reference for ``backtrack_batch``: grow by gamma, then halve while
-    f(x + t y) > f(x) + <grad f(x), t y> + (delta / 2t) ||t y||^2.
+    f(x + t y) > f(x) + <grad f(x), t y> + (delta / 2t) ||t y||^2,
+    or while f(x + t y) is not finite.
     """
     fx = agent_value(family, i, x)
     gx = agent_gradient(family, i, x)
     theta_plus = gamma * theta
+    if not np.isfinite(theta_plus):
+        raise BacktrackingError("stepsize overflow: the grown stepsize is not finite")
     trials = 1
     while True:
         x_plus = x + theta_plus * y
         dx = x_plus - x
         bound = fx + float(np.vdot(gx, dx)) + (delta / (2.0 * theta_plus)) * float(np.vdot(dx, dx))
-        if not (agent_value(family, i, x_plus) > bound):
+        value = agent_value(family, i, x_plus)
+        if np.isfinite(value) and value <= bound:
             return theta_plus, trials
         theta_plus *= 0.5
         trials += 1
@@ -164,6 +168,30 @@ def floyd_warshall_diameter(g) -> int:
     for k in range(g.m):
         dist = np.minimum(dist, dist[:, [k]] + dist[[k], :])
     return int(dist.max())
+
+
+def metropolis_reference(g) -> np.ndarray:
+    """Metropolis weights by a loop over the edge set: 1 / (1 + max(deg_i, deg_j)) on edges."""
+    degree = [0] * g.m
+    for i, j in g.edges:
+        degree[i] += 1
+        degree[j] += 1
+    w = np.zeros((g.m, g.m))
+    for i, j in g.edges:
+        w[i, j] = w[j, i] = 1.0 / (1.0 + max(degree[i], degree[j]))
+    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
+    return w
+
+
+def spectral_reference(gm) -> np.ndarray:
+    """M = c^-1 pinv(I - W_tilde) - I from the eigendecomposition of W_tilde.
+
+    Eigenvalues of I - W_tilde within 1e-10 of zero count as exactly zero.
+    """
+    vals, vecs = np.linalg.eigh(gm.W_tilde)
+    gap = 1.0 - vals
+    inv = np.where(np.abs(gap) > 1e-10, 1.0 / np.where(gap == 0.0, 1.0, gap), 0.0)
+    return (vecs * inv) @ vecs.T / gm.c - np.eye(gm.graph.m)
 
 
 class CountingFamily:

@@ -146,3 +146,26 @@ def test_batch_rejects_nonpositive_theta():
         backtrack_batch(
             np.array([1.0, -1.0]), fam, X, fam.values(X), fam.gradients(X), np.zeros((2, 2)), 1.0, 1.0
         )
+
+
+def test_overflowing_trial_is_rejected():
+    # ridge 0: at theta = 1e300 the residual overflows and the value is
+    # inf + 0 * inf = NaN, which must halve the trial, not pass the test
+    fam = generate_quadratic(m=6, h=5, n=4, ridge=0.0, seed=21)
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((6, 4))
+    D = rng.standard_normal((6, 4))
+    assert np.isnan(fam.values(X + 1e300 * D)).all()
+    theta = np.full(6, 1e300)
+    thetas, trials = backtrack_batch(theta, fam, X, fam.values(X), fam.gradients(X), D, 1.0, delta=1.0)
+    assert thetas.max() < 1e10 and trials.min() > 900
+    for i in range(6):
+        assert (thetas[i], trials[i]) == backtrack(1e300, fam, i, X[i], D[i], 1.0, delta=1.0)
+
+
+def test_overflowing_growth_raises():
+    fam = curvature_family(1.0)
+    with pytest.raises(BacktrackingError, match="overflow"):
+        search_one(fam, 1e308, np.zeros(1), np.ones(1), 2.0, 1.0)
+    with pytest.raises(BacktrackingError, match="overflow"):
+        backtrack(1e308, fam, 0, np.zeros(1), np.ones(1), 2.0, 1.0)

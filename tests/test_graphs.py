@@ -15,7 +15,14 @@ from gossipopt import (
     spectral_data,
 )
 from gossipopt.graphs import Graph
-from conftest import connected_er, edge_adjacency, erdos_renyi_reference, floyd_warshall_diameter
+from conftest import (
+    connected_er,
+    edge_adjacency,
+    erdos_renyi_reference,
+    floyd_warshall_diameter,
+    metropolis_reference,
+    spectral_reference,
+)
 
 
 def test_line_graph_edges():
@@ -118,6 +125,26 @@ def test_diameter_disconnected_errors():
         diameter(g)
 
 
+@pytest.mark.parametrize("m", [1, 2, 63, 64, 65, 129])
+def test_diameter_matches_floyd_warshall_across_word_boundaries(m):
+    # the flooded bitsets take ceil(m/64) words; 63, 64, 65 and 129 straddle them
+    graphs = [build_line_graph(m), build_cycle_graph(m), build_complete_graph(m)]
+    if m >= 2:
+        graphs.append(build_erdos_renyi(m, min(1.0, 3.0 * np.log(m) / m), seed=m))
+    for g in graphs:
+        assert diameter(g) == floyd_warshall_diameter(g)
+
+
+def test_diameter_disconnected_past_the_first_word_errors():
+    # a 66-agent line and a 4-agent line: the flood stalls after a few rounds, not at once
+    line = build_line_graph(66)
+    neighbors = line.neighbors + ((66, 67), (66, 67, 68), (67, 68, 69), (68, 69))
+    edges = line.edges | {(66, 67), (67, 68), (68, 69)}
+    g = Graph(m=70, edges=frozenset(edges), neighbors=neighbors)
+    with pytest.raises(GraphError, match="disconnected"):
+        diameter(g)
+
+
 def test_metropolis_line3():
     w = metropolis_weights(build_line_graph(3))
     third = 1.0 / 3.0
@@ -132,6 +159,11 @@ def test_metropolis_complete2():
 
 def test_metropolis_single_node():
     np.testing.assert_allclose(metropolis_weights(build_line_graph(1)), [[1.0]])
+
+
+def test_metropolis_equals_edge_loop_on_600_agents():
+    g = build_erdos_renyi(600, 0.032, seed=7)
+    assert np.array_equal(metropolis_weights(g), metropolis_reference(g))
 
 
 def test_gossip_complete2_half_mixing():
@@ -178,6 +210,20 @@ def test_gossip_invariants_random_graphs(g, c):
     assert np.diag(gm.W).min() >= 1.0 - c
 
 
+@settings(max_examples=60, deadline=None)
+@given(g=any_graph)
+def test_metropolis_equals_edge_loop(g):
+    assert np.array_equal(metropolis_weights(g), metropolis_reference(g))
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=connected_er, c=st.floats(1e-3, 0.5))
+def test_spectral_matches_eigh_pinv_random_er(g, c):
+    gm = gossip_matrix(g, c=c)
+    M, ref = spectral_data(gm), spectral_reference(gm)
+    assert np.abs(M - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_mixing_limit_small_c():
     # raw mixing formula outside the validated range: W -> I as c -> 0
     g = build_line_graph(4)
@@ -206,6 +252,34 @@ def test_spectral_lambda2_below_one_connected():
         eig = np.linalg.eigvalsh(gossip_matrix(g, c=0.5).W_tilde)
         assert eig[-2] < 1.0 - 1e-8
         assert eig[0] >= -1.0 - 1e-12
+
+
+@pytest.mark.parametrize(
+    "g",
+    [build_erdos_renyi(m, p, seed) for m, p, seed in
+     ((2, 1.0, 0), (9, 0.4, 1), (20, 0.1, 7), (20, 0.5, 11), (60, 0.15, 2), (200, 0.05, 5))]
+    + [build_line_graph(40), build_cycle_graph(30), build_complete_graph(12)],
+    ids=lambda g: f"m{g.m}-e{len(g.edges)}",
+)
+@pytest.mark.parametrize("c", [0.5, 0.1])
+def test_spectral_matches_eigh_pinv(g, c):
+    gm = gossip_matrix(g, c=c)
+    M = spectral_data(gm)
+    ref = spectral_reference(gm)
+    assert M.flags.c_contiguous
+    assert np.abs(M - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize(
+    "edges,neighbors",
+    [({(0, 1), (2, 3)}, ((0, 1), (0, 1), (2, 3), (2, 3))),  # Cholesky ends on a pivot of 1e-8
+     ({(0, 1)}, ((0, 1), (0, 1), (2,)))],  # Cholesky ends on a pivot of -1e-16
+)
+def test_spectral_disconnected_errors(edges, neighbors):
+    # two components leave two null directions of I - W_tilde: S is singular
+    g = Graph(m=len(neighbors), edges=frozenset(edges), neighbors=neighbors)
+    with pytest.raises(GraphError, match="disconnected"):
+        spectral_data(gossip_matrix(g))
 
 
 def test_M_positive_definite_on_disagreement_subspace():

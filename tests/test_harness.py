@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
@@ -7,6 +9,8 @@ from gossipopt import BacktrackingError, algorithms, harness
 from gossipopt.cli import main
 from gossipopt.harness import CSV_HEADER, experiment_suite
 from conftest import synthetic_logistic
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples_config"
 
 
 def small_quadratic_config(**overrides):
@@ -433,14 +437,30 @@ def test_cli_rejects_nonpositive_theta0(tmp_path, capsys, method, theta0):
     assert "theta0" in capsys.readouterr().err
 
 
-def test_cli_huge_theta0_ends_diverged(tmp_path, capsys):
-    # theta0**2 overflows a float in the first merit row; the run must still end with a status
+@pytest.mark.parametrize(
+    "raw,theta0",
+    [(small_quadratic_config(), 1e160),
+     (yaml.safe_load((EXAMPLES / "quadratic_line.yaml").read_text()), 1e300)],
+    ids=["small_1e160", "line_1e300"],
+)
+def test_cli_huge_theta0_converges(tmp_path, capsys, raw, theta0):
+    # the first trial points overflow (ridge 0: inf + 0 * inf = NaN); the line
+    # search must back off to a finite value rather than accept the overflow
+    raw["algorithm"]["theta0"] = theta0
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(raw))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "trace.csv")]) == 0
+    assert "status=converged" in capsys.readouterr().out
+
+
+def test_cli_overflowing_growth_ends_stalled(tmp_path, capsys):
+    # gamma_0 * theta0 = 2 * 1e308 is inf: no halving reaches a finite stepsize
     raw = small_quadratic_config()
-    raw["algorithm"]["theta0"] = 1e160
+    raw["algorithm"]["theta0"] = 1e308
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text(yaml.safe_dump(raw))
     assert main(["run", "--config", str(cfg_path)]) == 1
-    assert "status=diverged" in capsys.readouterr().out
+    assert "status=stalled" in capsys.readouterr().out
 
 
 def _stall_after(monkeypatch, searches: int) -> None:
