@@ -6,7 +6,7 @@ sufficient-decrease inequality with slack delta holds:
     f(x + t y) <= f(x) + <grad f(x), t y> + (delta / 2t) ||t y||^2
 
 The loop continues on strict ``>``; ties accept. A trial value that is not
-finite (an overflowed quadratic, 0 * inf = NaN) never passes the test.
+finite (an overflowed quadratic) never passes the test.
 """
 
 from __future__ import annotations

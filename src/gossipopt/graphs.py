@@ -243,15 +243,15 @@ def gossip_matrix(g: Graph, c: float = 0.5) -> GossipMatrix:
 
 
 def spectral_data(gm: GossipMatrix) -> np.ndarray:
-    """Dual-metric matrix M = c^-1 pinv(I - W_tilde) - I of the strongly convex merit.
+    """Upper-triangular T with M = T T^T - 11^T/(cm) - I = c^-1 pinv(I - W_tilde) - I.
 
-    M weights the dual distance; it is positive definite on the complement of
-    the all-ones direction whenever c <= 1/2. On a connected graph the only
-    null direction of I - W_tilde is the all-ones vector, so S = I - W_tilde +
-    11^T/m is positive definite and pinv(I - W_tilde) = S^-1 - 11^T/m. S^-1 is
-    R^-1 R^-T from the Cholesky factor S = R^T R (LAPACK ``dpotrf``, inverted
-    by ``dtrtri``): no eigendecomposition. The result is C-contiguous, the
-    layout the merit's ``M @ dY`` is fastest on.
+    M weights the strongly convex merit's dual distance; it is positive
+    definite on the complement of the all-ones direction whenever c <= 1/2.
+    On a connected graph S = I - W_tilde + 11^T/m is positive definite and
+    pinv(I - W_tilde) = S^-1 - 11^T/m. With the Cholesky factor S = R^T R
+    (LAPACK ``dpotrf``, inverted by ``dtrtri``), T = R^-1 / sqrt(c): no
+    eigendecomposition and no m x m product. T is Fortran-ordered, the
+    layout BLAS ``dtrmm`` reads without a copy, and zero below the diagonal.
     """
     m = gm.graph.m
     S = -gm.W_tilde.T  # Fortran order, LAPACK's own: the factorization works in place
@@ -262,11 +262,6 @@ def spectral_data(gm: GossipMatrix) -> np.ndarray:
     # rounds to a last pivot near sqrt(eps) rather than to info > 0
     if info != 0 or R.diagonal().min() ** 2 <= _GAP_CUTOFF:
         raise GraphError("I - W_tilde + 11^T/m is singular: the graph is disconnected")
-    R, info = dtrtri(R, overwrite_c=1)
-    if info != 0:
-        raise GraphError(f"triangular inverse failed (LAPACK info {info})")
-    M = R @ R.T
-    M -= 1.0 / m
-    M /= gm.c
-    M.flat[:: m + 1] -= 1.0
-    return M
+    T, _ = dtrtri(R, overwrite_c=1)  # cannot fail: the pivots checked above are nonzero
+    T *= gm.c**-0.5
+    return T

@@ -327,7 +327,7 @@ def run(config: RunConfig) -> RunTrace:
     except (ValueError, TypeError) as exc:  # GraphError, LossError, MetricsError, int()/float()
         raise ConfigError(str(exc)) from exc
     # the strongly convex merit weighs the duals; EXTRA has none
-    M = spectral_data(gm) if algo.Y is not None else None
+    T = spectral_data(gm) if algo.Y is not None else None
 
     kind = config.problem["kind"]
     erg = ErgodicAverage(X0.shape)
@@ -340,7 +340,7 @@ def run(config: RunConfig) -> RunTrace:
             vector_rounds=vector_rounds,
             scalar_rounds=scalar_rounds,
             err_rel=err_rel,
-            V=merit_sc(algo.X, algo.Y, stats["theta_min"], fp, M) if M is not None else None,
+            V=merit_sc(algo.X, algo.Y, stats["theta_min"], fp, T) if T is not None else None,
             M_erg=(
                 merit_cvx(erg.value, fp, family, gm, delta)
                 if kind == "quadratic" and erg.count

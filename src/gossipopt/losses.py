@@ -71,10 +71,17 @@ class QuadraticFamily(_FamilyBase):
         return (self.A @ X[:, :, None])[:, :, 0] - self.b
 
     def _values(self, X: np.ndarray, r: np.ndarray) -> np.ndarray:
-        return np.einsum("ah,ah->a", r, r) + 0.5 * self.ridge * np.einsum("an,an->a", X, X)
+        values = np.einsum("ah,ah->a", r, r)
+        if self.ridge:  # skipped, not added as zeros, without a ridge
+            values += 0.5 * self.ridge * np.einsum("an,an->a", X, X)
+        return values
 
     def _gradients(self, X: np.ndarray, r: np.ndarray) -> np.ndarray:
-        return 2.0 * (r[:, None, :] @ self.A)[:, 0, :] + self.ridge * X
+        grads = (r[:, None, :] @ self.A)[:, 0, :]
+        grads *= 2.0
+        if self.ridge:
+            grads += self.ridge * X
+        return grads
 
     def values(self, X: np.ndarray) -> np.ndarray:
         X = self._check_stack(X)

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dtrmm
 
 from .graphs import GossipMatrix
 from .losses import centralized_solve
@@ -51,29 +52,26 @@ def fixed_point(family, tol: float = 1e-8) -> FixedPoint:
     return FixedPoint(x_star=x_star, X_star=X_star, Y_star=Y_star, F_star=F_star)
 
 
-def merit_sc(
-    X: np.ndarray,
-    Y: np.ndarray,
-    theta_min_prev: float,
-    fp: FixedPoint,
-    M: np.ndarray,
-) -> float:
-    """Strongly convex merit: ||X - X*||^2 + theta^2 ||Y - Y*||^2_M.
+def merit_sc(X: np.ndarray, Y: np.ndarray, theta_min_prev: float, fp: FixedPoint, T: np.ndarray) -> float:
+    """Strongly convex merit: ||X - X*||^2 + theta^2 ||Y - Y*||^2_M, with M = T T^T - 11^T/(cm) - I.
 
-    The dual difference is projected onto the complement of the all-ones
-    direction before the M-form: M is indefinite along it, and the theory
-    confines the duals to range(I - W). The quadratic forms are floored at
-    zero against roundoff.
+    ``T`` is the factor of ``spectral_data``. The dual difference dY is first projected off the
+    all-ones direction, along which M is indefinite and which the theory keeps the duals out of
+    (range(I - W)); the 11^T term then vanishes, and the M-form ||T^T dY||^2 - ||dY||^2 is
+    floored at zero against roundoff.
     """
     dX = X - fp.X_star
     dY = Y - fp.Y_star
-    dY = dY - dY.mean(axis=0, keepdims=True)
-    m_form = max(float(np.sum(dY * (M @ dY))), 0.0)
+    dY -= dY.mean(axis=0)
+    dY_sq = np.vdot(dY, dY)
+    # (T^T dY)^T = dY^T T: one right-side triangular product on the Fortran-ordered view, in place
+    Z = dtrmm(1.0, T, dY.T, side=1, overwrite_b=1).T
+    m_form = max(float(np.vdot(Z, Z) - dY_sq), 0.0)
     try:
         theta_sq = theta_min_prev**2
     except OverflowError:  # a Python float above about 1.34e154
         theta_sq = np.inf
-    return float(np.sum(dX * dX)) + theta_sq * m_form
+    return float(np.vdot(dX, dX)) + theta_sq * m_form
 
 
 def merit_cvx(X: np.ndarray, fp: FixedPoint, family, gm: GossipMatrix, delta: float) -> float:

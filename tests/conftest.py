@@ -194,6 +194,12 @@ def spectral_reference(gm) -> np.ndarray:
     return (vecs * inv) @ vecs.T / gm.c - np.eye(gm.graph.m)
 
 
+def metric_from_factor(T: np.ndarray, c: float) -> np.ndarray:
+    """The dense M = T T^T - 11^T/(cm) - I that a ``spectral_data`` factor T stands for."""
+    m = T.shape[0]
+    return T @ T.T - 1.0 / (c * m) - np.eye(m)
+
+
 class CountingFamily:
     """Delegates to a loss family and counts its stacked value and gradient calls."""
 

@@ -34,7 +34,14 @@ from gossipopt import (
 from gossipopt.algorithms import METHODS
 from gossipopt.graphs import Graph
 from gossipopt.harness import experiment_suite
-from conftest import curvature_family, find_a3a, search_one, synthetic_logistic, written_out_step
+from conftest import (
+    curvature_family,
+    find_a3a,
+    metric_from_factor,
+    search_one,
+    synthetic_logistic,
+    written_out_step,
+)
 
 
 def _passed(num: int, label: str) -> None:
@@ -285,7 +292,7 @@ def test_criterion_10_gossip_and_merit_algebra(rng):
         for W in (gm.W_tilde, gm.W):
             assert np.abs(W.sum(axis=1) - 1.0).max() <= 1e-12
             assert np.abs(W - W.T).max() <= 1e-12
-        M = spectral_data(gm)
+        M = metric_from_factor(spectral_data(gm), gm.c)
         ones = np.ones((10, 1)) / np.sqrt(10.0)
         proj = np.eye(10) - ones @ ones.T
         eig = np.linalg.eigvalsh(proj @ M @ proj)
@@ -293,11 +300,11 @@ def test_criterion_10_gossip_and_merit_algebra(rng):
 
     # hand-computed merit values on the two-agent complete graph
     gm2 = gossip_matrix(build_erdos_renyi(2, 1.0, seed=0), c=0.5)
-    M = spectral_data(gm2)
+    T = spectral_data(gm2)
     fp = FixedPoint(
         x_star=np.zeros(1), X_star=np.zeros((2, 1)), Y_star=np.zeros((2, 1)), F_star=0.0
     )
-    dual_case = merit_sc(fp.X_star, np.array([[1.0], [-1.0]]), 2.0, fp, M)
+    dual_case = merit_sc(fp.X_star, np.array([[1.0], [-1.0]]), 2.0, fp, T)
     assert abs(dual_case - 8.0) <= 1e-12
     zero_losses = QuadraticFamily(np.zeros((2, 1, 1)), np.zeros((2, 1)), ridge=0.0)
     cons_case = merit_cvx(np.array([[1.0], [-1.0]]), fp, zero_losses, gm2, delta=1.0)

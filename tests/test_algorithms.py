@@ -254,10 +254,18 @@ def test_step_matches_written_out_recurrence(method, rng):
             assert state.theta.max() == state.theta.min()
 
 
-def test_dual_column_sums_conserved():
-    fam = generate_quadratic(m=6, h=5, n=4, ridge=0.0, seed=9)
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize(
+    "make_family",
+    [lambda: generate_quadratic(m=6, h=5, n=4, ridge=0.0, seed=9),
+     lambda: synthetic_logistic(6, 10, 4, seed=9)],
+    ids=["quadratic", "logistic"],
+)
+def test_dual_column_sums_conserved(method, make_family):
+    # the duals start at zero and move only through I - W: their rows sum to ~0
+    fam = make_family()
     gm = gossip_matrix(build_erdos_renyi(6, 0.5, seed=3), c=0.5)
-    algo = AdaptiveAlgorithm(gm, fam, X0=np.zeros((6, 4)))
+    algo = AdaptiveAlgorithm(gm, fam, X0=np.zeros((6, 4)), method=method)
     grad_scale = 1.0
     for _ in range(150):
         algo.step()

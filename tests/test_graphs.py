@@ -21,6 +21,7 @@ from conftest import (
     erdos_renyi_reference,
     floyd_warshall_diameter,
     metropolis_reference,
+    metric_from_factor,
     spectral_reference,
 )
 
@@ -220,7 +221,7 @@ def test_metropolis_equals_edge_loop(g):
 @given(g=connected_er, c=st.floats(1e-3, 0.5))
 def test_spectral_matches_eigh_pinv_random_er(g, c):
     gm = gossip_matrix(g, c=c)
-    M, ref = spectral_data(gm), spectral_reference(gm)
+    M, ref = metric_from_factor(spectral_data(gm), c), spectral_reference(gm)
     assert np.abs(M - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -238,11 +239,12 @@ def test_spectral_complete2_hand_values():
     gm = gossip_matrix(build_complete_graph(2), c=0.5)
     assert np.linalg.eigvalsh(gm.W_tilde)[0] == pytest.approx(0.0, abs=1e-12)
     # disagreement direction has M-eigenvalue 2/1 - 1 = 1, ones direction -1
-    np.testing.assert_allclose(spectral_data(gm), [[0.0, -1.0], [-1.0, 0.0]], atol=1e-12)
+    M = metric_from_factor(spectral_data(gm), gm.c)
+    np.testing.assert_allclose(M, [[0.0, -1.0], [-1.0, 0.0]], atol=1e-12)
 
 
 def test_spectral_single_node():
-    M = spectral_data(gossip_matrix(build_line_graph(1), c=0.5))
+    M = metric_from_factor(spectral_data(gossip_matrix(build_line_graph(1), c=0.5)), 0.5)
     np.testing.assert_allclose(M, [[-1.0]], atol=1e-12)
 
 
@@ -264,9 +266,11 @@ def test_spectral_lambda2_below_one_connected():
 @pytest.mark.parametrize("c", [0.5, 0.1])
 def test_spectral_matches_eigh_pinv(g, c):
     gm = gossip_matrix(g, c=c)
-    M = spectral_data(gm)
-    ref = spectral_reference(gm)
-    assert M.flags.c_contiguous
+    T = spectral_data(gm)
+    # the layout dtrmm reads without a copy, and nothing below the diagonal
+    assert T.flags.f_contiguous
+    assert not np.tril(T, -1).any()
+    M, ref = metric_from_factor(T, c), spectral_reference(gm)
     assert np.abs(M - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -286,7 +290,7 @@ def test_M_positive_definite_on_disagreement_subspace():
     for seed in range(8):
         g = build_erdos_renyi(9, 0.4, seed=seed)
         gm = gossip_matrix(g, c=0.5)
-        M = spectral_data(gm)
+        M = metric_from_factor(spectral_data(gm), gm.c)
         m = g.m
         ones = np.ones((m, 1)) / np.sqrt(m)
         proj = np.eye(m) - ones @ ones.T

@@ -444,7 +444,7 @@ def test_cli_rejects_nonpositive_theta0(tmp_path, capsys, method, theta0):
     ids=["small_1e160", "line_1e300"],
 )
 def test_cli_huge_theta0_converges(tmp_path, capsys, raw, theta0):
-    # the first trial points overflow (ridge 0: inf + 0 * inf = NaN); the line
+    # the first trial points overflow to an infinite value; the line
     # search must back off to a finite value rather than accept the overflow
     raw["algorithm"]["theta0"] = theta0
     cfg_path = tmp_path / "cfg.yaml"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gossipopt import (
     ErgodicAverage,
@@ -8,6 +9,7 @@ from gossipopt import (
     QuadraticFamily,
     build_complete_graph,
     build_erdos_renyi,
+    build_line_graph,
     fixed_point,
     generate_quadratic,
     gossip_matrix,
@@ -16,7 +18,7 @@ from gossipopt import (
     merit_sc,
     spectral_data,
 )
-from conftest import CountingFamily
+from conftest import CountingFamily, connected_er, spectral_reference
 
 
 def two_agent_pull():
@@ -53,44 +55,71 @@ def test_fixed_point_random_residual():
 
 def test_merit_sc_zero_at_fixed_point():
     gm = gossip_matrix(build_complete_graph(2), c=0.5)
-    M = spectral_data(gm)
+    T = spectral_data(gm)
     fp = fixed_point(two_agent_pull(), tol=1e-10)
-    assert merit_sc(fp.X_star, fp.Y_star, 0.7, fp, M) <= 1e-24
+    assert merit_sc(fp.X_star, fp.Y_star, 0.7, fp, T) <= 1e-24
 
 
 def test_merit_sc_frobenius_term_only(rng):
     gm = gossip_matrix(build_complete_graph(2), c=0.5)
-    M = spectral_data(gm)
+    T = spectral_data(gm)
     fp = fixed_point(two_agent_pull(), tol=1e-10)
     E = rng.standard_normal((2, 1))
     E /= np.linalg.norm(E)
-    assert merit_sc(fp.X_star + E, fp.Y_star, 0.3, fp, M) == pytest.approx(1.0, rel=1e-12)
+    assert merit_sc(fp.X_star + E, fp.Y_star, 0.3, fp, T) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_merit_sc_hand_dual_term():
     # complete graph m=2, c=1/2: the disagreement direction has M-eigenvalue 1;
     # dual offset [1, -1] with theta 2 contributes 4 * 2 = 8
     gm = gossip_matrix(build_complete_graph(2), c=0.5)
-    M = spectral_data(gm)
+    T = spectral_data(gm)
     fp = FixedPoint(
         x_star=np.zeros(1), X_star=np.zeros((2, 1)), Y_star=np.zeros((2, 1)), F_star=0.0
     )
     Y = np.array([[1.0], [-1.0]])
-    assert merit_sc(fp.X_star, Y, 2.0, fp, M) == pytest.approx(8.0, abs=1e-12)
+    assert merit_sc(fp.X_star, Y, 2.0, fp, T) == pytest.approx(8.0, abs=1e-12)
 
 
 def test_merit_sc_positive_under_perturbations(rng):
     g = build_erdos_renyi(5, 0.6, seed=5)
     gm = gossip_matrix(g, c=0.5)
-    M = spectral_data(gm)
+    T = spectral_data(gm)
     fam = generate_quadratic(m=5, h=6, n=3, ridge=0.0, seed=31)
     fp = fixed_point(fam, tol=1e-8)
     IW = np.eye(5) - gm.W
     for _ in range(20):
         dX = rng.standard_normal((5, 3)) * 1e-3
-        assert merit_sc(fp.X_star + dX, fp.Y_star, 0.5, fp, M) >= 1e-16
+        assert merit_sc(fp.X_star + dX, fp.Y_star, 0.5, fp, T) >= 1e-16
         dY = IW @ rng.standard_normal((5, 3))  # perturbation in range(I - W)
-        assert merit_sc(fp.X_star, fp.Y_star + dY, 0.5, fp, M) >= 1e-16
+        assert merit_sc(fp.X_star, fp.Y_star + dY, 0.5, fp, T) >= 1e-16
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    # the line graph's M is smallest on the alternating direction
+    g=st.one_of(connected_er, st.builds(build_line_graph, st.integers(2, 40))),
+    c=st.floats(1e-3, 0.5),
+    theta=st.floats(1e-3, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+    alternating=st.booleans(),
+)
+def test_merit_sc_matches_dense_reference(g, c, theta, seed, alternating):
+    gm = gossip_matrix(g, c=c)
+    rng = np.random.default_rng(seed)
+    m, d = g.m, 3
+    fp = FixedPoint(
+        x_star=np.zeros(d), X_star=rng.standard_normal((m, d)), Y_star=rng.standard_normal((m, d)), F_star=0.0
+    )
+    if alternating:  # the dual term alone
+        X, dY = fp.X_star.copy(), np.outer((-1.0) ** np.arange(m), rng.standard_normal(d))
+    else:
+        X, dY = fp.X_star + rng.standard_normal((m, d)), rng.standard_normal((m, d))
+    Y = fp.Y_star + dY
+    dY = dY - dY.mean(axis=0)
+    dX = X - fp.X_star
+    expected = np.sum(dX * dX) + theta**2 * max(np.sum(dY * (spectral_reference(gm) @ dY)), 0.0)
+    assert merit_sc(X, Y, theta, fp, spectral_data(gm)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_merit_cvx_zero_at_fixed_point():

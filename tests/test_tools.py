@@ -1,6 +1,8 @@
-"""The trace-corpus comparator in tools/trace_corpus.py, on small hand-written corpora."""
+"""The scripts in tools/: the trace-corpus comparator on small hand-written corpora, and the
+benchmark-pair summary on canned reports."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -9,9 +11,11 @@ import pytest
 from gossipopt.harness import CSV_HEADER
 
 
-def _trace_corpus():
-    path = Path(__file__).resolve().parents[1] / "tools" / "trace_corpus.py"
-    spec = importlib.util.spec_from_file_location("trace_corpus", path)
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _tool(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
@@ -42,7 +46,7 @@ def corpora(tmp_path):
 
 
 def test_compare_identical_corpora(corpora, capsys):
-    assert _trace_corpus().compare(*corpora) == 0
+    assert _tool("trace_corpus").compare(*corpora) == 0
     out = capsys.readouterr().out
     assert "line/adaptive.csv: identical; converged k=3 -> converged k=3" in out
     assert "2 files, 2 byte-identical, 0 missing" in out
@@ -54,7 +58,7 @@ def test_compare_reports_first_stepsize_difference(corpora, capsys):
             (1e-7, 0.25, "converged")]
     _write_trace(b / "line" / "adaptive.csv", rows)
     (b / "suite" / "summary.csv").write_text(SUMMARY + "line,adaptive,converged,4\n")
-    assert _trace_corpus().compare(a, b) == 0  # same status, more iterations: reported, not gated
+    assert _tool("trace_corpus").compare(a, b) == 0  # same status, more iterations: reported, not gated
     out = capsys.readouterr().out
     assert "converged k=3 -> converged k=4" in out
     assert "first stepsize difference at k=2 (err_rel=0.25, M_erg=-)" in out
@@ -67,14 +71,71 @@ def test_compare_fails_on_lost_convergence_only(corpora, capsys):
     a, b = corpora
     diverged = [*BASE[:3], (1e3, 0.25, "diverged")]
     _write_trace(b / "line" / "adaptive.csv", diverged)
-    assert _trace_corpus().compare(a, b) == 1
+    assert _tool("trace_corpus").compare(a, b) == 1
     assert "status change: line/adaptive.csv: converged -> diverged" in capsys.readouterr().out
     # a run that starts converging is not a regression
-    assert _trace_corpus().compare(b, a) == 0
+    assert _tool("trace_corpus").compare(b, a) == 0
 
 
 def test_compare_fails_on_missing_file(corpora, capsys):
     a, b = corpora
     (b / "suite" / "summary.csv").unlink()
-    assert _trace_corpus().compare(a, b) == 1
+    assert _tool("trace_corpus").compare(a, b) == 1
     assert "suite/summary.csv: missing at B" in capsys.readouterr().out
+
+
+def _result(seed: int, run_s: float, iterations: int, failed: int = 0) -> dict:
+    """One workload's entry in a collect.py report."""
+    metrics = {"run_s": {"value": run_s, "unit": "s"}, "iterations": {"value": iterations, "unit": "count"}}
+    return {"seed": seed, "correct": True, "attempted": 10, "failed": failed, "metrics": metrics,
+            "wall_s": 1.0, "exit": 0}
+
+
+def test_bench_pairs_summary_arithmetic():
+    parent = [_result(s, v, 100) for s, v in zip(range(1, 6), (1.0, 1.2, 0.9, 1.1, 1.4))]
+    change = [_result(s, v, 100, failed=int(s == 3)) for s, v in zip(range(1, 6), (0.8, 1.2, 0.7, 1.0, 0.9))]
+    entry = _tool("bench_pairs").summarize({"parent": {"w": parent}, "change": {"w": change}})["w"]
+    run_s = entry["run_s"]
+    # sorted 0.9 1.0 1.1 1.2 1.4: the exclusive quartiles sit at ranks 1.5 and 4.5
+    assert run_s["parent"] == pytest.approx({"median": 1.1, "q1": 0.95, "q3": 1.3})
+    assert run_s["change"] == pytest.approx({"median": 0.9, "q1": 0.75, "q3": 1.1})
+    assert (run_s["change_lower_pairs"], run_s["ties"]) == (4, 1)
+    assert run_s["median_change"] == pytest.approx(-0.2 / 1.1)
+    assert run_s["parent_iqr"] == pytest.approx(0.35)
+    iterations = entry["iterations"]
+    assert (iterations["change_lower_pairs"], iterations["ties"], iterations["median_change"]) == (0, 5, 0.0)
+    assert entry["pairs"] == 5
+    assert entry["failed_ops"] == {"parent": 0, "change": 1}
+    assert entry["attempted_ops"] == {"parent": 50, "change": 50}
+
+
+def test_bench_pairs_rejects_unpaired_seeds():
+    runs = {"parent": {"w": [_result(1, 1.0, 1)]}, "change": {"w": [_result(2, 1.0, 1)]}}
+    with pytest.raises(ValueError, match="different seeds"):
+        _tool("bench_pairs").summarize(runs)
+
+
+@pytest.mark.parametrize("name", ["BENCH_11.json", "BENCH_12.json"])
+def test_bench_pairs_reproduces_committed_summary(name):
+    bench = json.loads((ROOT / name).read_text())
+    assert _tool("bench_pairs").summarize(bench["runs"]) == bench["summary"]
+
+
+def test_bench_pairs_alternates_the_side_that_runs_first(tmp_path, monkeypatch):
+    bench_pairs = _tool("bench_pairs")
+    calls = []
+
+    def fake_collect(tree, seed, workloads, seconds):
+        calls.append((tree.name, seed))
+        run_s = 1.0 if tree.name == "parent" else 0.5
+        return {"machine": {"nproc": 1}, "seconds": seconds, "workloads": {"w": [_result(seed, run_s, 7)]}}
+
+    monkeypatch.setattr(bench_pairs, "collect", fake_collect)
+    out = tmp_path / "BENCH.json"
+    args = [str(tmp_path / "parent"), str(tmp_path / "change"), "--seeds", "1-3", "--seconds", "2"]
+    assert bench_pairs.main([*args, "--out", str(out)]) == 0
+    assert calls == [("change", 1), ("parent", 1), ("parent", 2), ("change", 2), ("change", 3), ("parent", 3)]
+    bench = json.loads(out.read_text())
+    assert (bench["seeds"], bench["seconds"], bench["parent_commit"]) == ([1, 2, 3], 2, None)
+    assert bench["summary"]["w"]["run_s"]["change_lower_pairs"] == 3
+    assert [r["seed"] for r in bench["runs"]["parent"]["w"]] == [1, 2, 3]
