@@ -126,8 +126,11 @@ def decided_beyond_rounding(fam, i: int, theta: float, x, y, gamma: float, delta
     t^2 K > delta t ||y||^2 / 2. The code tests this as a difference of
     values, which the stacked and per-agent kernels round differently: a
     trial whose exact margin is within rounding of the compared terms can
-    go either way.
+    go either way. A zero direction is decided: both searches compare f(x)
+    with itself and accept the first trial.
     """
+    if not y.any():
+        return True
     K = float(np.sum((fam.A[i] @ y) ** 2)) + 0.5 * fam.ridge * float(y @ y)
     fx, slope = agent_value(fam, i, x), float(agent_gradient(fam, i, x) @ y)
     t = gamma * theta

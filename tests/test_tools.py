@@ -125,17 +125,17 @@ def test_bench_pairs_alternates_the_side_that_runs_first(tmp_path, monkeypatch):
     bench_pairs = _tool("bench_pairs")
     calls = []
 
-    def fake_collect(tree, seed, workloads, seconds):
+    def fake_collect(tree, seed):
         calls.append((tree.name, seed))
         run_s = 1.0 if tree.name == "parent" else 0.5
-        return {"machine": {"nproc": 1}, "seconds": seconds, "workloads": {"w": [_result(seed, run_s, 7)]}}
+        return {"machine": {"nproc": 1}, "seconds": 30, "workloads": {"w": [_result(seed, run_s, 7)]}}
 
     monkeypatch.setattr(bench_pairs, "collect", fake_collect)
     out = tmp_path / "BENCH.json"
-    args = [str(tmp_path / "parent"), str(tmp_path / "change"), "--seeds", "1-3", "--seconds", "2"]
+    args = [str(tmp_path / "parent"), str(tmp_path / "change"), "--seeds", "1-3"]
     assert bench_pairs.main([*args, "--out", str(out)]) == 0
     assert calls == [("change", 1), ("parent", 1), ("parent", 2), ("change", 2), ("change", 3), ("parent", 3)]
     bench = json.loads(out.read_text())
-    assert (bench["seeds"], bench["seconds"], bench["parent_commit"]) == ([1, 2, 3], 2, None)
+    assert (bench["seeds"], bench["seconds"], bench["parent_commit"]) == ([1, 2, 3], 30, None)
     assert bench["summary"]["w"]["run_s"]["change_lower_pairs"] == 3
     assert [r["seed"] for r in bench["runs"]["parent"]["w"]] == [1, 2, 3]

@@ -3,15 +3,14 @@
 Usage::
 
     python tools/bench_pairs.py PARENT_TREE CHANGE_TREE --seeds 41-50 --out BENCH_12.json
-    python tools/bench_pairs.py PARENT_TREE CHANGE_TREE --seeds 41-50 --workloads quad-er-large \\
-        --seconds 20 --out BENCH_12.json
 
 PARENT_TREE and CHANGE_TREE are two checkouts of the repository, say a
 ``git clone`` of the parent commit and the working tree. For every seed the
 script runs each tree's own ``benchmarks/collect.py --seeds <seed>`` once,
-the two calls back to back: the change first on odd seeds, the parent first
-on even ones, so drift on the host falls on both sides alike. It then merges
-the per-seed reports.
+on every workload and at the run length of that tree's BENCHMARK.json, the
+two calls back to back: the change first on odd seeds, the parent first on
+even ones, so drift on the host falls on both sides alike. It then merges the
+per-seed reports.
 
 The output keeps every raw run under ``runs`` and, per workload and
 end-to-end metric, a ``summary``: the median and quartiles
@@ -43,13 +42,9 @@ def parse_seeds(text: str) -> list[int]:
     return [int(s) for s in text.split(",")]
 
 
-def collect(tree: Path, seed: int, workloads: str | None, seconds: int | None) -> dict:
+def collect(tree: Path, seed: int) -> dict:
     """One ``benchmarks/collect.py`` call in ``tree`` for one seed; its JSON report."""
     cmd = [sys.executable, "benchmarks/collect.py", "--seeds", str(seed)]
-    if workloads:
-        cmd += ["--workloads", workloads]
-    if seconds:
-        cmd += ["--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     wrote = [line.split(" ", 1)[1] for line in proc.stdout.splitlines() if line.startswith("wrote ")]
     if proc.returncode != 0 or not wrote:
@@ -107,8 +102,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
     parser.add_argument("--seeds", default="41-50")
-    parser.add_argument("--workloads", help="comma-separated; collect.py's default is every workload")
-    parser.add_argument("--seconds", type=int, help="run length; collect.py's default is BENCHMARK.json's")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
@@ -119,7 +112,7 @@ def main(argv: list[str] | None = None) -> int:
     for seed in seeds:
         for side in SIDES[::-1] if seed % 2 else SIDES:
             print(f"== seed {seed}: {side}", flush=True)
-            report = collect(trees[side], seed, args.workloads, args.seconds)
+            report = collect(trees[side], seed)
             for workload, results in report["workloads"].items():
                 runs[side].setdefault(workload, []).extend(results)
     summary = summarize(runs)
