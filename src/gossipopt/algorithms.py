@@ -140,9 +140,10 @@ class AdaptiveState:
     ``theta``, ``theta_tracker`` and ``pi`` hold the values produced by the
     previous iteration (the -1 initializations before the first step).
     ``diam`` is each agent's current effective-diameter estimate, ``bounded``
-    the safeguard bits, ``X0``/``Y0`` the starting rows the safeguard measures
-    drift from, and ``double_count`` accumulates per-agent doubling events of
-    the estimator. The tracker and the diameter estimate belong to
+    the safeguard bits, ``X0`` the starting rows the safeguard measures
+    primal drift from (the duals start at zero, so their drift is ``Y`` itself),
+    and ``double_count`` accumulates per-agent doubling events of the
+    estimator. The tracker and the diameter estimate belong to
     the ``adaptive`` merge; the ``nips_*`` merges leave them at their initial
     values and set ``pi`` to ``theta``.
     """
@@ -155,7 +156,6 @@ class AdaptiveState:
     diam: np.ndarray
     bounded: np.ndarray
     X0: np.ndarray
-    Y0: np.ndarray
     double_count: np.ndarray
     k: int = 0
 
@@ -174,7 +174,6 @@ class AdaptiveState:
             diam=np.full(m, int(d0), dtype=int),
             bounded=np.ones(m, dtype=int),
             X0=X0.copy(),
-            Y0=np.zeros_like(X0),
             double_count=np.zeros(m, dtype=int),
         )
 
@@ -188,7 +187,7 @@ def _safeguard_update(state: AdaptiveState, exchange: NeighborExchange, radius: 
     per iteration.
     """
     drift_x = np.linalg.norm(state.X - state.X0, axis=1)
-    drift_y = state.theta * np.linalg.norm(state.Y - state.Y0, axis=1)
+    drift_y = state.theta * np.linalg.norm(state.Y, axis=1)
     outside = np.maximum(drift_x, drift_y) >= radius
     return np.where(outside, 0, exchange.neighbor_min(state.bounded))
 

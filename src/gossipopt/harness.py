@@ -82,7 +82,6 @@ class RunConfig:
     stride: int = 1
     seed: int = 0
     output: str | None = None
-    fixed_point_tol: float = 1e-8
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -129,7 +128,7 @@ def _validate(cfg: RunConfig) -> None:
     for key in ("max_iterations", "max_vector_rounds", "stride", "seed"):
         if not _is_int(getattr(cfg, key)):
             raise ConfigError(f"{key} must be an integer, got {getattr(cfg, key)!r}")
-    for key in ("c", "epsilon", "fixed_point_tol"):
+    for key in ("c", "epsilon"):
         if not _is_real(getattr(cfg, key)):
             raise ConfigError(f"{key} must be a real number, got {getattr(cfg, key)!r}")
     if not isinstance(cfg.graph, dict) or not isinstance(cfg.problem, dict):
@@ -320,7 +319,7 @@ def run(config: RunConfig) -> RunTrace:
         family = _build_family(config.problem, config.seed)
         if family.m != graph.m:
             raise ConfigError(f"family has {family.m} agents but graph has {graph.m}")
-        fp = fixed_point(family, tol=config.fixed_point_tol)
+        fp = fixed_point(family)
         delta = float(config.algorithm.get("delta", 1.0))
         X0 = np.zeros((family.m, family.dim))
         algo = _make_algorithm(config, gm, family, X0, delta)

@@ -12,7 +12,6 @@ block-diagonal CSR matrix, which reads only the nonzero features.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.sparse import csr_array, get_index_dtype
 from scipy.special import expit
 
@@ -26,6 +25,9 @@ __all__ = [
     "centralized_solve",
     "quadratic_condition_numbers",
 ]
+
+# Newton steps of the centralized oracle; logistic data needs about five
+_NEWTON_ROUNDS = 30
 
 
 class LossError(ValueError):
@@ -96,6 +98,10 @@ class QuadraticFamily(_FamilyBase):
         r = self._residuals(X)
         return self._values(X, r), self._gradients(X, r)
 
+    def _hessian(self, x: np.ndarray) -> np.ndarray:
+        """Hessian of sum_i f_i, the same at every x: 2 sum_i A_i^T A_i + m ridge I."""
+        return 2.0 * np.einsum("ahn,ahk->nk", self.A, self.A) + self.m * self.ridge * np.eye(self.dim)
+
 
 class LogisticFamily(_FamilyBase):
     """f_i(x) = (1/h_i) sum_j log(1 + exp(-b_ij <x, a_ij>)) per agent.
@@ -151,6 +157,20 @@ class LogisticFamily(_FamilyBase):
     def values_and_gradients(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         z = self._margins(self._check_stack(X))
         return self._values(z), self._gradients(z)
+
+    def _hessian(self, x: np.ndarray) -> np.ndarray:
+        """Hessian of sum_i f_i at the shared x: T^T diag(s(z)s(-z)/h) T, s = expit.
+
+        T is S with its agent blocks folded onto the d shared columns (the
+        label-signed stacked features). A CSR product, so no threaded BLAS
+        call decides its bytes.
+        """
+        z = self._margins(np.broadcast_to(x, (self.m, self.dim))).ravel()
+        S = self._S
+        weights = np.repeat(expit(z) * expit(-z) / self._h, np.diff(S.indptr))
+        T = csr_array((S.data, S.indices % self.dim, S.indptr), shape=(len(z), self.dim))
+        DT = csr_array((S.data * weights, T.indices, S.indptr), shape=T.shape)
+        return (T.T @ DT).toarray()
 
 
 def generate_quadratic(m: int, h: int, n: int, ridge: float, seed: int) -> QuadraticFamily:
@@ -215,55 +235,34 @@ def partition_logistic(
     return LogisticFamily(features[order].reshape(*shape, -1), labels[order].reshape(shape))
 
 
-def centralized_solve(family, tol: float = 1e-8, max_iter: int = 50_000) -> np.ndarray:
-    """Exact-solution oracle: x with || sum_i grad f_i(x) || <= tol.
+def centralized_solve(family, tol: float = 1e-8) -> np.ndarray:
+    """Exact-solution oracle: the minimum-norm x with || sum_i grad f_i(x) || <= tol.
 
-    Quadratics go through the (pseudo)solved normal equations with one
-    refinement pass; rank-deficient sums yield the minimum-norm solution.
-    Logistic losses are minimized numerically and the gradient-norm contract
-    is verified before returning.
+    Damped Newton from x = 0 on the family's summed Hessian. Each step is the
+    least-squares (pseudo-inverse) solution, so every iterate stays in the
+    Hessian's range, the row space of the stacked features: where the sum is
+    rank-deficient the limit is the solution of least norm. A quadratic is
+    solved by the first full step up to rounding; any further step refines it.
+    A step is halved while it raises the summed loss (a tie accepts it).
+    Raises ``LossError`` when the gradient contract fails after
+    ``_NEWTON_ROUNDS`` steps.
     """
     if tol <= 0.0:
         raise LossError(f"tolerance must be positive, got {tol}")
-    if isinstance(family, QuadraticFamily):
-        H = 2.0 * np.einsum("ahn,ahk->nk", family.A, family.A)
-        H += family.m * family.ridge * np.eye(family.dim)
-        rhs = 2.0 * np.einsum("ahn,ah->n", family.A, family.b)
-        x = np.linalg.lstsq(H, rhs, rcond=None)[0]
-        x += np.linalg.lstsq(H, rhs - H @ x, rcond=None)[0]
-    elif isinstance(family, LogisticFamily):
-        res = minimize(
-            family.total_value,
-            np.zeros(family.dim),
-            jac=family.total_gradient,
-            method="L-BFGS-B",
-            options={"maxiter": max_iter, "gtol": tol / (10.0 * np.sqrt(family.dim)), "ftol": 0.0},
-        )
-        x = _newton_polish(family, res.x, tol)
-    else:
-        raise LossError(f"no centralized oracle for {type(family).__name__}")
-    residual = float(np.linalg.norm(family.total_gradient(x)))
-    if residual > tol:
-        raise LossError(f"centralized oracle stalled: ||sum grad|| = {residual:.3e} > tol {tol:.1e}")
-    return x
-
-
-def _newton_polish(family: LogisticFamily, x: np.ndarray, tol: float, rounds: int = 30) -> np.ndarray:
-    """Damped Newton steps driving the aggregate gradient to tolerance."""
-    for _ in range(rounds):
+    x = np.zeros(family.dim)
+    f = family.total_value(x)
+    for _ in range(_NEWTON_ROUNDS):
         g = family.total_gradient(x)
         if np.linalg.norm(g) <= 0.1 * tol:
             break
-        z = family._margins(np.broadcast_to(x, (family.m, family.dim)))
-        s = expit(z) * expit(-z) / family._h
-        H = 1e-12 * np.eye(family.dim)
-        for F_i, s_i in zip(family.features, s):
-            H += F_i.T @ (s_i[:, None] * F_i)
-        step = np.linalg.solve(H, g)
-        t, f0 = 1.0, family.total_value(x)
-        while t > 1e-12 and family.total_value(x - t * step) > f0:
+        step = np.linalg.lstsq(family._hessian(x), g, rcond=None)[0]
+        t = 1.0
+        while (f_trial := family.total_value(x - t * step)) > f and t > 1e-12:
             t *= 0.5
-        x = x - t * step
+        x, f = x - t * step, f_trial
+    residual = float(np.linalg.norm(family.total_gradient(x)))
+    if residual > tol:
+        raise LossError(f"centralized oracle stalled: ||sum grad|| = {residual:.3e} > tol {tol:.1e}")
     return x
 
 

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gossipopt
 from gossipopt import (
     LogisticFamily,
     LossError,
@@ -11,7 +17,6 @@ from gossipopt import (
     partition_logistic,
     quadratic_condition_numbers,
 )
-from gossipopt.losses import _newton_polish
 from conftest import agent_gradient, agent_value, find_a3a, synthetic_logistic
 
 
@@ -104,17 +109,46 @@ def test_logistic_values_are_stable_softplus():
     assert np.all(np.abs(values - reference) <= 1e-15 * np.maximum(reference, 1.0))
 
 
-@pytest.mark.parametrize("data", ["one_hot", "gaussian"])
-def test_newton_polish_reaches_tolerance(data):
+@pytest.mark.parametrize("data", ["one_hot", "gaussian", "scaled_quadratic"])
+def test_centralized_solve_reaches_tolerance(data):
     if data == "one_hot":
         fam = one_hot_logistic(5, 40, groups=6, width=5, seed=21)
-    else:
+    elif data == "gaussian":
         fam = synthetic_logistic(5, 40, 30, seed=21)
+    else:
+        # large data lifts the gradient's rounding floor close to tol: two
+        # least-squares solves end above it (1.3e-8), more Newton steps below
+        base = generate_quadratic(20, 110, 100, 0.0, seed=0)
+        fam = QuadraticFamily(3.0 * base.A, 2e3 * base.b)
     tol = 1e-8
-    # from the origin the per-agent Hessian sum alone has to carry the descent
-    x = _newton_polish(fam, np.zeros(fam.dim), tol)
+    x = centralized_solve(fam, tol=tol)
     assert np.linalg.norm(fam.total_gradient(x)) <= tol
-    assert np.linalg.norm(fam.total_gradient(centralized_solve(fam, tol=tol))) <= tol
+    # the minimizer of least norm: nothing along the stacked features' null space
+    stacked = (fam.features if isinstance(fam, LogisticFamily) else fam.A).reshape(-1, fam.dim)
+    _, sv, Vt = np.linalg.svd(stacked)
+    null = Vt[np.count_nonzero(sv > 1e-10 * sv[0]):]
+    assert np.linalg.norm(null @ x) <= 1e-12 * np.linalg.norm(x)
+
+
+def test_centralized_solve_bytes_do_not_depend_on_blas_threads():
+    # a3a-shaped one-hot data with 13 null directions: rounding must not pick the x*
+    script = (
+        "import hashlib\n"
+        "from gossipopt import centralized_solve\n"
+        "from test_losses import one_hot_logistic\n"
+        "x = centralized_solve(one_hot_logistic(20, 159, groups=14, width=9, seed=21))\n"
+        "print(hashlib.sha256(x.tobytes()).hexdigest())\n"
+    )
+    paths = [str(Path(gossipopt.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent)]
+    hashes = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(paths))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        hashes.add(done.stdout)
+    assert len(hashes) == 1
 
 
 def test_generate_quadratic_benchmark_dimensions():

@@ -26,12 +26,18 @@ converging is not a regression. Iteration counts are reported, not gated:
 near the optimum the line search compares numbers closer than the rounding
 error of f, so any rounding change can move them by more than a few percent.
 
-The logistic traces depend on the BLAS thread count, so the script pins
+The ``V`` column of the ``er200/*`` traces depends on the BLAS thread count
+(at m=200 the threaded Cholesky factor and its inverse, ``dpotrf`` and
+``dtrtri``, reach its printed digits), so the script pins
 ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``, ``MKL_NUM_THREADS``,
 ``BLIS_NUM_THREADS``, ``VECLIB_MAXIMUM_THREADS`` and ``NUMEXPR_NUM_THREADS``
 to 1 before numpy is first imported, as ``benchmarks/run.py`` does; two
 sides run in different environments then still compare byte for byte.
-``write_corpus`` imports numpy and the package only after pinning them.
+``write_corpus`` imports numpy and the package only after pinning them. To
+write the corpus at another thread count, set it and import both numpy and
+``scipy.linalg`` (each loads its own OpenBLAS) before the pin, say with
+``python -c "import numpy, scipy.linalg, runpy, sys; sys.argv = [...];
+runpy.run_path('tools/trace_corpus.py', run_name='__main__')"``.
 
 The corpus:
 
