@@ -381,6 +381,8 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
         lambda d: d["problem"].update(seed="x"),
         lambda d: d["graph"].update(p="x"),
         lambda d: d["graph"].update(seed="x"),
+        lambda d: d.update(fixed_point_tol=-1),  # rejected as unknown, whatever the value
+        lambda d: d.update(fixed_point_tol=1e-30),
         lambda d: d["problem"].update(n=[1]),
         lambda d: d["graph"].update(p=[1]),
         lambda d: d["algorithm"].update(safeguard={"enabled": True}),
@@ -407,11 +409,12 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     ],
     ids=["max_iterations", "max_vector_rounds", "stride", "seed", "c", "epsilon",
          "fixed_point_tol", "missing_n", "problem_n", "problem_lambda", "problem_seed",
-         "graph_p", "graph_seed", "problem_n_list", "graph_p_list", "safeguard_no_radius",
-         "safeguard_scalar", "safeguard_nan_radius", "safeguard_negative_radius", "theta0_nan",
-         "gamma_beta1_nan", "gamma_nan", "gamma_below_one", "nips_global_d0", "nips_local_d0",
-         "extra_d0", "nips_global_d0_safeguard", "nips_local_safeguard", "extra_safeguard",
-         "extra_gamma", "extra_theta0_negative", "extra_delta_negative"],
+         "graph_p", "graph_seed", "fixed_point_tol_negative", "fixed_point_tol_unreachable",
+         "problem_n_list", "graph_p_list", "safeguard_no_radius", "safeguard_scalar",
+         "safeguard_nan_radius", "safeguard_negative_radius", "theta0_nan", "gamma_beta1_nan",
+         "gamma_nan", "gamma_below_one", "nips_global_d0", "nips_local_d0", "extra_d0",
+         "nips_global_d0_safeguard", "nips_local_safeguard", "extra_safeguard", "extra_gamma",
+         "extra_theta0_negative", "extra_delta_negative"],
 )
 def test_cli_rejects_mistyped_config(tmp_path, capsys, mutate):
     raw = small_quadratic_config()
