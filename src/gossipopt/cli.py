@@ -76,6 +76,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # the harness turns read failures into ConfigError: this is a write
+        print(f"config error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 3
     except TuneExtraError as exc:
         print(f"tuning failed: {exc}", file=sys.stderr)
         return 1

@@ -146,9 +146,9 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"{kind} problem is missing required keys {missing}")
     if kind == "logistic":
         dataset = cfg.problem.get("dataset")
-        if not dataset:
-            raise ConfigError("logistic problem needs a 'dataset' path")
-        if not Path(dataset).exists():
+        if not (dataset and isinstance(dataset, str)):
+            raise ConfigError(f"logistic problem needs a 'dataset' path, got {dataset!r}")
+        if not Path(dataset).is_file():
             raise ConfigError(f"dataset file not found: {dataset}")
     if cfg.problem.get("m") != cfg.graph.get("m"):
         raise ConfigError(
@@ -156,10 +156,12 @@ def _validate(cfg: RunConfig) -> None:
         )
     if not (0.0 < cfg.c <= 0.5):
         raise ConfigError(f"gossip c must lie in (0, 1/2], got {cfg.c}")
-    if cfg.epsilon <= 0.0:
+    if not cfg.epsilon > 0.0:
         raise ConfigError(f"tolerance target must be positive, got {cfg.epsilon}")
     if cfg.max_iterations < 1 or cfg.max_vector_rounds < 1 or cfg.stride < 1:
         raise ConfigError("budgets and stride must be positive integers")
+    if cfg.output is not None and not isinstance(cfg.output, str):
+        raise ConfigError(f"output must be a path string, got {cfg.output!r}")
 
 
 @dataclass(frozen=True)
@@ -323,7 +325,8 @@ def run(config: RunConfig) -> RunTrace:
         delta = float(config.algorithm.get("delta", 1.0))
         X0 = np.zeros((family.m, family.dim))
         algo = _make_algorithm(config, gm, family, X0, delta)
-    except (ValueError, TypeError) as exc:  # GraphError, LossError, MetricsError, int()/float()
+    # GraphError, LossError, MetricsError, int()/float(), a d0 beyond int64, an unreadable dataset
+    except (ValueError, TypeError, OverflowError, OSError) as exc:
         raise ConfigError(str(exc)) from exc
     # the strongly convex merit weighs the duals; EXTRA has none
     T = spectral_data(gm) if algo.Y is not None else None

@@ -61,8 +61,8 @@ class QuadraticFamily(_FamilyBase):
         b = np.asarray(b, dtype=float)
         if A.ndim != 3 or b.shape != A.shape[:2]:
             raise LossError(f"need A of shape (m, h, n) and matching b, got {A.shape}, {b.shape}")
-        if ridge < 0.0:
-            raise LossError(f"ridge coefficient must be >= 0, got {ridge}")
+        if not (0.0 <= ridge < np.inf):
+            raise LossError(f"ridge coefficient must be finite and >= 0, got {ridge}")
         self.A = A
         self.b = b
         self.ridge = float(ridge)

@@ -128,27 +128,29 @@ def written_out_step(W, family, X, Y, theta, pi):
 
 
 def erdos_renyi_reference(m: int, p: float, seed: int) -> tuple[frozenset, int]:
-    """Edge set of the first connected G(m, p) draw, by an explicit pair loop, and the draw count.
+    """Edge set of the first connected G(m, p) draw, by one draw over all pairs, and the draw count.
 
-    The reference for ``build_erdos_renyi``: one uniform draw per pair i < j in
-    row-major order, an edge where it falls below p, redrawn until a search
-    from agent 0 reaches every agent.
+    The reference for ``build_erdos_renyi``, which draws a block of rows at a
+    time: here all m(m-1)/2 uniforms of a draw come at once, one per pair
+    i < j in row-major order (``np.triu_indices``), an edge where it falls
+    below p, redrawn until a search from agent 0 reaches every agent.
     """
     rng = np.random.default_rng(seed)
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    rows, cols = np.triu_indices(m, 1)
     draws = 0
     while True:
         draws += 1
-        mask = rng.random(len(pairs)) < p
-        edges = frozenset(e for e, keep in zip(pairs, mask) if keep)
+        mask = rng.random(rows.size) < p
+        edges = frozenset(zip(rows[mask].tolist(), cols[mask].tolist()))
+        adjacency = [set() for _ in range(m)]
+        for i, j in edges:
+            adjacency[i].add(j)
+            adjacency[j].add(i)
         reached, frontier = {0}, [0]
         while frontier:
-            u = frontier.pop()
-            for i, j in edges:
-                for a, b in ((i, j), (j, i)):
-                    if a == u and b not in reached:
-                        reached.add(b)
-                        frontier.append(b)
+            for v in adjacency[frontier.pop()] - reached:
+                reached.add(v)
+                frontier.append(v)
         if len(reached) == m:
             return edges, draws
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_array
 
 from gossipopt import (
     GraphError,
@@ -83,10 +84,12 @@ def test_erdos_renyi_connected_and_deterministic():
 
 
 def test_erdos_renyi_matches_pair_loop_reference():
-    # first draws connected and redraws up to tens deep: the retries consume
-    # the generator exactly as the pair loop does
+    # first draws connected and redraws up to tens deep ((20, 0.1, 7) connects
+    # at the 16th): the retries consume the generator exactly as the one-shot
+    # draw does; m = 200 and 600 span several row blocks
     draws = []
-    for m, p, seeds in ((20, 0.1, range(6)), (30, 0.08, range(4, 9)), (200, 0.05, (5,))):
+    cases = ((20, 0.1, (*range(6), 7)), (30, 0.08, range(4, 9)), (200, 0.05, (5,)), (600, 0.032, (7,)))
+    for m, p, seeds in cases:
         for seed in seeds:
             edges, n_draws = erdos_renyi_reference(m, p, seed)
             assert build_erdos_renyi(m, p, seed).edges == edges
@@ -148,23 +151,30 @@ def test_diameter_disconnected_past_the_first_word_errors():
 
 def test_metropolis_line3():
     w = metropolis_weights(build_line_graph(3))
+    assert isinstance(w, csr_array)
     third = 1.0 / 3.0
     expected = np.array([[2 * third, third, 0.0], [third, third, third], [0.0, third, 2 * third]])
-    np.testing.assert_allclose(w, expected, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(w.toarray(), expected, rtol=0, atol=1e-15)
+    assert np.array_equal(w.toarray(), metropolis_reference(build_line_graph(3)))
 
 
 def test_metropolis_complete2():
-    w = metropolis_weights(build_complete_graph(2))
+    w = metropolis_weights(build_complete_graph(2)).toarray()
     np.testing.assert_allclose(w, [[0.5, 0.5], [0.5, 0.5]], rtol=0, atol=0)
+    assert np.array_equal(w, metropolis_reference(build_complete_graph(2)))
 
 
 def test_metropolis_single_node():
-    np.testing.assert_allclose(metropolis_weights(build_line_graph(1)), [[1.0]])
+    w = metropolis_weights(build_line_graph(1)).toarray()
+    np.testing.assert_allclose(w, [[1.0]])
+    assert np.array_equal(w, metropolis_reference(build_line_graph(1)))
 
 
 def test_metropolis_equals_edge_loop_on_600_agents():
+    # ten summing blocks, and rows whose pairwise sum a sequential sum over
+    # the nonzeros would round differently
     g = build_erdos_renyi(600, 0.032, seed=7)
-    assert np.array_equal(metropolis_weights(g), metropolis_reference(g))
+    assert np.array_equal(metropolis_weights(g).toarray(), metropolis_reference(g))
 
 
 def test_gossip_complete2_half_mixing():
@@ -214,7 +224,7 @@ def test_gossip_invariants_random_graphs(g, c):
 @settings(max_examples=60, deadline=None)
 @given(g=any_graph)
 def test_metropolis_equals_edge_loop(g):
-    assert np.array_equal(metropolis_weights(g), metropolis_reference(g))
+    assert np.array_equal(metropolis_weights(g).toarray(), metropolis_reference(g))
 
 
 @settings(max_examples=40, deadline=None)
@@ -228,7 +238,7 @@ def test_spectral_matches_eigh_pinv_random_er(g, c):
 def test_mixing_limit_small_c():
     # raw mixing formula outside the validated range: W -> I as c -> 0
     g = build_line_graph(4)
-    wt = metropolis_weights(g)
+    wt = metropolis_weights(g).toarray()
     c = 1e-6
     W = (1.0 - c) * np.eye(4) + c * wt
     assert np.abs(W - np.eye(4)).max() < 1e-6

@@ -406,6 +406,14 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
         lambda d: d.update(algorithm={"algorithm": "extra", "extra_alpha": 1e-3, "gamma": 0.5}),
         lambda d: d.update(algorithm={"algorithm": "extra", "extra_alpha": 1e-3, "theta0": -1}),
         lambda d: d.update(algorithm={"algorithm": "extra", "extra_alpha": 1e-3, "delta": -3}),
+        lambda d: d.update(output=5),
+        lambda d: d.update(problem={"kind": "logistic", "dataset": 5, "m": 6, "h": 3}),
+        lambda d: d.update(problem={"kind": "logistic", "dataset": str(Path(__file__).parent),
+                                    "m": 6, "h": 3}),
+        lambda d: d["algorithm"].update(d0=10**30),
+        lambda d: d.update(epsilon=float("nan")),
+        lambda d: d["problem"].update({"lambda": float("nan")}),
+        lambda d: d["problem"].update({"lambda": float("inf")}),
     ],
     ids=["max_iterations", "max_vector_rounds", "stride", "seed", "c", "epsilon",
          "fixed_point_tol", "missing_n", "problem_n", "problem_lambda", "problem_seed",
@@ -414,16 +422,36 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
          "safeguard_nan_radius", "safeguard_negative_radius", "theta0_nan", "gamma_beta1_nan",
          "gamma_nan", "gamma_below_one", "nips_global_d0", "nips_local_d0", "extra_d0",
          "nips_global_d0_safeguard", "nips_local_safeguard", "extra_safeguard", "extra_gamma",
-         "extra_theta0_negative", "extra_delta_negative"],
+         "extra_theta0_negative", "extra_delta_negative", "output_int", "dataset_int",
+         "dataset_directory", "d0_beyond_int64", "epsilon_nan", "lambda_nan", "lambda_inf"],
 )
-def test_cli_rejects_mistyped_config(tmp_path, capsys, mutate):
+def test_cli_rejects_mistyped_config(tmp_path, capfd, mutate):
     raw = small_quadratic_config()
     mutate(raw)
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text(yaml.safe_dump(raw))
     assert main(["run", "--config", str(cfg_path)]) == 3
+    # captured at the file descriptors, so LAPACK's own error printing shows too
+    out, err = capfd.readouterr()
+    assert out == "" and err.startswith("config error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        lambda tmp, cfg: ["run", "--config", cfg, "--out", str(tmp)],
+        lambda tmp, cfg: ["run", "--config", cfg, "--out", str(tmp / "file" / "x.csv")],
+        lambda tmp, cfg: ["suite", "diameter_sweep", "--out", str(tmp / "file"), "--max-rounds", "30"],
+    ],
+    ids=["run_out_directory", "run_out_below_file", "suite_out_file"],
+)
+def test_cli_unwritable_output_exits_3(tmp_path, capsys, command):
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(small_quadratic_config()))
+    (tmp_path / "file").write_text("")
+    assert main(command(tmp_path, str(cfg_path))) == 3
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and "Traceback" not in err
+    assert err.startswith("config error: cannot write") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("method", ["adaptive", "nips_global", "nips_local"])

@@ -1,10 +1,14 @@
-"""The CSR product kernel that sparse graphs get, against the dense matrices."""
+"""The sparse path: the CSR products sparse graphs get, against dense references, and a set-up
+that allocates no dense m x m array."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.sparse import csr_array
 
 from gossipopt import (
+    AdaptiveAlgorithm,
     AdaptiveState,
     FixedPoint,
     NeighborExchange,
@@ -13,11 +17,14 @@ from gossipopt import (
     build_cycle_graph,
     build_erdos_renyi,
     build_line_graph,
+    fixed_point,
     generate_quadratic,
     gossip_matrix,
     merit_cvx,
+    merit_sc,
+    spectral_data,
 )
-from conftest import written_out_step
+from conftest import metropolis_reference, written_out_step
 
 DENSE = {
     "line20": lambda: build_line_graph(20),
@@ -41,10 +48,13 @@ def test_dense_graphs_keep_the_dense_matrices(name):
 
 @pytest.mark.parametrize("name", list(SPARSE))
 def test_sparse_graphs_get_csr_operators(name):
-    gm = gossip_matrix(SPARSE[name](), c=0.5)
+    g, c = SPARSE[name](), 0.5
+    gm = gossip_matrix(g, c=c)
     assert isinstance(gm.W_op, csr_array) and isinstance(gm.I_minus_W, csr_array)
-    np.testing.assert_array_equal(gm.W_op.toarray(), gm.W)
-    np.testing.assert_array_equal(gm.I_minus_W.toarray(), np.eye(gm.graph.m) - gm.W)
+    # the dense forms, built here from the edge-loop weights alone
+    W = (1.0 - c) * np.eye(g.m) + c * metropolis_reference(g)
+    assert np.array_equal(gm.W_op.toarray(), W)
+    assert np.array_equal(gm.I_minus_W.toarray(), np.eye(g.m) - W)
     assert isinstance(gm.W, np.ndarray) and isinstance(gm.W_tilde, np.ndarray)
 
 
@@ -86,3 +96,39 @@ def test_csr_merit_cvx_matches_dense_form(er200, rng):
         X = rng.standard_normal((200, 20))
         dense = 0.5 * float(np.sum(X * ((np.eye(200) - gm.W) @ X)))
         assert merit_cvx(X, origin, zero, gm, delta=0.5) == pytest.approx(dense, rel=1e-12)
+
+
+def traced_peak(build) -> int:
+    """Peak bytes that ``build()`` allocates, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sparse_set_up_allocates_no_dense_matrix():
+    # a quarter of one dense m x m float64 array
+    m = 2000
+    limit = m * m * 8 // 4
+
+    def gossip_set_up():
+        gm = gossip_matrix(build_cycle_graph(m), c=0.5)
+        return gm.W_op, gm.I_minus_W
+
+    assert traced_peak(gossip_set_up) < limit
+    assert traced_peak(lambda: build_erdos_renyi(m, 3.0 * np.log(m) / m, seed=3)) < limit
+
+
+def test_sparse_run_path_never_builds_the_dense_matrices():
+    # a step, both merits and the factor: every product a run makes
+    gm = gossip_matrix(build_cycle_graph(200), c=0.5)
+    fam = generate_quadratic(m=200, h=5, n=4, ridge=0.0, seed=1)
+    fp = fixed_point(fam)
+    algo = AdaptiveAlgorithm(gm, fam, np.zeros((200, 4)))
+    algo.step()
+    T = spectral_data(gm)
+    merit_sc(algo.X, algo.Y, algo.stats()["theta_min"], fp, T)
+    merit_cvx(algo.X, fp, fam, gm, delta=1.0)
+    assert "W" not in vars(gm) and "W_tilde" not in vars(gm)
