@@ -57,14 +57,12 @@ class DivergenceError(RuntimeError):
 
 def local_min_consensus(v: np.ndarray, g: Graph) -> np.ndarray:
     """One round of neighborhood minima: out_i = min_{j in N_i} v_j."""
-    index, starts = g.neighbor_index
-    return np.minimum.reduceat(np.asarray(v)[index], starts)
+    return np.minimum.reduceat(np.asarray(v)[g.indices], g.indptr[:-1])
 
 
 def local_max_consensus(v: np.ndarray, g: Graph) -> np.ndarray:
     """One round of neighborhood maxima: out_i = max_{j in N_i} v_j."""
-    index, starts = g.neighbor_index
-    return np.maximum.reduceat(np.asarray(v)[index], starts)
+    return np.maximum.reduceat(np.asarray(v)[g.indices], g.indptr[:-1])
 
 
 @dataclass(frozen=True)

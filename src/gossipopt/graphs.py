@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtri
@@ -38,76 +37,71 @@ _GAP_CUTOFF = 1e-10
 
 
 class GraphError(ValueError):
-    """Invalid topology: malformed edges, disconnected graph, or bad parameters."""
+    """Invalid topology: a disconnected graph or bad parameters."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected connected graph on agents 0..m-1.
+    """Undirected connected graph on agents 0..m-1, as the CSR pattern of its closed neighborhoods.
 
-    ``neighbors[i]`` is the one-hop neighborhood of agent i *including i
-    itself*, so one exchange round combines an agent's own value with its
-    neighbors' values.
+    Row i, ``indices[indptr[i]:indptr[i + 1]]``, lists agent i *and* the agents
+    adjacent to it, sorted: one exchange round combines all of their values.
+    Both arrays are intp, as the consensus hot path indexes with them, and read-only.
     """
 
-    m: int
-    edges: frozenset[tuple[int, int]]
-    neighbors: tuple[tuple[int, ...], ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    def __post_init__(self):
+        self.indptr.setflags(write=False)
+        self.indices.setflags(write=False)
+
+    def __reduce__(self):
+        # copies and unpickled graphs are rebuilt through __post_init__, read-only too
+        return Graph, (self.indptr, self.indices)
+
+    @property
+    def m(self) -> int:
+        return self.indptr.size - 1
 
     @cached_property
-    def neighbor_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR layout of ``neighbors``: the concatenated indices and the row starts."""
-        sizes = np.fromiter(map(len, self.neighbors), dtype=np.intp, count=self.m)
-        index = np.fromiter(chain.from_iterable(self.neighbors), dtype=np.intp, count=int(sizes.sum()))
-        starts = np.zeros(self.m, dtype=np.intp)
-        np.cumsum(sizes[:-1], out=starts[1:])
-        return index, starts
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edges (i, j), i < j; derived on first access, which no run makes."""
+        rows = _pattern_rows(self)
+        upper = rows < self.indices
+        return frozenset(zip(rows[upper].tolist(), self.indices[upper].tolist()))
 
 
-def _hop_matrix(g: Graph) -> csr_array:
-    """Sparse 0/1 matrix of the closed neighborhoods, for scipy's graph routines."""
-    index, starts = g.neighbor_index
-    return csr_array((np.ones(index.size), index, np.append(starts, index.size)), shape=(g.m, g.m))
-
-
-def _make_graph(m: int, edges) -> Graph:
+def _make_graph(m: int, i: np.ndarray, j: np.ndarray) -> Graph:
+    """The connected graph on agents 0..m-1 with the edges (i[k], j[k]), each once, none a loop."""
     if m < 1:
         raise GraphError(f"agent count must be >= 1, got {m}")
-
-    def normalized():
-        for i, j in edges:
-            if i == j or not (0 <= i < m) or not (0 <= j < m):
-                raise GraphError(f"invalid edge ({i}, {j}) for m={m}")
-            yield (i, j) if i < j else (j, i)
-
-    edge_set = frozenset(normalized())
-    # lists, not sets: the edge set already holds each edge once
-    adjacency = [[i] for i in range(m)]
-    for i, j in edge_set:
-        adjacency[i].append(j)
-        adjacency[j].append(i)
-    neighbors = tuple(tuple(sorted(closed)) for closed in adjacency)
-    graph = Graph(m=m, edges=edge_set, neighbors=neighbors)
-    # the hop matrix is symmetric, so its strong components are the connected
+    agents = np.arange(m)
+    rows = np.concatenate((i, j, agents))
+    cols = np.concatenate((j, i, agents))
+    position = np.sort(rows * m + cols)  # of each entry in the row-major m x m matrix
+    indices, indptr = position % m, np.searchsorted(position, np.arange(m + 1) * m)
+    # the pattern is symmetric, so its strong components are the connected
     # ones; the strong search skips the symmetrizing copy of directed=False
-    if connected_components(_hop_matrix(graph), connection="strong", return_labels=False) > 1:
+    hops = csr_array((np.ones(indices.size), indices, indptr), shape=(m, m))
+    if connected_components(hops, connection="strong", return_labels=False) > 1:
         raise GraphError("graph is disconnected")
-    return graph
+    return Graph(indptr, indices)
 
 
 def build_line_graph(m: int) -> Graph:
     """Path graph 0-1-...-(m-1); diameter m-1."""
-    return _make_graph(m, [(i, i + 1) for i in range(m - 1)])
+    return _make_graph(m, np.arange(m - 1), np.arange(1, m))
 
 
 def build_cycle_graph(m: int) -> Graph:
     if m < 3:
         return build_line_graph(m)
-    return _make_graph(m, [(i, (i + 1) % m) for i in range(m)])
+    return _make_graph(m, np.arange(m), (np.arange(m) + 1) % m)
 
 
 def build_complete_graph(m: int) -> Graph:
-    return _make_graph(m, [(i, j) for i in range(m) for j in range(i + 1, m)])
+    return _make_graph(m, *np.triu_indices(m, 1))
 
 
 def build_erdos_renyi(m: int, p: float, seed: int) -> Graph:
@@ -127,7 +121,7 @@ def build_erdos_renyi(m: int, p: float, seed: int) -> Graph:
     for _ in range(_ER_MAX_DRAWS):
         i, j = _er_draw(rng, m, p)
         try:
-            return _make_graph(m, zip(i.tolist(), j.tolist()))
+            return _make_graph(m, i, j)
         except GraphError:
             continue
     raise GraphError(
@@ -172,18 +166,17 @@ def diameter(g: Graph) -> int:
     """Exact hop diameter by flooding bitsets of heard-from agents; errors on disconnected input.
 
     Agent i starts with bit i set, in ceil(m/64) uint64 words. Each round ORs
-    the bitsets over every closed neighborhood of ``g.neighbor_index``; the
-    diameter is the number of rounds until every bitset is full. A round that
-    changes nothing before then means some agent is unreachable.
+    the bitsets over every closed neighborhood of ``g``; the diameter is the
+    number of rounds until every bitset is full. A round that changes nothing
+    before then means some agent is unreachable.
     """
-    index, starts = g.neighbor_index
     agents = np.arange(g.m)
     heard = np.zeros((g.m, -(-g.m // 64)), dtype=np.uint64)
     heard[agents, agents // 64] = np.left_shift(np.uint64(1), (agents % 64).astype(np.uint64))
     everyone = np.bitwise_or.reduce(heard, axis=0)
     rounds = 0
     while (heard != everyone).any():
-        flooded = np.bitwise_or.reduceat(heard[index], starts, axis=0)
+        flooded = np.bitwise_or.reduceat(heard[g.indices], g.indptr[:-1], axis=0)
         if np.array_equal(flooded, heard):
             raise GraphError("diameter of a disconnected graph")
         heard = flooded
@@ -192,20 +185,19 @@ def diameter(g: Graph) -> int:
 
 
 def _pattern_rows(g: Graph) -> np.ndarray:
-    """The row of each entry of ``g.neighbor_index``'s concatenated indices."""
-    index, starts = g.neighbor_index
-    return np.repeat(np.arange(g.m), np.diff(starts, append=index.size))
+    """The row of each entry of ``g.indices``."""
+    return np.repeat(np.arange(g.m), np.diff(g.indptr))
 
 
 def _on_pattern(g: Graph, data: np.ndarray) -> csr_array:
-    """The m x m CSR matrix with ``data`` on ``g.neighbor_index``'s entries.
+    """The m x m CSR matrix with ``data`` on the pattern of ``g``.
 
     Zeros are dropped, as a dense-to-CSR conversion drops them: a tiny c can
-    round a weight of W, or a diagonal entry of I - W, to zero.
+    round a weight of W, or a diagonal entry of I - W, to zero. The int32
+    casts copy the pattern, so dropping them leaves ``g`` as it was.
     """
-    index, starts = g.neighbor_index
-    indptr = np.append(starts, index.size).astype(np.int32)
-    A = csr_array((data, index.astype(np.int32), indptr), shape=(g.m, g.m))
+    indices, indptr = g.indices.astype(np.int32), g.indptr.astype(np.int32)
+    A = csr_array((data, indices, indptr), shape=(g.m, g.m))
     A.eliminate_zeros()
     return A
 
@@ -220,9 +212,11 @@ def _product_operator(g: Graph, data: np.ndarray) -> np.ndarray | csr_array:
     product. The kernels round differently but each is deterministic, so runs
     are byte-identical on either side of the rule.
     """
-    A = _on_pattern(g, data)
-    nnz = g.m + 2 * len(g.edges)
-    return A if 16 * nnz <= g.m * g.m else _read_only(A.toarray())
+    if 16 * g.indices.size <= g.m * g.m:
+        return _on_pattern(g, data)
+    A = np.zeros((g.m, g.m))
+    A[_pattern_rows(g), g.indices] = data
+    return _read_only(A)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -234,26 +228,24 @@ def metropolis_weights(g: Graph) -> csr_array:
     """Metropolis-Hastings mixing weights, computable from local degrees, as CSR.
 
     Off-diagonal: 1 / (1 + max(deg_i, deg_j)) on edges; the diagonal absorbs
-    the remainder so every row sums to one. The pattern is
-    ``g.neighbor_index``. A diagonal entry is 1 minus the row's sum over all
-    m columns in numpy's pairwise order, the rounding of the dense
-    ``1 - w.sum(axis=1)``, which a sum over the row's nonzeros alone misses;
-    so the rows are summed as dense blocks of ``_ROW_BLOCK`` rows.
+    the remainder so every row sums to one. The pattern is that of ``g``. A
+    diagonal entry is 1 minus the row's sum over all m columns in numpy's
+    pairwise order, the rounding of the dense ``1 - w.sum(axis=1)``, which a
+    sum over the row's nonzeros alone misses; so the rows are summed as dense
+    blocks of ``_ROW_BLOCK`` rows.
     """
-    index, starts = g.neighbor_index
-    indptr = np.append(starts, index.size)
     rows = _pattern_rows(g)
-    degree = np.diff(indptr) - 1
-    self_loop = index == rows
-    data = 1.0 / (1.0 + np.maximum(degree[rows], degree[index]))
+    degree = np.diff(g.indptr) - 1
+    self_loop = g.indices == rows
+    data = 1.0 / (1.0 + np.maximum(degree[rows], degree[g.indices]))
     data[self_loop] = 0.0
     block = np.empty((_ROW_BLOCK, g.m))
     for lo in range(0, g.m, _ROW_BLOCK):
         hi = min(lo + _ROW_BLOCK, g.m)
         dense = block[: hi - lo]
         dense.fill(0.0)
-        span = slice(indptr[lo], indptr[hi])
-        dense[rows[span] - lo, index[span]] = data[span]
+        span = slice(g.indptr[lo], g.indptr[hi])
+        dense[rows[span] - lo, g.indices[span]] = data[span]
         data[span][self_loop[span]] = 1.0 - dense.sum(axis=1)
     return _on_pattern(g, data)
 
@@ -283,7 +275,7 @@ class GossipMatrix:
         if not (0.0 < self.c <= 0.5):
             raise GraphError(f"mixing coefficient c must lie in (0, 1/2], got {self.c}")
         W_tilde = metropolis_weights(self.graph)
-        diagonal = self.graph.neighbor_index[0] == _pattern_rows(self.graph)
+        diagonal = self.graph.indices == _pattern_rows(self.graph)
         # the dense (1-c) I + c W_tilde and I - W, entry by entry
         w = self.c * W_tilde.data
         w[diagonal] += 1.0 - self.c

@@ -115,6 +115,11 @@ def load_config(path) -> RunConfig:
 # problem keys without a default, by problem kind
 _PROBLEM_KEYS = {"quadratic": ("m", "h", "n"), "logistic": ("dataset", "m", "h")}
 
+# typed keys of the graph, problem and algorithm sections, when present
+_INT_KEYS = {"graph": ("m", "seed"), "problem": ("m", "h", "n", "seed"), "algorithm": ("d0",)}
+_REAL_KEYS = {"graph": ("p",), "problem": ("lambda",), "algorithm": ("theta0", "delta", "extra_alpha")}
+_INT64 = np.iinfo(np.int64)
+
 
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
@@ -135,6 +140,14 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("graph and problem sections must be mappings")
     if not isinstance(cfg.algorithm, dict) or "algorithm" not in cfg.algorithm:
         raise ConfigError("algorithm section must be a mapping with an 'algorithm' name")
+    for section in ("graph", "problem", "algorithm"):
+        spec = getattr(cfg, section)
+        for key in _INT_KEYS[section]:
+            if key in spec and not (_is_int(spec[key]) and _INT64.min <= spec[key] <= _INT64.max):
+                raise ConfigError(f"{section}.{key} must be an integer within int64, got {spec[key]!r}")
+        for key in _REAL_KEYS[section]:
+            if key in spec and not (_is_real(spec[key]) and -np.inf < spec[key] < np.inf):
+                raise ConfigError(f"{section}.{key} must be a finite real number, got {spec[key]!r}")
     name = cfg.algorithm["algorithm"]
     if name not in _ALGORITHMS:
         raise ConfigError(f"unknown algorithm {name!r}; pick one of {_ALGORITHMS}")

@@ -13,6 +13,7 @@ from gossipopt import (
     backtrack_batch,
     build_erdos_renyi,
 )
+from gossipopt.graphs import Graph
 
 # connected Erdos-Renyi graphs for the graph property tests
 connected_er = st.builds(
@@ -153,6 +154,27 @@ def erdos_renyi_reference(m: int, p: float, seed: int) -> tuple[frozenset, int]:
                 frontier.append(v)
         if len(reached) == m:
             return edges, draws
+
+
+def graph_from_pairs(m: int, pairs) -> Graph:
+    """The Graph on agents 0..m-1 with edges ``pairs``, connected or not.
+
+    Builds the CSR pattern of the closed neighborhoods here, past the
+    builders' connectivity check, for the tests that need a disconnected graph.
+    """
+    closed = [{i} for i in range(m)]
+    for i, j in pairs:
+        closed[i].add(j)
+        closed[j].add(i)
+    indices = np.array([j for row in closed for j in sorted(row)], dtype=np.intp)
+    indptr = np.zeros(m + 1, dtype=np.intp)
+    np.cumsum([len(row) for row in closed], out=indptr[1:])
+    return Graph(indptr, indices)
+
+
+def neighborhood(g, i: int) -> np.ndarray:
+    """Row i of the graph's pattern: agent i's closed neighborhood, i included."""
+    return g.indices[g.indptr[i]:g.indptr[i + 1]]
 
 
 def edge_adjacency(g) -> np.ndarray:

@@ -32,11 +32,11 @@ from gossipopt import (
     spectral_data,
 )
 from gossipopt.algorithms import METHODS
-from gossipopt.graphs import Graph
 from gossipopt.harness import experiment_suite
 from conftest import (
     curvature_family,
     find_a3a,
+    graph_from_pairs,
     metric_from_factor,
     search_one,
     synthetic_logistic,
@@ -222,11 +222,7 @@ def _connected_graphs_up_to(max_m):
                             nxt.append(v)
                 frontier = nxt
             if len(seen) == m:
-                yield Graph(
-                    m=m,
-                    edges=frozenset(edges),
-                    neighbors=tuple(tuple(sorted(adjacency[i])) for i in range(m)),
-                )
+                yield graph_from_pairs(m, edges)
 
 
 def test_criterion_7_min_consensus_reach(rng):

@@ -35,6 +35,7 @@ from conftest import (
     connected_er,
     edge_adjacency,
     floyd_warshall_diameter,
+    neighborhood,
     synthetic_logistic,
     written_out_step,
 )
@@ -92,7 +93,7 @@ def test_min_consensus_reaches_global_within_diameter(rng):
 @settings(max_examples=60, deadline=None)
 @given(g=connected_er, data=st.data())
 def test_consensus_is_local_and_reaches_in_exactly_diameter_rounds(g, data):
-    # the reference neighborhoods come from the edge set, not from g.neighbors;
+    # the reference neighborhoods come from the edge set, not from the pattern;
     # float and integer payloads keep their values and their dtype
     closed = edge_adjacency(g) + np.eye(g.m) > 0
     floats = np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=g.m, max_size=g.m)))
@@ -144,7 +145,7 @@ def test_gamma_schedule_validation():
 def test_gossip_weights_come_only_from_the_graph(rng):
     g = build_erdos_renyi(12, 0.3, seed=2)
     gm = gossip_matrix(g, c=0.5)
-    non_edge = np.setdiff1d(np.arange(g.m), g.neighbors[0])[0]
+    non_edge = np.setdiff1d(np.arange(g.m), neighborhood(g, 0))[0]
     for W in (gm.W, gm.W_tilde):
         with pytest.raises(ValueError):
             W[0, non_edge] = 1e-3  # read-only: no weight can be smuggled onto a non-edge
@@ -156,7 +157,7 @@ def test_gossip_weights_come_only_from_the_graph(rng):
     V = rng.standard_normal((g.m, 3))
     out = exchange.gossip_rows(V)
     for i in range(g.m):
-        outside = np.setdiff1d(np.arange(g.m), g.neighbors[i])
+        outside = np.setdiff1d(np.arange(g.m), neighborhood(g, i))
         moved = V.copy()
         moved[outside] = rng.standard_normal((outside.size, 3)) * 1e6
         np.testing.assert_array_equal(exchange.gossip_rows(moved)[i], out[i])

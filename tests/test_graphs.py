@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,14 +18,15 @@ from gossipopt import (
     metropolis_weights,
     spectral_data,
 )
-from gossipopt.graphs import Graph
 from conftest import (
     connected_er,
     edge_adjacency,
     erdos_renyi_reference,
     floyd_warshall_diameter,
+    graph_from_pairs,
     metropolis_reference,
     metric_from_factor,
+    neighborhood,
     spectral_reference,
 )
 
@@ -30,10 +34,10 @@ from conftest import (
 def test_line_graph_edges():
     g = build_line_graph(3)
     assert g.edges == frozenset({(0, 1), (1, 2)})
-    assert g.neighbors[1] == (0, 1, 2)  # self included
-    index, starts = g.neighbor_index  # the same neighborhoods in CSR layout
-    assert index.tolist() == [0, 1, 0, 1, 2, 1, 2]
-    assert starts.tolist() == [0, 2, 5]
+    assert neighborhood(g, 1).tolist() == [0, 1, 2]  # self included
+    assert g.indices.tolist() == [0, 1, 0, 1, 2, 1, 2]
+    assert g.indptr.tolist() == [0, 2, 5, 7]
+    assert g.m == 3
 
 
 def test_line_graph_m20_diameter():
@@ -47,9 +51,17 @@ def test_single_node():
 
 
 def test_neighbors_include_self():
-    g = build_erdos_renyi(8, 0.4, seed=3)
-    for i in range(8):
-        assert i in g.neighbors[i]
+    for g in (build_erdos_renyi(8, 0.4, seed=3), build_line_graph(5), build_complete_graph(4)):
+        for i in range(g.m):
+            assert i in neighborhood(g, i)
+
+
+def test_graph_copies_keep_a_read_only_pattern():
+    g = build_erdos_renyi(12, 0.3, seed=2)
+    for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert twin.edges == g.edges
+        for a in (twin.indptr, twin.indices):
+            assert a.dtype == np.intp and not a.flags.writeable
 
 
 def test_erdos_renyi_p1_is_complete():
@@ -124,7 +136,7 @@ def test_diameter_matches_floyd_warshall():
 
 
 def test_diameter_disconnected_errors():
-    g = Graph(m=2, edges=frozenset(), neighbors=((0,), (1,)))
+    g = graph_from_pairs(2, [])
     with pytest.raises(GraphError, match="disconnected"):
         diameter(g)
 
@@ -141,10 +153,7 @@ def test_diameter_matches_floyd_warshall_across_word_boundaries(m):
 
 def test_diameter_disconnected_past_the_first_word_errors():
     # a 66-agent line and a 4-agent line: the flood stalls after a few rounds, not at once
-    line = build_line_graph(66)
-    neighbors = line.neighbors + ((66, 67), (66, 67, 68), (67, 68, 69), (68, 69))
-    edges = line.edges | {(66, 67), (67, 68), (68, 69)}
-    g = Graph(m=70, edges=frozenset(edges), neighbors=neighbors)
+    g = graph_from_pairs(70, [*build_line_graph(66).edges, (66, 67), (67, 68), (68, 69)])
     with pytest.raises(GraphError, match="disconnected"):
         diameter(g)
 
@@ -285,13 +294,13 @@ def test_spectral_matches_eigh_pinv(g, c):
 
 
 @pytest.mark.parametrize(
-    "edges,neighbors",
-    [({(0, 1), (2, 3)}, ((0, 1), (0, 1), (2, 3), (2, 3))),  # Cholesky ends on a pivot of 1e-8
-     ({(0, 1)}, ((0, 1), (0, 1), (2,)))],  # Cholesky ends on a pivot of -1e-16
+    "m,edges",
+    [(4, [(0, 1), (2, 3)]),  # Cholesky ends on a pivot of 1e-8
+     (3, [(0, 1)])],  # Cholesky ends on a pivot of -1e-16
 )
-def test_spectral_disconnected_errors(edges, neighbors):
+def test_spectral_disconnected_errors(m, edges):
     # two components leave two null directions of I - W_tilde: S is singular
-    g = Graph(m=len(neighbors), edges=frozenset(edges), neighbors=neighbors)
+    g = graph_from_pairs(m, edges)
     with pytest.raises(GraphError, match="disconnected"):
         spectral_data(gossip_matrix(g))
 

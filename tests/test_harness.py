@@ -48,6 +48,8 @@ def test_load_config_yaml_roundtrip(tmp_path):
         (lambda d: d.update(epsilon=-1.0), "positive"),
         (lambda d: d.update(c=0.7), "c must"),
         (lambda d: d.update(stride=0), "positive"),
+        (lambda d: d["algorithm"].update(d0=2.7), "algorithm.d0 must be an integer"),
+        (lambda d: d["graph"].update(p="0.5"), "graph.p must be a finite real"),
     ],
 )
 def test_config_validation_errors(mutate, match):
@@ -414,6 +416,22 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
         lambda d: d.update(epsilon=float("nan")),
         lambda d: d["problem"].update({"lambda": float("nan")}),
         lambda d: d["problem"].update({"lambda": float("inf")}),
+        # integer keys take no bool, float or string, and nothing beyond int64
+        lambda d: d["algorithm"].update(d0=2.7),
+        lambda d: d["algorithm"].update(d0=True),
+        lambda d: d["problem"].update(n="5"),
+        lambda d: d["problem"].update(h=8.7),
+        lambda d: d["problem"].update(h=True),
+        lambda d: d["problem"].update(seed=1.5),
+        lambda d: d["graph"].update(seed=1.5),
+        lambda d: d["graph"].update(seed=2**63),
+        # real keys take no bool or string, and nothing non-finite
+        lambda d: d["graph"].update(p="0.5"),
+        lambda d: d["problem"].update({"lambda": True}),
+        lambda d: d["algorithm"].update(theta0="1"),
+        lambda d: d["algorithm"].update(delta="0.5"),
+        lambda d: d.update(algorithm={"algorithm": "extra", "extra_alpha": float("nan")}),
+        lambda d: d.update(algorithm={"algorithm": "extra", "extra_alpha": float("inf")}),
     ],
     ids=["max_iterations", "max_vector_rounds", "stride", "seed", "c", "epsilon",
          "fixed_point_tol", "missing_n", "problem_n", "problem_lambda", "problem_seed",
@@ -423,7 +441,10 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
          "gamma_nan", "gamma_below_one", "nips_global_d0", "nips_local_d0", "extra_d0",
          "nips_global_d0_safeguard", "nips_local_safeguard", "extra_safeguard", "extra_gamma",
          "extra_theta0_negative", "extra_delta_negative", "output_int", "dataset_int",
-         "dataset_directory", "d0_beyond_int64", "epsilon_nan", "lambda_nan", "lambda_inf"],
+         "dataset_directory", "d0_beyond_int64", "epsilon_nan", "lambda_nan", "lambda_inf",
+         "d0_float", "d0_bool", "problem_n_string", "problem_h_float", "problem_h_bool",
+         "problem_seed_float", "graph_seed_float", "graph_seed_beyond_int64", "graph_p_string",
+         "lambda_bool", "theta0_string", "delta_string", "extra_alpha_nan", "extra_alpha_inf"],
 )
 def test_cli_rejects_mistyped_config(tmp_path, capfd, mutate):
     raw = small_quadratic_config()

@@ -121,6 +121,36 @@ def test_sparse_set_up_allocates_no_dense_matrix():
     assert traced_peak(lambda: build_erdos_renyi(m, 3.0 * np.log(m) / m, seed=3)) < limit
 
 
+def test_graph_holds_only_its_pattern():
+    # what a built graph keeps: the CSR pattern of about 48k entries (0.4 MB),
+    # no Python copy of its 23k edges
+    m = 2000
+    tracemalloc.start()
+    try:
+        g = build_erdos_renyi(m, 3.0 * np.log(m) / m, seed=3)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert g.indices.size > 40_000
+    assert held < 1_000_000
+
+
+@pytest.mark.parametrize("name", ["line20", "cycle200", "er600"])
+def test_operators_leave_the_graph_pattern_alone(name):
+    # at c = 1e-17 the diagonal of I - W rounds to zero, and its CSR drops those entries
+    g = {**DENSE, **SPARSE}[name]()
+    indptr, indices = g.indptr.copy(), g.indices.copy()
+    gm = gossip_matrix(g, c=1e-17)
+    assert np.array_equal(gm.W_op.diagonal(), np.ones(g.m))
+    assert not gm.I_minus_W.diagonal().any()
+    assert np.array_equal(g.indptr, indptr) and np.array_equal(g.indices, indices)
+    assert g.indptr.dtype == g.indices.dtype == np.intp
+    for a in (g.indptr, g.indices):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1
+
+
 def test_sparse_run_path_never_builds_the_dense_matrices():
     # a step, both merits and the factor: every product a run makes
     gm = gossip_matrix(build_cycle_graph(200), c=0.5)
@@ -132,3 +162,4 @@ def test_sparse_run_path_never_builds_the_dense_matrices():
     merit_sc(algo.X, algo.Y, algo.stats()["theta_min"], fp, T)
     merit_cvx(algo.X, fp, fam, gm, delta=1.0)
     assert "W" not in vars(gm) and "W_tilde" not in vars(gm)
+    assert "edges" not in vars(gm.graph)

@@ -131,11 +131,24 @@ def test_bench_pairs_alternates_the_side_that_runs_first(tmp_path, monkeypatch):
         return {"machine": {"nproc": 1}, "seconds": 30, "workloads": {"w": [_result(seed, run_s, 7)]}}
 
     monkeypatch.setattr(bench_pairs, "collect", fake_collect)
+    monkeypatch.setattr(bench_pairs, "git_head", lambda tree: f"head-of-{tree.name}")
     out = tmp_path / "BENCH.json"
     args = [str(tmp_path / "parent"), str(tmp_path / "change"), "--seeds", "1-3"]
     assert bench_pairs.main([*args, "--out", str(out)]) == 0
     assert calls == [("change", 1), ("parent", 1), ("parent", 2), ("change", 2), ("change", 3), ("parent", 3)]
     bench = json.loads(out.read_text())
-    assert (bench["seeds"], bench["seconds"], bench["parent_commit"]) == ([1, 2, 3], 30, None)
+    assert (bench["seeds"], bench["seconds"], bench["parent_commit"]) == ([1, 2, 3], 30, "head-of-parent")
     assert bench["summary"]["w"]["run_s"]["change_lower_pairs"] == 3
     assert [r["seed"] for r in bench["runs"]["parent"]["w"]] == [1, 2, 3]
+
+
+def test_bench_pairs_refuses_a_parent_without_git_head(tmp_path, monkeypatch):
+    # a `git archive` export has no HEAD: the report could not name its parent commit
+    bench_pairs = _tool("bench_pairs")
+    calls = []
+    monkeypatch.setattr(bench_pairs, "collect", lambda tree, seed: calls.append(seed))
+    (tmp_path / "parent").mkdir()
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit, match="git clone.*git worktree add --detach"):
+        bench_pairs.main([str(tmp_path / "parent"), str(ROOT), "--seeds", "1", "--out", str(out)])
+    assert calls == [] and not out.exists()

@@ -5,12 +5,15 @@ Usage::
     python tools/bench_pairs.py PARENT_TREE CHANGE_TREE --seeds 41-50 --out BENCH_12.json
 
 PARENT_TREE and CHANGE_TREE are two checkouts of the repository, say a
-``git clone`` of the parent commit and the working tree. For every seed the
-script runs each tree's own ``benchmarks/collect.py --seeds <seed>`` once,
-on every workload and at the run length of that tree's BENCHMARK.json, the
-two calls back to back: the change first on odd seeds, the parent first on
-even ones, so drift on the host falls on both sides alike. It then merges the
-per-seed reports.
+``git clone`` of the parent commit and the working tree. PARENT_TREE must be
+a git checkout, a ``git clone`` or a ``git worktree add --detach`` of the
+parent, since the output names its commit: the script refuses a tree whose
+HEAD git cannot resolve (a ``git archive`` export, say) before it runs
+anything. For every seed the script runs each tree's own
+``benchmarks/collect.py --seeds <seed>`` once, on every workload and at the
+run length of that tree's BENCHMARK.json, the two calls back to back: the
+change first on odd seeds, the parent first on even ones, so drift on the
+host falls on both sides alike. It then merges the per-seed reports.
 
 The output keeps every raw run under ``runs`` and, per workload and
 end-to-end metric, a ``summary``: the median and quartiles
@@ -106,6 +109,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    parent_commit = git_head(trees["parent"])
+    if parent_commit is None:
+        raise SystemExit(f"error: {trees['parent']} has no git HEAD, so the report could not name the "
+                         "parent commit; benchmark a `git clone` or `git worktree add --detach` of it")
     seeds = parse_seeds(args.seeds)
     runs = {side: {} for side in SIDES}
     report = {}
@@ -121,7 +128,7 @@ def main(argv: list[str] | None = None) -> int:
                  f"{report['seconds']} s) for the parent commit and this change, written by "
                  "tools/bench_pairs.py: one call per side per seed, the side that runs first "
                  "alternating: the change first on odd seeds, the parent first on even ones"),
-        "parent_commit": git_head(trees["parent"]),
+        "parent_commit": parent_commit,
         "change": "the commit that adds this file",
         "machine": report["machine"],
         "seconds": report["seconds"],
