@@ -140,8 +140,9 @@ class AdaptiveState:
     ``diam`` is each agent's current effective-diameter estimate, ``bounded``
     the safeguard bits, ``X0`` the starting rows the safeguard measures
     primal drift from (the duals start at zero, so their drift is ``Y`` itself),
-    and ``double_count`` accumulates per-agent doubling events of the
-    estimator. The tracker and the diameter estimate belong to
+    ``double_count`` accumulates per-agent doubling events of the
+    estimator, and ``image`` is ``family.images(X)``, None before the first
+    step. The tracker and the diameter estimate belong to
     the ``adaptive`` merge; the ``nips_*`` merges leave them at their initial
     values and set ``pi`` to ``theta``.
     """
@@ -156,6 +157,7 @@ class AdaptiveState:
     X0: np.ndarray
     double_count: np.ndarray
     k: int = 0
+    image: np.ndarray | None = None
 
     @classmethod
     def initial(cls, X0: np.ndarray, theta0: float = 1.0, d0: int = 1) -> "AdaptiveState":
@@ -224,14 +226,16 @@ def adaptive_step(
         # 1 + h*(gamma-1), written so the h=1 branch is bit-exact gamma
         gamma_bt = np.where(state.bounded == 1, gamma_prev, 1.0)
 
-    # gossip the primal rows, then the gradient-tracking dual rows
+    # gossip the primal rows, then the gradient-tracking dual rows; one image
+    # pass at X_half serves the dual update and the line search's f(X_half)
     X_half = exchange.gossip_rows(state.X)
-    F_half, G_half = family.values_and_gradients(X_half)
+    image_half = family.images(X_half)
+    F_half, G_half = family.values(X_half, image_half), family.gradients(X_half, image_half)
     Y_half = exchange.gossip_rows(state.Y + G_half)
 
     # per-agent line search along the negated dual direction, then merge the
     # trial stepsizes by a network-wide or a one-hop minimum
-    theta_bar, _ = backtrack_batch(
+    theta_bar, _, image = backtrack_batch(
         state.theta, family, X_half, F_half, G_half, -Y_half, gamma_bt, delta
     )
     if method == "nips_global":
@@ -272,6 +276,10 @@ def adaptive_step(
 
     if not np.isfinite(X_new).all() or np.linalg.norm(X_new) > DIVERGENCE_NORM:
         raise DivergenceError(f"{method} iterate diverged at k={k}")
+    # the search's last trial put each row at its own theta_bar, so its image
+    # is that of X_new wherever the merge kept theta_bar
+    if np.any(theta_new != theta_bar):
+        image = family.images(X_new)
 
     state.X = X_new
     state.Y = Y_new
@@ -282,6 +290,7 @@ def adaptive_step(
     state.bounded = bounded_new
     state.double_count = state.double_count + doubled
     state.k = k + 1
+    state.image = image
     return state
 
 
@@ -345,6 +354,10 @@ class AdaptiveAlgorithm:
     def Y(self) -> np.ndarray:
         return self.state.Y
 
+    @property
+    def image(self) -> np.ndarray | None:
+        return self.state.image
+
     def stats(self) -> dict:
         s = self.state
         tracked = self.name == "adaptive"
@@ -363,7 +376,8 @@ class ExtraAlgorithm:
     First step: X^1 = W X^0 - alpha grad F(X^0). After that
     X^{k+2} = (I+W) X^{k+1} - (I+W)/2 X^k - alpha (grad F(X^{k+1}) - grad F(X^k)),
     with the previous gossip product cached so each iteration costs a single
-    vector round.
+    vector round. A step ends by evaluating the new iterate's image, which the
+    next step's gradient reads, so ``image`` is ``family.images(X)`` throughout.
     """
 
     name = "extra"
@@ -375,6 +389,7 @@ class ExtraAlgorithm:
         self.family = family
         self.alpha = float(alpha)
         self.X = np.asarray(X0, dtype=float).copy()
+        self.image = family.images(self.X)
         self.k = 0
         self._X_prev: np.ndarray | None = None
         self._WX_prev: np.ndarray | None = None
@@ -388,7 +403,7 @@ class ExtraAlgorithm:
         """One iteration; a step that raises leaves the iterates and the round counters as they were."""
         with self.exchange.charged_on_success():
             WX = self.exchange.gossip_rows(self.X)
-            G = self.family.gradients(self.X)
+            G = self.family.gradients(self.X, self.image)
             if self.k == 0:
                 X_new = WX - self.alpha * G
             else:
@@ -400,10 +415,12 @@ class ExtraAlgorithm:
                 )
             if not np.isfinite(X_new).all() or np.linalg.norm(X_new) > DIVERGENCE_NORM:
                 raise DivergenceError(f"EXTRA diverged at k={self.k} (alpha={self.alpha})")
+            image = self.family.images(X_new)
             self._X_prev = self.X
             self._WX_prev = WX
             self._G_prev = G
             self.X = X_new
+            self.image = image
             self.k += 1
 
     def stats(self) -> dict:

@@ -33,14 +33,15 @@ def backtrack_batch(
     directions: np.ndarray,
     gamma: float | np.ndarray,
     delta: float,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run all m agents' searches in lockstep on stacked rows.
 
     Agent i searches from row x_i along direction y_i with its own loss f_i;
-    ``fX`` and ``G`` are the caller's values and gradients at ``X`` (one
-    ``values_and_gradients(X)`` call). Returns (accepted stepsizes,
-    per-agent trial counts); each accepted stepsize equals
-    ``gamma * theta / 2**(trials - 1)``.
+    ``fX`` and ``G`` are the caller's values and gradients at ``X``. Returns
+    (accepted stepsizes, per-agent trial counts, the final trial's image);
+    each accepted stepsize equals ``gamma * theta / 2**(trials - 1)``. Every
+    agent's row of the final trial sits at its accepted stepsize, so the image
+    is ``family.images(X + thetas[:, None] * directions)``.
     """
     theta = np.asarray(theta, dtype=float)
     if np.any(theta <= 0.0):
@@ -56,10 +57,11 @@ def backtrack_batch(
         bound = fX + np.einsum("ad,ad->a", G, dx) + (delta / (2.0 * theta_plus)) * np.einsum(
             "ad,ad->a", dx, dx
         )
-        values = family.values(X_plus)
+        image = family.images(X_plus)
+        values = family.values(X_plus, image)
         fail = active & ~(np.isfinite(values) & (values <= bound))
         if not fail.any():
-            return theta_plus, trials
+            return theta_plus, trials, image
         theta_plus = np.where(fail, 0.5 * theta_plus, theta_plus)
         trials += fail
         if np.any(theta_plus[fail] < _THETA_FLOOR):

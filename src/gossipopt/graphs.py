@@ -147,7 +147,7 @@ def graph_from_spec(spec: dict) -> Graph:
     """Build a graph from a run-config mapping: {kind, m, p?, seed?}."""
     kind = spec.get("kind")
     m = spec.get("m")
-    if not isinstance(m, int) or m < 1:
+    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise GraphError(f"graph spec needs a positive integer 'm', got {m!r}")
     if kind == "line":
         return build_line_graph(m)

@@ -338,14 +338,18 @@ def run(config: RunConfig) -> RunTrace:
         delta = float(config.algorithm.get("delta", 1.0))
         X0 = np.zeros((family.m, family.dim))
         algo = _make_algorithm(config, gm, family, X0, delta)
+        # the strongly convex merit weighs the duals; EXTRA has none
+        T = spectral_data(gm) if algo.Y is not None else None
     # GraphError, LossError, MetricsError, int()/float(), a d0 beyond int64, an unreadable dataset
     except (ValueError, TypeError, OverflowError, OSError) as exc:
         raise ConfigError(str(exc)) from exc
-    # the strongly convex merit weighs the duals; EXTRA has none
-    T = spectral_data(gm) if algo.Y is not None else None
+    # spectral_data's factor holds m^2 doubles
+    except MemoryError as exc:
+        m = graph_spec.get("m")
+        raise ConfigError(f"not enough memory to set up a run with m={m} agents: {exc}") from exc
 
     kind = config.problem["kind"]
-    erg = ErgodicAverage(X0.shape)
+    erg = ErgodicAverage()
     denom = float(np.linalg.norm(X0 - fp.X_star)) or 1.0
 
     def row(status: str) -> MeritRow:
@@ -357,7 +361,7 @@ def run(config: RunConfig) -> RunTrace:
             err_rel=err_rel,
             V=merit_sc(algo.X, algo.Y, stats["theta_min"], fp, T) if T is not None else None,
             M_erg=(
-                merit_cvx(erg.value, fp, family, gm, delta)
+                merit_cvx(erg.value, erg.image, fp, family, gm, delta)
                 if kind == "quadratic" and erg.count
                 else m_erg
             ),
@@ -373,7 +377,7 @@ def run(config: RunConfig) -> RunTrace:
         err_rel = float(np.linalg.norm(algo.X - fp.X_star)) / denom
         # the logistic stop reads M_erg every iteration; the quadratic one only err_rel
         m_erg = (
-            merit_cvx(erg.value, fp, family, gm, delta)
+            merit_cvx(erg.value, erg.image, fp, family, gm, delta)
             if kind == "logistic" and erg.count
             else None
         )
@@ -401,7 +405,7 @@ def run(config: RunConfig) -> RunTrace:
             break
         if recorded is not None:
             rows.append(recorded)
-        erg.update(algo.X)
+        erg.update(algo.X, algo.image)
         k += 1
 
     trace = RunTrace(

@@ -1,10 +1,16 @@
 """Per-agent differentiable losses, data generation, and the exact-solution oracle.
 
 Losses are held in "stacked" form: the m agents' variables are the rows of an
-(m, d) matrix X; ``values(X)`` and ``gradients(X)`` evaluate agent i's loss at
-row i, for every agent at once, with no 1/m scaling. ``values_and_gradients(X)``
-returns both from one shared contraction, bit for bit equal to the separate
-calls. The quadratic contractions are batched BLAS products,
+(m, d) matrix X, and agent i's loss is evaluated at row i, for every agent at
+once, with no 1/m scaling. Each loss reads X only through an affine image, the
+oracle's one pass over the data: ``images(X)`` returns the residuals
+A_i x_i - b_i of a quadratic or the margins S vec(X) of a logistic loss, an
+(m, h) array whose row i depends on x_i alone. ``values(X, image)`` and
+``gradients(X, image)`` evaluate from a given image, X supplying only the ridge
+term; without one they compute it from X. A caller that keeps the image of an
+iterate, or the running mean of such images (the image of the mean iterate up
+to rounding, as the map is affine), so evaluates the losses there with no
+further pass. The quadratic contractions are batched BLAS products,
 ``(A @ X[:, :, None])``; the logistic ones are products with one label-signed,
 block-diagonal CSR matrix, which reads only the nonzero features.
 """
@@ -69,34 +75,27 @@ class QuadraticFamily(_FamilyBase):
         self.m = A.shape[0]
         self.dim = A.shape[2]
 
-    def _residuals(self, X: np.ndarray) -> np.ndarray:
+    def images(self, X: np.ndarray) -> np.ndarray:
+        """The residuals A_i x_i - b_i, shape (m, h)."""
+        X = self._check_stack(X)
         return (self.A @ X[:, :, None])[:, :, 0] - self.b
 
-    def _values(self, X: np.ndarray, r: np.ndarray) -> np.ndarray:
+    def values(self, X: np.ndarray, image: np.ndarray | None = None) -> np.ndarray:
+        X = self._check_stack(X)
+        r = self.images(X) if image is None else image
         values = np.einsum("ah,ah->a", r, r)
         if self.ridge:  # skipped, not added as zeros, without a ridge
             values += 0.5 * self.ridge * np.einsum("an,an->a", X, X)
         return values
 
-    def _gradients(self, X: np.ndarray, r: np.ndarray) -> np.ndarray:
+    def gradients(self, X: np.ndarray, image: np.ndarray | None = None) -> np.ndarray:
+        X = self._check_stack(X)
+        r = self.images(X) if image is None else image
         grads = (r[:, None, :] @ self.A)[:, 0, :]
         grads *= 2.0
         if self.ridge:
             grads += self.ridge * X
         return grads
-
-    def values(self, X: np.ndarray) -> np.ndarray:
-        X = self._check_stack(X)
-        return self._values(X, self._residuals(X))
-
-    def gradients(self, X: np.ndarray) -> np.ndarray:
-        X = self._check_stack(X)
-        return self._gradients(X, self._residuals(X))
-
-    def values_and_gradients(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        X = self._check_stack(X)
-        r = self._residuals(X)
-        return self._values(X, r), self._gradients(X, r)
 
     def _hessian(self, x: np.ndarray) -> np.ndarray:
         """Hessian of sum_i f_i, the same at every x: 2 sum_i A_i^T A_i + m ridge I."""
@@ -137,26 +136,18 @@ class LogisticFamily(_FamilyBase):
         self._S = csr_array((F.data, cols, F.indptr), shape=(rows, self.m * self.dim))
         self._ST = self._S.T.tocsr()
 
-    def _margins(self, X: np.ndarray) -> np.ndarray:
-        return (self._S @ X.ravel()).reshape(self.m, self._h)
+    def images(self, X: np.ndarray) -> np.ndarray:
+        """The margins z = S vec(X), shape (m, h)."""
+        return (self._S @ self._check_stack(X).ravel()).reshape(self.m, self._h)
 
-    @staticmethod
-    def _values(z: np.ndarray) -> np.ndarray:
+    def values(self, X: np.ndarray, image: np.ndarray | None = None) -> np.ndarray:
+        z = self.images(X) if image is None else image
         # softplus(-z), stable for either sign of z
         return (np.maximum(-z, 0.0) + np.log1p(np.exp(-np.abs(z)))).mean(axis=1)
 
-    def _gradients(self, z: np.ndarray) -> np.ndarray:
+    def gradients(self, X: np.ndarray, image: np.ndarray | None = None) -> np.ndarray:
+        z = self.images(X) if image is None else image
         return -(self._ST @ expit(-z).ravel()).reshape(self.m, self.dim) / self._h
-
-    def values(self, X: np.ndarray) -> np.ndarray:
-        return self._values(self._margins(self._check_stack(X)))
-
-    def gradients(self, X: np.ndarray) -> np.ndarray:
-        return self._gradients(self._margins(self._check_stack(X)))
-
-    def values_and_gradients(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        z = self._margins(self._check_stack(X))
-        return self._values(z), self._gradients(z)
 
     def _hessian(self, x: np.ndarray) -> np.ndarray:
         """Hessian of sum_i f_i at the shared x: T^T diag(s(z)s(-z)/h) T, s = expit.
@@ -165,7 +156,7 @@ class LogisticFamily(_FamilyBase):
         label-signed stacked features). A CSR product, so no threaded BLAS
         call decides its bytes.
         """
-        z = self._margins(np.broadcast_to(x, (self.m, self.dim))).ravel()
+        z = self.images(np.broadcast_to(x, (self.m, self.dim))).ravel()
         S = self._S
         weights = np.repeat(expit(z) * expit(-z) / self._h, np.diff(S.indptr))
         T = csr_array((S.data, S.indices % self.dim, S.indptr), shape=(len(z), self.dim))
@@ -236,23 +227,26 @@ def partition_logistic(
 
 
 def centralized_solve(family, tol: float = 1e-8) -> np.ndarray:
-    """Exact-solution oracle: the minimum-norm x with || sum_i grad f_i(x) || <= tol.
+    """Exact-solution oracle: the minimum-norm minimizer x of sum_i f_i.
 
     Damped Newton from x = 0 on the family's summed Hessian. Each step is the
     least-squares (pseudo-inverse) solution, so every iterate stays in the
     Hessian's range, the row space of the stacked features: where the sum is
     rank-deficient the limit is the solution of least norm. A quadratic is
     solved by the first full step up to rounding; any further step refines it.
-    A step is halved while it raises the summed loss (a tie accepts it).
-    Raises ``LossError`` when the gradient contract fails after
-    ``_NEWTON_ROUNDS`` steps.
+    A step is halved while it raises the summed loss (a tie accepts it). The
+    loop stops once || sum_i grad f_i(x) || <= 0.1 tol, or after
+    ``_NEWTON_ROUNDS`` steps. The gradient's rounding floor grows with the
+    data's scale, so the loop raises ``LossError`` only when the final gradient
+    exceeds tol * max(1, || sum_i grad f_i(0) ||).
     """
     if tol <= 0.0:
         raise LossError(f"tolerance must be positive, got {tol}")
     x = np.zeros(family.dim)
     f = family.total_value(x)
+    g = family.total_gradient(x)
+    bound = tol * max(1.0, float(np.linalg.norm(g)))
     for _ in range(_NEWTON_ROUNDS):
-        g = family.total_gradient(x)
         if np.linalg.norm(g) <= 0.1 * tol:
             break
         step = np.linalg.lstsq(family._hessian(x), g, rcond=None)[0]
@@ -260,9 +254,10 @@ def centralized_solve(family, tol: float = 1e-8) -> np.ndarray:
         while (f_trial := family.total_value(x - t * step)) > f and t > 1e-12:
             t *= 0.5
         x, f = x - t * step, f_trial
-    residual = float(np.linalg.norm(family.total_gradient(x)))
-    if residual > tol:
-        raise LossError(f"centralized oracle stalled: ||sum grad|| = {residual:.3e} > tol {tol:.1e}")
+        g = family.total_gradient(x)
+    residual = float(np.linalg.norm(g))
+    if residual > bound:
+        raise LossError(f"centralized oracle stalled: ||sum grad|| = {residual:.3e} > {bound:.1e}")
     return x
 
 

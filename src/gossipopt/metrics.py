@@ -74,33 +74,52 @@ def merit_sc(X: np.ndarray, Y: np.ndarray, theta_min_prev: float, fp: FixedPoint
     return float(np.vdot(dX, dX)) + theta_sq * m_form
 
 
-def merit_cvx(X: np.ndarray, fp: FixedPoint, family, gm: GossipMatrix, delta: float) -> float:
+def merit_cvx(
+    X: np.ndarray, image: np.ndarray, fp: FixedPoint, family, gm: GossipMatrix, delta: float
+) -> float:
     """Convex merit: max of the consensus form and the Lagrangian gap.
 
     max( delta <(I-W) X, X>,  F(X) - F(X*) + <Y*, X> ) with unscaled
-    F(X) = sum_i f_i(x_i); zero exactly at consensual optimal points.
+    F(X) = sum_i f_i(x_i); zero exactly at consensual optimal points. F is
+    evaluated from ``image``, the family's image of X (``family.images(X)``, or
+    the running mean of the images kept by ``ErgodicAverage``), so a merit
+    makes no oracle pass; X supplies the ridge term and <Y*, X>.
     """
     consensus = max(delta * float(np.sum(X * (gm.I_minus_W @ X))), 0.0)
-    gap = float(family.values(X).sum() - fp.F_star + np.sum(fp.Y_star * X))
+    gap = float(family.values(X, image).sum() - fp.F_star + np.sum(fp.Y_star * X))
     return max(consensus, gap)
 
 
 class ErgodicAverage:
-    """Running mean of the iterates X^1..X^k, updated in O(md) per step."""
+    """Running means of the iterates X^1..X^k and of their oracle images, O(m(d + h)) per step.
 
-    def __init__(self, shape: tuple[int, ...]):
-        self._sum = np.zeros(shape)
+    The images are affine in X, so the mean image is the image of the mean
+    iterate up to rounding; ``merit_cvx`` reads it in place of an oracle pass.
+    """
+
+    def __init__(self):
+        self._sum = self._image_sum = None
         self.count = 0
 
-    def update(self, X: np.ndarray) -> None:
+    def update(self, X: np.ndarray, image: np.ndarray) -> None:
+        if self._sum is None:
+            self._sum, self._image_sum = np.zeros(np.shape(X)), np.zeros(np.shape(image))
         self._sum += X
+        self._image_sum += image
         self.count += 1
+
+    def _mean(self, total: np.ndarray) -> np.ndarray:
+        if self.count == 0:
+            raise MetricsError("ergodic average of an empty sequence")
+        return total / self.count
 
     @property
     def value(self) -> np.ndarray:
-        if self.count == 0:
-            raise MetricsError("ergodic average of an empty sequence")
-        return self._sum / self.count
+        return self._mean(self._sum)
+
+    @property
+    def image(self) -> np.ndarray:
+        return self._mean(self._image_sum)
 
 
 def linear_rate_fit(ks, values) -> float:

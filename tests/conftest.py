@@ -102,7 +102,7 @@ def search_one(family, theta: float, x, y, gamma: float, delta: float) -> tuple[
     """One agent's search through ``backtrack_batch`` on a one-row family: (stepsize, trials)."""
     X = np.asarray(x, dtype=float)[None, :]
     D = np.asarray(y, dtype=float)[None, :]
-    thetas, trials = backtrack_batch(
+    thetas, trials, _ = backtrack_batch(
         np.array([theta]), family, X, family.values(X), family.gradients(X), D, gamma, delta
     )
     return float(thetas[0]), int(trials[0])
@@ -225,23 +225,30 @@ def metric_from_factor(T: np.ndarray, c: float) -> np.ndarray:
 
 
 class CountingFamily:
-    """Delegates to a loss family and counts its stacked value and gradient calls."""
+    """Delegates to a loss family and records the iterate of each oracle pass.
+
+    ``passes`` lists a copy of X for every image the family computes: each
+    ``images(X)`` call, and each value or gradient call made without an image.
+    ``calls`` counts the image, value and gradient calls.
+    """
 
     def __init__(self, family):
         self.family = family
-        self.calls = {"values": 0, "gradients": 0, "values_and_gradients": 0}
+        self.passes = []
+        self.calls = {"images": 0, "values": 0, "gradients": 0}
 
     def __getattr__(self, name):
         return getattr(self.family, name)
 
-    def values(self, X):
+    def images(self, X):
+        self.calls["images"] += 1
+        self.passes.append(np.array(X, dtype=float))
+        return self.family.images(X)
+
+    def values(self, X, image=None):
         self.calls["values"] += 1
-        return self.family.values(X)
+        return self.family.values(X, self.images(X) if image is None else image)
 
-    def gradients(self, X):
+    def gradients(self, X, image=None):
         self.calls["gradients"] += 1
-        return self.family.gradients(X)
-
-    def values_and_gradients(self, X):
-        self.calls["values_and_gradients"] += 1
-        return self.family.values_and_gradients(X)
+        return self.family.gradients(X, self.images(X) if image is None else image)

@@ -197,7 +197,7 @@ def test_criterion_6_backtracking_properties(rng):
         gamma = rng.uniform(1.0, 2.0, size=300)
         X = rng.standard_normal((300, 3))
         D = rng.standard_normal((300, 3))
-        theta, _ = backtrack_batch(theta0, fam, X, fam.values(X), fam.gradients(X), D, gamma, 1.0)
+        theta, _, _ = backtrack_batch(theta0, fam, X, fam.values(X), fam.gradients(X), D, gamma, 1.0)
         assert np.all(theta >= np.minimum(gamma * theta0, 1.0 / (2.0 * L)) - 1e-15)
     _passed(6, "backtracking dichotomy, floor, and hand examples")
 
@@ -303,7 +303,8 @@ def test_criterion_10_gossip_and_merit_algebra(rng):
     dual_case = merit_sc(fp.X_star, np.array([[1.0], [-1.0]]), 2.0, fp, T)
     assert abs(dual_case - 8.0) <= 1e-12
     zero_losses = QuadraticFamily(np.zeros((2, 1, 1)), np.zeros((2, 1)), ridge=0.0)
-    cons_case = merit_cvx(np.array([[1.0], [-1.0]]), fp, zero_losses, gm2, delta=1.0)
+    X = np.array([[1.0], [-1.0]])
+    cons_case = merit_cvx(X, zero_losses.images(X), fp, zero_losses, gm2, delta=1.0)
     assert abs(cons_case - 1.0) <= 1e-12
     _passed(10, "gossip invariants and hand-computed merit values")
 

@@ -194,14 +194,72 @@ def test_round_accounting(name, scalars_per_iter):
 
 @pytest.mark.parametrize("method", METHODS)
 def test_one_gradient_call_per_step(method):
-    # one fused pass at X_half serves the dual update and the line search's f(X_half)
+    # one image pass at X_half serves the dual update and the line search's f(X_half)
     fam = CountingFamily(generate_quadratic(m=6, h=5, n=4, ridge=0.1, seed=3))
     gm = gossip_matrix(build_erdos_renyi(6, 0.5, seed=1), c=0.5)
     algo = AdaptiveAlgorithm(gm, fam, X0=np.zeros((6, 4)), method=method)
     for k in range(1, 6):
+        X_half = gm.W_op @ algo.X
+        start = len(fam.passes)
         algo.step()
-        assert fam.calls["values_and_gradients"] == k
-        assert fam.calls["gradients"] == 0
+        step_passes = fam.passes[start:]
+        assert np.array_equal(step_passes[0], X_half)
+        assert sum(np.array_equal(X, X_half) for X in step_passes) == 1
+        assert fam.calls["gradients"] == k
+
+
+def _image_merge_instance(kind):
+    """Line-graph losses whose trial stepsizes differ, so the merge lowers some agents' theta."""
+    if kind == "quadratic":
+        fam, g = heterogeneous_line_instance(np.random.default_rng(40))
+    else:
+        fam, g = synthetic_logistic(5, 8, 4, seed=11), build_line_graph(5)
+    return fam, gossip_matrix(g, c=0.5)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+@pytest.mark.parametrize("method", METHODS)
+def test_adaptive_step_image_is_the_image_of_the_iterate(monkeypatch, method, kind):
+    # the step reuses the line search's last trial image where the merge kept
+    # theta_bar and recomputes it otherwise: both must equal a fresh pass, bit for bit
+    fam, gm = _image_merge_instance(kind)
+    searched, search = [], algorithms.backtrack_batch
+
+    def recording(*args):
+        result = search(*args)
+        searched.append(result[0])
+        return result
+
+    monkeypatch.setattr(algorithms, "backtrack_batch", recording)
+    algo = AdaptiveAlgorithm(gm, fam, X0=np.zeros((fam.m, fam.dim)), method=method)
+    assert algo.image is None
+    merged_below = 0
+    for _ in range(300):
+        algo.step()
+        merged_below += np.any(algo.state.theta != searched[-1])
+        assert np.array_equal(algo.image, fam.images(algo.X))
+    assert 0 < merged_below < 300  # both branches ran
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+def test_extra_iterates_match_start_of_step_gradient(kind):
+    # the reference evaluates grad F(X^k) at the start of step k, as the recurrence
+    # is written; the step evaluates the image of X^k at the end of the step before
+    fam, gm = _image_merge_instance(kind)
+    alpha = 2e-5 if kind == "quadratic" else 0.5
+    X0 = np.zeros((fam.m, fam.dim))
+    algo = ExtraAlgorithm(gm, fam, X0=X0, alpha=alpha)
+    assert np.array_equal(algo.image, fam.images(X0))
+    X, X_prev = X0, None
+    for k in range(300):
+        G, WX = fam.gradients(X), gm.W_op @ X
+        if k == 0:
+            X_new = WX - alpha * G
+        else:
+            X_new = X + WX - 0.5 * (X_prev + WX_prev) - alpha * (G - G_prev)
+        X_prev, WX_prev, G_prev, X = X, WX, G, X_new
+        algo.step()
+        assert np.array_equal(algo.X, X) and np.array_equal(algo.image, fam.images(X))
 
 
 # --- adaptive method ---

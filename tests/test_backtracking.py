@@ -8,7 +8,14 @@ from gossipopt import (
     backtrack_batch,
     generate_quadratic,
 )
-from conftest import agent_gradient, agent_value, backtrack, curvature_family, search_one
+from conftest import (
+    agent_gradient,
+    agent_value,
+    backtrack,
+    curvature_family,
+    search_one,
+    synthetic_logistic,
+)
 
 
 def test_hand_example_unit_quadratic():
@@ -32,7 +39,7 @@ def test_result_invariant_theta_formula(rng):
     gamma = rng.uniform(1.0, 2.0, size=m)
     X = rng.standard_normal((m, 3))
     D = rng.standard_normal((m, 3))
-    thetas, trials = backtrack_batch(theta, fam, X, fam.values(X), fam.gradients(X), D, gamma, 1.0)
+    thetas, trials, _ = backtrack_batch(theta, fam, X, fam.values(X), fam.gradients(X), D, gamma, 1.0)
     assert np.array_equal(thetas, gamma * theta / 2.0 ** (trials - 1))
 
 
@@ -68,7 +75,7 @@ def test_termination_floor(L, rng):
     gamma = rng.uniform(1.0, 2.0, size=m)
     X = rng.standard_normal((m, 3))
     D = rng.standard_normal((m, 3))
-    thetas, _ = backtrack_batch(theta, fam, X, fam.values(X), fam.gradients(X), D, gamma, delta)
+    thetas, _, _ = backtrack_batch(theta, fam, X, fam.values(X), fam.gradients(X), D, gamma, delta)
     assert np.all(thetas >= np.minimum(gamma * theta, delta / (2.0 * L)) - 1e-15)
 
 
@@ -100,8 +107,11 @@ def test_decrease_count_bounded_by_log_growth(rng):
 class _StepFamily:
     """Zero at the origin and one elsewhere: no stepsize gives sufficient decrease."""
 
-    def values(self, X):
-        return np.any(X != 0.0, axis=1).astype(float)
+    def images(self, X):
+        return X
+
+    def values(self, X, image):
+        return np.any(image != 0.0, axis=1).astype(float)
 
 
 def test_underflow_raises():
@@ -171,14 +181,33 @@ def test_batch_matches_scalar_per_agent(theta, delta, gamma, X, D):
     reference = [scalar_or_none(*agent) for agent in agents]
     decided = [decided_beyond_rounding(*agent) for agent in agents]
     try:
-        thetas, trials = backtrack_batch(theta, fam, X, fam.values(X), fam.gradients(X), D, gamma, delta)
+        thetas, trials, image = backtrack_batch(
+            theta, fam, X, fam.values(X), fam.gradients(X), D, gamma, delta
+        )
     except BacktrackingError:
         # the lockstep search gives up when some agent's own search underflows
         assert any(ref is None or not ok for ref, ok in zip(reference, decided))
         return
+    assert np.array_equal(image, fam.images(X + thetas[:, None] * D))
     for i in range(6):
         if decided[i]:
             assert (thetas[i], trials[i]) == reference[i]
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+def test_batch_image_is_taken_at_the_accepted_stepsizes(kind, rng):
+    # agents accept after different trial counts; each row of the last trial's
+    # image is at the agent's own accepted stepsize
+    fam = generate_quadratic(m=8, h=5, n=4, ridge=0.2, seed=23) if kind == "quadratic" else (
+        synthetic_logistic(8, 9, 4, seed=23)
+    )
+    for _ in range(20):
+        X = rng.standard_normal((8, 4))
+        D = -fam.gradients(X) * rng.uniform(0.1, 10.0, size=(8, 1))
+        theta = rng.uniform(0.01, 100.0, size=8)
+        thetas, trials, image = backtrack_batch(theta, fam, X, fam.values(X), fam.gradients(X), D, 1.5, 0.5)
+        assert len(set(trials.tolist())) > 1
+        assert np.array_equal(image, fam.images(X + thetas[:, None] * D))
 
 
 def test_batch_per_agent_gamma(rng):
@@ -187,7 +216,7 @@ def test_batch_per_agent_gamma(rng):
     gammas = np.array([1.0, 1.5, 2.0])
     X = rng.standard_normal((3, 3))
     D = np.zeros((3, 3))  # zero directions accept at the first trial
-    thetas, trials = backtrack_batch(theta, fam, X, fam.values(X), fam.gradients(X), D, gammas, delta=1.0)
+    thetas, trials, _ = backtrack_batch(theta, fam, X, fam.values(X), fam.gradients(X), D, gammas, delta=1.0)
     np.testing.assert_allclose(thetas, gammas * theta)
     assert trials.tolist() == [1, 1, 1]
 
@@ -210,7 +239,7 @@ def test_overflowing_trial_is_rejected():
     D = rng.standard_normal((6, 4))
     assert np.isposinf(fam.values(X + 1e300 * D)).all()
     theta = np.full(6, 1e300)
-    thetas, trials = backtrack_batch(theta, fam, X, fam.values(X), fam.gradients(X), D, 1.0, delta=1.0)
+    thetas, trials, _ = backtrack_batch(theta, fam, X, fam.values(X), fam.gradients(X), D, 1.0, delta=1.0)
     assert thetas.max() < 1e10 and trials.min() > 900
     for i in range(6):
         assert (thetas[i], trials[i]) == backtrack(1e300, fam, i, X[i], D[i], 1.0, delta=1.0)

@@ -338,3 +338,7 @@ def test_graph_from_spec_errors():
         graph_from_spec({"kind": "line"})
     with pytest.raises(GraphError):
         graph_from_spec({"kind": "erdos_renyi", "m": 4})
+    # a bool is an int to isinstance; True must not build a one-agent graph
+    for flag in (True, False):
+        with pytest.raises(GraphError, match="positive integer 'm'"):
+            graph_from_spec({"kind": "line", "m": flag})

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 import yaml
 
-from gossipopt import ConfigError, RunConfig, TuneExtraError, load_config, run, tune_extra
+from gossipopt import (
+    ConfigError,
+    QuadraticFamily,
+    RunConfig,
+    TuneExtraError,
+    load_config,
+    run,
+    tune_extra,
+)
 from gossipopt import BacktrackingError, algorithms, harness
 from gossipopt.cli import main
 from gossipopt.harness import CSV_HEADER, experiment_suite
@@ -544,6 +552,37 @@ def test_cli_stalled_run_exits_1_without_traceback(tmp_path, capsys, monkeypatch
     out, err = capsys.readouterr()
     assert "status=stalled k=0" in out
     assert "Traceback" not in err and "Error" not in err
+
+
+def test_cli_setup_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
+    # stands in for the m x m factor of a large graph; nothing large is allocated
+    def no_memory(gm):
+        raise MemoryError(f"Unable to allocate {8 * gm.graph.m**2} bytes")
+
+    monkeypatch.setattr(harness, "spectral_data", no_memory)
+    with pytest.raises(ConfigError, match="m=6 agents: Unable to allocate 288 bytes"):
+        run(RunConfig.from_dict(small_quadratic_config()))
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(small_quadratic_config()))
+    assert main(["run", "--config", str(cfg_path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error: not enough memory") and "Traceback" not in err
+
+
+def test_run_on_scaled_data_passes_the_oracle(monkeypatch):
+    # A x3, b x1e4: ||sum grad f(0)|| = 2.7e7 lifts the gradient's rounding
+    # floor to about 2.5e-8, above the absolute 1e-8 the oracle's loop aims at
+    generate = harness.generate_quadratic
+
+    def scaled(*args, **kwargs):
+        base = generate(*args, **kwargs)
+        return QuadraticFamily(3.0 * base.A, 1e4 * base.b)
+
+    monkeypatch.setattr(harness, "generate_quadratic", scaled)
+    raw = small_quadratic_config(max_iterations=3)
+    raw["graph"] = {"kind": "line", "m": 20}
+    raw["problem"] = {"kind": "quadratic", "m": 20, "h": 110, "n": 100, "lambda": 0.0, "seed": 10}
+    assert run(RunConfig.from_dict(raw)).status == "budget_exhausted"
 
 
 def test_cli_tune_extra(tmp_path, capsys):

@@ -85,7 +85,7 @@ def test_stacked_gradients_match_per_agent(rng):
 
 @pytest.mark.parametrize("kind", ["quadratic", "logistic", "one_hot_logistic"])
 def test_values_and_gradients_equal_separate_calls(kind, rng):
-    # the fused pass shares one residual (one margin z) and must not change a bit
+    # values and gradients from one shared image (residual or margins z) must not change a bit
     if kind == "quadratic":
         fam = generate_quadratic(m=6, h=11, n=7, ridge=0.4, seed=3)
     elif kind == "logistic":
@@ -94,8 +94,13 @@ def test_values_and_gradients_equal_separate_calls(kind, rng):
         fam = one_hot_logistic(6, 30, groups=4, width=3, seed=3)
     for _ in range(5):
         X = rng.standard_normal((fam.m, fam.dim))
-        F, G = fam.values_and_gradients(X)
+        image = fam.images(X)
+        F, G = fam.values(X, image), fam.gradients(X, image)
         assert np.array_equal(F, fam.values(X)) and np.array_equal(G, fam.gradients(X))
+        # row i of the image reads x_i alone
+        Z = X.copy()
+        Z[1:] = rng.standard_normal((fam.m - 1, fam.dim))
+        assert np.array_equal(fam.images(Z)[0], image[0])
 
 
 def test_logistic_values_are_stable_softplus():
@@ -325,6 +330,13 @@ def test_centralized_solve_bad_tol():
     fam = generate_quadratic(m=2, h=3, n=2, ridge=0.0, seed=0)
     with pytest.raises(LossError):
         centralized_solve(fam, tol=0.0)
+
+
+def test_centralized_solve_raises_when_stalled(monkeypatch):
+    # with no Newton step the gradient stays at its value at 0, above tol times itself
+    monkeypatch.setattr(gossipopt.losses, "_NEWTON_ROUNDS", 0)
+    with pytest.raises(LossError, match="stalled"):
+        centralized_solve(generate_quadratic(m=2, h=3, n=2, ridge=0.0, seed=0))
 
 
 def test_condition_numbers_decrease_with_ridge():

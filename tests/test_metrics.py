@@ -18,7 +18,7 @@ from gossipopt import (
     merit_sc,
     spectral_data,
 )
-from conftest import CountingFamily, connected_er, spectral_reference
+from conftest import CountingFamily, connected_er, spectral_reference, synthetic_logistic
 
 
 def two_agent_pull():
@@ -122,11 +122,16 @@ def test_merit_sc_matches_dense_reference(g, c, theta, seed, alternating):
     assert merit_sc(X, Y, theta, fp, spectral_data(gm)) == pytest.approx(expected, rel=1e-12)
 
 
+def direct_merit_cvx(X, fp, family, gm, delta):
+    """merit_cvx with F(X) from the family's own oracle pass at X."""
+    return merit_cvx(X, family.images(X), fp, family, gm, delta)
+
+
 def test_merit_cvx_zero_at_fixed_point():
     fam = two_agent_pull()
     gm = gossip_matrix(build_complete_graph(2), c=0.5)
     fp = fixed_point(fam, tol=1e-10)
-    assert merit_cvx(fp.X_star, fp, fam, gm, delta=1.0) <= 1e-12
+    assert direct_merit_cvx(fp.X_star, fp, fam, gm, delta=1.0) <= 1e-12
 
 
 def test_merit_cvx_consensual_suboptimal_point():
@@ -135,7 +140,7 @@ def test_merit_cvx_consensual_suboptimal_point():
     fp = fixed_point(fam, tol=1e-10)
     X = np.full((2, 1), 0.5)  # consensual but away from the optimum
     expected = fam.values(X).sum() - fam.values(fp.X_star).sum()
-    assert merit_cvx(X, fp, fam, gm, delta=1.0) == pytest.approx(expected, rel=1e-12)
+    assert direct_merit_cvx(X, fp, fam, gm, delta=1.0) == pytest.approx(expected, rel=1e-12)
     assert expected > 0.0
 
 
@@ -148,18 +153,52 @@ def test_merit_cvx_hand_consensus_term():
         x_star=np.zeros(1), X_star=np.zeros((2, 1)), Y_star=np.zeros((2, 1)), F_star=0.0
     )
     X = np.array([[1.0], [-1.0]])
-    assert merit_cvx(X, fp, fam, gm, delta=1.0) == pytest.approx(1.0, abs=1e-12)
+    assert direct_merit_cvx(X, fp, fam, gm, delta=1.0) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_merit_cvx_one_value_call(rng):
-    # F(X*) is cached on the fixed point, so a merit costs one value-oracle call
+def test_merit_cvx_makes_no_oracle_call(rng):
+    # F(X*) is cached on the fixed point and F(X) read from the given image, so
+    # a merit row computes no image and needs no gradient
     fam = generate_quadratic(m=4, h=5, n=3, ridge=0.0, seed=32)
     gm = gossip_matrix(build_erdos_renyi(4, 0.7, seed=6), c=0.5)
     fp = fixed_point(fam, tol=1e-8)
     counted = CountingFamily(fam)
-    for calls in range(1, 4):
-        merit_cvx(rng.standard_normal((4, 3)), fp, counted, gm, delta=1.0)
-        assert counted.calls == {"values": calls, "gradients": 0, "values_and_gradients": 0}
+    for rows in range(1, 4):
+        X = rng.standard_normal((4, 3))
+        merit_cvx(X, fam.images(X), fp, counted, gm, delta=1.0)
+        assert counted.passes == [] and counted.calls == {"images": 0, "values": rows, "gradients": 0}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["quadratic", "logistic"]),
+    m=st.integers(1, 6),
+    iterates=st.integers(1, 12),
+    spread=st.floats(1e-3, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_merit_cvx_from_mean_image_matches_direct(kind, m, iterates, spread, seed):
+    # the mean of the images is the image of the mean iterate up to rounding
+    rng = np.random.default_rng(seed)
+    if kind == "quadratic":
+        fam = generate_quadratic(m=m, h=5, n=3, ridge=float(rng.uniform(0.0, 2.0)), seed=seed % 1000)
+    else:
+        fam = synthetic_logistic(m, 7, 3, seed=seed % 1000)
+    gm = gossip_matrix(build_complete_graph(m), c=0.5)
+    fp = FixedPoint(
+        x_star=np.zeros(3), X_star=np.zeros((m, 3)), Y_star=rng.standard_normal((m, 3)),
+        F_star=float(rng.uniform(0.0, 10.0)),
+    )
+    erg = ErgodicAverage()
+    for _ in range(iterates):
+        X = spread * rng.standard_normal((m, 3))
+        erg.update(X, fam.images(X))
+    X_bar = erg.value
+    merit = merit_cvx(X_bar, erg.image, fp, fam, gm, delta=0.5)
+    direct = direct_merit_cvx(X_bar, fp, fam, gm, delta=0.5)
+    # the gap is a difference of these terms; its rounding scales with them
+    terms = fam.values(X_bar).sum() + abs(fp.F_star) + abs(np.sum(fp.Y_star * X_bar))
+    assert abs(merit - direct) <= 1e-12 * (abs(direct) + terms)
 
 
 def test_merit_cvx_nonnegative_random(rng):
@@ -168,35 +207,40 @@ def test_merit_cvx_nonnegative_random(rng):
     fp = fixed_point(fam, tol=1e-8)
     for _ in range(50):
         X = rng.standard_normal((4, 3)) * rng.uniform(0.1, 10.0)
-        assert merit_cvx(X, fp, fam, gm, delta=1.0) >= 0.0
+        assert direct_merit_cvx(X, fp, fam, gm, delta=1.0) >= 0.0
 
 
 def test_ergodic_average_constant():
-    erg = ErgodicAverage((2, 2))
-    C = np.full((2, 2), 3.5)
+    erg = ErgodicAverage()
+    C, R = np.full((2, 2), 3.5), np.full((2, 3), -0.25)
     for _ in range(7):
-        erg.update(C)
+        erg.update(C, R)
     np.testing.assert_array_equal(erg.value, C)
+    np.testing.assert_array_equal(erg.image, R)
 
 
 def test_ergodic_average_two_point():
-    erg = ErgodicAverage((1, 2))
-    erg.update(np.zeros((1, 2)))
-    erg.update(np.full((1, 2), 2.0))
+    erg = ErgodicAverage()
+    erg.update(np.zeros((1, 2)), np.full((1, 3), 4.0))
+    erg.update(np.full((1, 2), 2.0), np.zeros((1, 3)))
     np.testing.assert_allclose(erg.value, np.ones((1, 2)))
+    np.testing.assert_allclose(erg.image, np.full((1, 3), 2.0))
 
 
 def test_ergodic_average_matches_direct_sum(rng):
-    erg = ErgodicAverage((3, 2))
+    erg = ErgodicAverage()
     xs = [rng.standard_normal((3, 2)) for _ in range(5)]
-    for x in xs:
-        erg.update(x)
+    rs = [rng.standard_normal((3, 4)) for _ in range(5)]
+    for x, r in zip(xs, rs):
+        erg.update(x, r)
     np.testing.assert_allclose(erg.value, sum(xs) / 5.0, atol=1e-12)
+    np.testing.assert_allclose(erg.image, sum(rs) / 5.0, atol=1e-12)
 
 
 def test_ergodic_average_empty_errors():
-    with pytest.raises(MetricsError):
-        _ = ErgodicAverage((1, 1)).value
+    for mean in ("value", "image"):
+        with pytest.raises(MetricsError):
+            getattr(ErgodicAverage(), mean)
 
 
 def test_linear_rate_fit_exact_geometric():

@@ -95,7 +95,7 @@ def test_csr_merit_cvx_matches_dense_form(er200, rng):
     for _ in range(3):
         X = rng.standard_normal((200, 20))
         dense = 0.5 * float(np.sum(X * ((np.eye(200) - gm.W) @ X)))
-        assert merit_cvx(X, origin, zero, gm, delta=0.5) == pytest.approx(dense, rel=1e-12)
+        assert merit_cvx(X, zero.images(X), origin, zero, gm, delta=0.5) == pytest.approx(dense, rel=1e-12)
 
 
 def traced_peak(build) -> int:
@@ -160,6 +160,6 @@ def test_sparse_run_path_never_builds_the_dense_matrices():
     algo.step()
     T = spectral_data(gm)
     merit_sc(algo.X, algo.Y, algo.stats()["theta_min"], fp, T)
-    merit_cvx(algo.X, fp, fam, gm, delta=1.0)
+    merit_cvx(algo.X, algo.image, fp, fam, gm, delta=1.0)
     assert "W" not in vars(gm) and "W_tilde" not in vars(gm)
     assert "edges" not in vars(gm.graph)
