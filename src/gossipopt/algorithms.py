@@ -77,7 +77,10 @@ class GammaSchedule:
             raise ValueError(f"need finite beta1 >= 1 and beta2 > 0, got {(self.beta1, self.beta2)}")
 
     def __call__(self, k: int) -> float:
-        return float(((k + self.beta1) / (k + 1.0)) ** self.beta2)
+        try:
+            return float(((k + self.beta1) / (k + 1.0)) ** self.beta2)
+        except OverflowError:  # a float power raises on overflow, where numpy would round to inf
+            return np.inf
 
 
 class NeighborExchange:
@@ -383,8 +386,8 @@ class ExtraAlgorithm:
     name = "extra"
 
     def __init__(self, gm: GossipMatrix, family, X0: np.ndarray, alpha: float):
-        if alpha <= 0.0:
-            raise ValueError(f"alpha must be positive, got {alpha}")
+        if not (0.0 < alpha < np.inf):
+            raise ValueError(f"alpha must be finite and positive, got {alpha}")
         self.exchange = NeighborExchange(gm)
         self.family = family
         self.alpha = float(alpha)

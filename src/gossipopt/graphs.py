@@ -216,12 +216,8 @@ def _product_operator(g: Graph, data: np.ndarray) -> np.ndarray | csr_array:
         return _on_pattern(g, data)
     A = np.zeros((g.m, g.m))
     A[_pattern_rows(g), g.indices] = data
-    return _read_only(A)
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+    A.setflags(write=False)
+    return A
 
 
 def metropolis_weights(g: Graph) -> csr_array:
@@ -259,9 +255,7 @@ class GossipMatrix:
     one multiplication by W models one synchronous round of neighbor
     exchanges. ``W_op`` and ``I_minus_W`` are the operators the runs multiply
     by, in the kernel ``_product_operator`` picks for the graph (CSR on
-    sparse graphs). The dense read-only ``W_tilde`` and ``W`` are built on
-    first access, so a run on a sparse graph never builds them; on a dense
-    graph ``W`` is ``W_op`` itself.
+    sparse graphs, a dense read-only array otherwise).
     """
 
     graph: Graph
@@ -284,17 +278,6 @@ class GossipMatrix:
         object.__setattr__(self, "_W_tilde", W_tilde)
         object.__setattr__(self, "_w", w)
         object.__setattr__(self, "_i_minus_w", i_minus_w)
-
-    @cached_property
-    def W_tilde(self) -> np.ndarray:
-        """W_tilde as a dense read-only array; built on first access."""
-        return _read_only(self._W_tilde.toarray())
-
-    @cached_property
-    def W(self) -> np.ndarray:
-        """W as a dense read-only array; built on first access."""
-        op = self.W_op
-        return op if isinstance(op, np.ndarray) else _read_only(op.toarray())
 
     @cached_property
     def W_op(self) -> np.ndarray | csr_array:

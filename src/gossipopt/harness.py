@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import numbers
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -48,8 +48,6 @@ __all__ = [
     "SUITE_NAMES",
 ]
 
-CSV_HEADER = "k,vector_rounds,scalar_rounds,err_rel,V,M_erg,theta_min,theta_max,pi_min,pi_max,d_max,status"
-
 _ALGORITHMS = (*METHODS, "extra")
 
 _DEFAULT_ALPHA_GRID = tuple(float(a) for a in np.logspace(-6.0, 0.0, 25))
@@ -68,9 +66,136 @@ class TuneExtraError(RuntimeError):
         super().__init__(f"no EXTRA stepsize converged ({lines})")
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
+def _is_int(value) -> bool:
+    """An integer, not a bool, within int64."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and abs(value) <= _INT64_MAX
+
+
+def _is_real(value) -> bool:
+    """A real number, not a bool, that converts to a finite float."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) <= _FLOAT_MAX
+
+
+def _value(test, description: str):
+    """The check of one value: ``test`` holds, or the error names the key and what it takes."""
+
+    def check(path: str, value) -> None:
+        if not test(value):
+            raise ConfigError(f"{path} must be {description}, got {value!r}")
+
+    return check
+
+
+def _key(path: str, key) -> str:
+    return f"{path}.{key}" if path else str(key)
+
+
+def _keys(path: str, raw, schema: dict) -> None:
+    """Reject a non-mapping, a missing required key, and any key ``schema`` does not list."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path or 'config'} must be a mapping, got {raw!r}")
+    for key, (_, required) in schema.items():
+        if required and key not in raw:
+            raise ConfigError(f"config is missing required key {_key(path, key)}")
+    for key in raw:
+        if key not in schema:
+            raise ConfigError(f"unknown config key {_key(path, key)}; accepted here: {', '.join(schema)}")
+
+
+def _mapping(path: str, raw, schema: dict) -> None:
+    """Check the mapping ``raw`` against ``schema``: key -> (check of its value, required)."""
+    _keys(path, raw, schema)
+    for key, (check, _) in schema.items():
+        if key in raw:
+            check(_key(path, key), raw[key])
+
+
+def _variants(selector: str, schemas: dict):
+    """The check of a section whose ``selector`` key names, among ``schemas``, the schema of the rest."""
+
+    def check(path: str, raw) -> None:
+        name = raw.get(selector) if isinstance(raw, dict) else None
+        if isinstance(raw, dict) and selector in raw and not (isinstance(name, str) and name in schemas):
+            raise ConfigError(f"unknown {path}.{selector} {name!r}; pick one of {', '.join(schemas)}")
+        _mapping(path, raw, {selector: (lambda path, value: None, True), **schemas.get(name, {})})
+
+    return check
+
+
+def _gamma(path: str, raw) -> None:
+    """null, a constant factor c >= 1, {constant: c}, or the schedule {beta1, beta2}."""
+    if isinstance(raw, dict):
+        _mapping(path, raw, _GAMMA_CONSTANT if "constant" in raw else _GAMMA_SCHEDULE)
+    elif raw is not None:
+        _AT_LEAST_ONE(path, raw)
+
+
+def _safeguard(path: str, raw) -> None:
+    """null, or {enabled, R_tilde}; R_tilde is required when enabled."""
+    if raw is not None:
+        _mapping(path, raw, _SAFEGUARD[isinstance(raw, dict) and raw.get("enabled") is True])
+
+
+_COUNT = _value(lambda v: _is_int(v) and v > 0, "an integer (positive, within int64)")
+_SEED = _value(lambda v: _is_int(v) and v >= 0, "an integer (non-negative, within int64)")
+_POSITIVE = _value(lambda v: _is_real(v) and v > 0, "a positive finite real number")
+_AT_LEAST_ONE = _value(lambda v: _is_real(v) and v >= 1, "a finite real number >= 1")
+_FRACTION = _value(lambda v: _is_real(v) and 0 < v <= 1, "a finite real number in (0, 1]")
+_PROBABILITY = _value(lambda v: _is_real(v) and 0 <= v <= 1, "a finite real number in [0, 1]")
+_RIDGE = _value(lambda v: _is_real(v) and v >= 0, "a finite real number >= 0")
+_GRID = _value(
+    lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(_is_real(a) and a > 0 for a in v),
+    "a non-empty list of positive finite real numbers",
+)
+
+# The config schema: every key of every section, as key -> (check, required); the
+# graph's and the problem's kind, and the algorithm's name, pick the keys of the rest.
+_GAMMA_CONSTANT = {"constant": (_AT_LEAST_ONE, True)}
+_GAMMA_SCHEDULE = {"beta1": (_AT_LEAST_ONE, False), "beta2": (_POSITIVE, False)}
+_FLAG = _value(lambda v: isinstance(v, bool), "true or false")
+_SAFEGUARD = {on: {"enabled": (_FLAG, True), "R_tilde": (_POSITIVE, on)} for on in (False, True)}
+# run() writes the seed into every graph spec's trace comment, so every kind takes one
+_GRAPH = {"m": (_COUNT, True), "seed": (_SEED, False)}
+_PROBLEM = {"m": (_COUNT, True), "h": (_COUNT, True), "seed": (_SEED, False)}
+# merit_cvx weighs consensus by delta on EXTRA runs too
+_METHOD = {"theta0": (_POSITIVE, False), "delta": (_FRACTION, False)}
+_NIPS = {**_METHOD, "gamma": (_gamma, False)}
+_SCHEMA = {
+    "graph": (_variants("kind", {
+        "line": _GRAPH, "cycle": _GRAPH, "complete": _GRAPH,
+        "erdos_renyi": {**_GRAPH, "p": (_PROBABILITY, True)},
+    }), True),
+    "problem": (_variants("kind", {
+        "quadratic": {**_PROBLEM, "n": (_COUNT, True), "lambda": (_RIDGE, False)},
+        "logistic": {**_PROBLEM, "dataset": (_value(lambda v: isinstance(v, str) and v, "a path string"), True)},
+    }), True),
+    "algorithm": (_variants("algorithm", {
+        "adaptive": {**_NIPS, "d0": (_COUNT, False), "safeguard": (_safeguard, False)},
+        "nips_global": _NIPS, "nips_local": _NIPS,
+        # a tune-extra config carries a grid and no stepsize
+        "extra": {**_METHOD, "extra_alpha": (_POSITIVE, False), "extra_alpha_grid": (_GRID, False)},
+    }), True),
+    "c": (_value(lambda v: _is_real(v) and 0 < v <= 0.5, "a finite real number in (0, 1/2]"), False),
+    "epsilon": (_POSITIVE, False),
+    "max_iterations": (_COUNT, False),
+    "max_vector_rounds": (_COUNT, False),
+    "stride": (_COUNT, False),
+    "seed": (_SEED, False),
+    "output": (_value(lambda v: v is None or isinstance(v, str), "a path string or null"), False),
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """One experiment: topology, losses, algorithm, budgets, and seeds."""
+    """One experiment: topology, losses, algorithm, budgets, and seeds.
+
+    Every instance is checked against the config schema when it is built,
+    by ``from_dict`` or by ``dataclasses.replace``.
+    """
 
     graph: dict
     problem: dict
@@ -83,20 +208,20 @@ class RunConfig:
     seed: int = 0
     output: str | None = None
 
+    def __post_init__(self):
+        _mapping("", {f.name: getattr(self, f.name) for f in fields(self)}, _SCHEMA)
+        if self.problem["m"] != self.graph["m"]:
+            raise ConfigError(
+                f"problem and graph agent counts differ: {self.problem['m']} vs {self.graph['m']}"
+            )
+        dataset = self.problem.get("dataset")
+        if dataset is not None and not Path(dataset).is_file():
+            raise ConfigError(f"dataset file not found: {dataset}")
+
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError(f"config must be a mapping, got {type(raw).__name__}")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for req in ("graph", "problem", "algorithm"):
-            if req not in raw:
-                raise ConfigError(f"config is missing required section {req!r}")
-        cfg = cls(**raw)
-        _validate(cfg)
-        return cfg
+        _keys("", raw, _SCHEMA)
+        return cls(**raw)
 
 
 def load_config(path) -> RunConfig:
@@ -110,71 +235,6 @@ def load_config(path) -> RunConfig:
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     return RunConfig.from_dict(raw)
-
-
-# problem keys without a default, by problem kind
-_PROBLEM_KEYS = {"quadratic": ("m", "h", "n"), "logistic": ("dataset", "m", "h")}
-
-# typed keys of the graph, problem and algorithm sections, when present
-_INT_KEYS = {"graph": ("m", "seed"), "problem": ("m", "h", "n", "seed"), "algorithm": ("d0",)}
-_REAL_KEYS = {"graph": ("p",), "problem": ("lambda",), "algorithm": ("theta0", "delta", "extra_alpha")}
-_INT64 = np.iinfo(np.int64)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _validate(cfg: RunConfig) -> None:
-    for key in ("max_iterations", "max_vector_rounds", "stride", "seed"):
-        if not _is_int(getattr(cfg, key)):
-            raise ConfigError(f"{key} must be an integer, got {getattr(cfg, key)!r}")
-    for key in ("c", "epsilon"):
-        if not _is_real(getattr(cfg, key)):
-            raise ConfigError(f"{key} must be a real number, got {getattr(cfg, key)!r}")
-    if not isinstance(cfg.graph, dict) or not isinstance(cfg.problem, dict):
-        raise ConfigError("graph and problem sections must be mappings")
-    if not isinstance(cfg.algorithm, dict) or "algorithm" not in cfg.algorithm:
-        raise ConfigError("algorithm section must be a mapping with an 'algorithm' name")
-    for section in ("graph", "problem", "algorithm"):
-        spec = getattr(cfg, section)
-        for key in _INT_KEYS[section]:
-            if key in spec and not (_is_int(spec[key]) and _INT64.min <= spec[key] <= _INT64.max):
-                raise ConfigError(f"{section}.{key} must be an integer within int64, got {spec[key]!r}")
-        for key in _REAL_KEYS[section]:
-            if key in spec and not (_is_real(spec[key]) and -np.inf < spec[key] < np.inf):
-                raise ConfigError(f"{section}.{key} must be a finite real number, got {spec[key]!r}")
-    name = cfg.algorithm["algorithm"]
-    if name not in _ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {name!r}; pick one of {_ALGORITHMS}")
-    kind = cfg.problem.get("kind")
-    if kind not in ("quadratic", "logistic"):
-        raise ConfigError(f"problem kind must be 'quadratic' or 'logistic', got {kind!r}")
-    missing = [key for key in _PROBLEM_KEYS[kind] if key not in cfg.problem]
-    if missing:
-        raise ConfigError(f"{kind} problem is missing required keys {missing}")
-    if kind == "logistic":
-        dataset = cfg.problem.get("dataset")
-        if not (dataset and isinstance(dataset, str)):
-            raise ConfigError(f"logistic problem needs a 'dataset' path, got {dataset!r}")
-        if not Path(dataset).is_file():
-            raise ConfigError(f"dataset file not found: {dataset}")
-    if cfg.problem.get("m") != cfg.graph.get("m"):
-        raise ConfigError(
-            f"problem and graph agent counts differ: {cfg.problem.get('m')} vs {cfg.graph.get('m')}"
-        )
-    if not (0.0 < cfg.c <= 0.5):
-        raise ConfigError(f"gossip c must lie in (0, 1/2], got {cfg.c}")
-    if not cfg.epsilon > 0.0:
-        raise ConfigError(f"tolerance target must be positive, got {cfg.epsilon}")
-    if cfg.max_iterations < 1 or cfg.max_vector_rounds < 1 or cfg.stride < 1:
-        raise ConfigError("budgets and stride must be positive integers")
-    if cfg.output is not None and not isinstance(cfg.output, str):
-        raise ConfigError(f"output must be a path string, got {cfg.output!r}")
 
 
 @dataclass(frozen=True)
@@ -191,6 +251,11 @@ class MeritRow:
     pi_max: float | None
     d_max: int | None
     status: str
+
+
+# the 12 trace columns, in MeritRow's field order
+_COLUMNS = tuple(f.name for f in fields(MeritRow))
+CSV_HEADER = ",".join(_COLUMNS)
 
 
 @dataclass
@@ -213,34 +278,17 @@ class RunTrace:
             fh.write(f"# {json.dumps(self.comment, sort_keys=True)}\n")
             fh.write(CSV_HEADER + "\n")
             for row in self.rows:
-                fh.write(_format_row(row) + "\n")
+                fh.write(",".join(_fmt(getattr(row, column)) for column in _COLUMNS) + "\n")
 
 
 def _fmt(value) -> str:
     if value is None:
         return ""
+    if isinstance(value, str):
+        return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))
-
-
-def _format_row(row: MeritRow) -> str:
-    return ",".join(
-        (
-            str(row.k),
-            str(row.vector_rounds),
-            str(row.scalar_rounds),
-            _fmt(row.err_rel),
-            _fmt(row.V),
-            _fmt(row.M_erg),
-            _fmt(row.theta_min),
-            _fmt(row.theta_max),
-            _fmt(row.pi_min),
-            _fmt(row.pi_max),
-            _fmt(row.d_max),
-            row.status,
-        )
-    )
 
 
 def _build_family(problem: dict, default_seed: int):
@@ -263,63 +311,24 @@ def _build_family(problem: dict, default_seed: int):
     )
 
 
-def _gamma_from_cfg(raw):
-    """The growth factor k -> gamma of a spec: {beta1, beta2}, {constant: c} or a bare c."""
-    if raw is None:
-        return GammaSchedule()
-    if isinstance(raw, dict) and "constant" not in raw:
-        return GammaSchedule(
-            beta1=float(raw.get("beta1", 2.0)), beta2=float(raw.get("beta2", 1.0))
-        )
-    if not isinstance(raw, (dict, int, float)):
-        raise ConfigError(f"cannot interpret gamma spec {raw!r}")
-    value = float(raw["constant"] if isinstance(raw, dict) else raw)
-    if not (1.0 <= value < np.inf):
-        raise ConfigError(f"constant gamma must be finite and >= 1, got {value}")
-    return lambda k: value
-
-
-def _safeguard_radius(raw) -> float | None:
-    """R_tilde of an enabled safeguard spec; None when the spec is absent or disabled."""
-    if raw is not None and not isinstance(raw, dict):
-        raise ConfigError(f"safeguard must be a mapping {{enabled, R_tilde}}, got {raw!r}")
-    if not raw or not raw.get("enabled"):
-        return None
-    radius = raw.get("R_tilde")
-    if not (_is_real(radius) and 0.0 < radius < np.inf):
-        raise ConfigError(f"enabled safeguard needs a positive finite R_tilde, got {radius!r}")
-    return float(radius)
-
-
-# algorithm keys a method does not use, and so rejects
-_FOREIGN_KEYS = {
-    "adaptive": (),
-    "nips_global": ("d0", "safeguard"),
-    "nips_local": ("d0", "safeguard"),
-    "extra": ("d0", "safeguard", "gamma"),
-}
-
-
-def _make_algorithm(cfg: RunConfig, gm, family, X0: np.ndarray, delta: float):
-    spec = cfg.algorithm
+def _make_algorithm(spec: dict, gm, family, X0: np.ndarray, delta: float):
     name = spec["algorithm"]
-    stray = sorted(set(_FOREIGN_KEYS[name]) & set(spec))
-    if stray:
-        raise ConfigError(f"{stray} do not apply to the {name!r} method")
-    # checked for every method: merit_cvx weighs consensus by delta on EXTRA runs too
-    theta0 = float(spec.get("theta0", 1.0))
-    if not (0.0 < theta0 < np.inf):
-        raise ConfigError(f"theta0 must be finite and > 0, got {theta0}")
-    if not (0.0 < delta <= 1.0):
-        raise ConfigError(f"delta must lie in (0, 1], got {delta}")
     if name == "extra":
         if "extra_alpha" not in spec:
             raise ConfigError("EXTRA needs 'extra_alpha' (or run tune-extra first)")
         return ExtraAlgorithm(gm, family, X0, alpha=float(spec["extra_alpha"]))
-    common = {"delta": delta, "theta0": theta0, "gamma": _gamma_from_cfg(spec.get("gamma"))}
+    # the growth factor k -> gamma: null, {beta1, beta2}, {constant: c} or a bare c
+    raw = spec.get("gamma")
+    if raw is None or (isinstance(raw, dict) and "constant" not in raw):
+        gamma = GammaSchedule(**{key: float(v) for key, v in (raw or {}).items()})
+    else:
+        constant = float(raw["constant"] if isinstance(raw, dict) else raw)
+        gamma = lambda k: constant  # noqa: E731
+    common = {"delta": delta, "theta0": float(spec.get("theta0", 1.0)), "gamma": gamma}
     if name == "adaptive":
+        safeguard = spec.get("safeguard") or {}
         common["d0"] = int(spec.get("d0", 1))
-        common["safeguard_radius"] = _safeguard_radius(spec.get("safeguard"))
+        common["safeguard_radius"] = float(safeguard["R_tilde"]) if safeguard.get("enabled") else None
     return AdaptiveAlgorithm(gm, family, X0, method=name, **common)
 
 
@@ -332,15 +341,13 @@ def run(config: RunConfig) -> RunTrace:
         graph = graph_from_spec(graph_spec)
         gm = gossip_matrix(graph, c=config.c)
         family = _build_family(config.problem, config.seed)
-        if family.m != graph.m:
-            raise ConfigError(f"family has {family.m} agents but graph has {graph.m}")
         fp = fixed_point(family)
         delta = float(config.algorithm.get("delta", 1.0))
         X0 = np.zeros((family.m, family.dim))
-        algo = _make_algorithm(config, gm, family, X0, delta)
+        algo = _make_algorithm(config.algorithm, gm, family, X0, delta)
         # the strongly convex merit weighs the duals; EXTRA has none
         T = spectral_data(gm) if algo.Y is not None else None
-    # GraphError, LossError, MetricsError, int()/float(), a d0 beyond int64, an unreadable dataset
+    # GraphError, LossError, MetricsError, an unreadable dataset
     except (ValueError, TypeError, OverflowError, OSError) as exc:
         raise ConfigError(str(exc)) from exc
     # spectral_data's factor holds m^2 doubles
@@ -432,22 +439,19 @@ def tune_extra(config: RunConfig, grid=None) -> tuple[float, RunTrace]:
     Later grid points are capped at the incumbent's round count, so clearly
     worse stepsizes are pruned early. Ties go to the smaller alpha.
     """
-    if config.algorithm.get("algorithm") != "extra":
+    if config.algorithm["algorithm"] != "extra":
         raise ConfigError("tune_extra needs an 'extra' algorithm config")
-    if grid is None:
-        grid = config.algorithm.get("extra_alpha_grid", _DEFAULT_ALPHA_GRID)
-    grid = [float(a) for a in grid]
-    if not grid:
-        raise ConfigError("alpha grid is empty")
+    if grid is not None:  # checked as a config's own grid is
+        config = replace(config, algorithm={**config.algorithm, "extra_alpha_grid": list(grid)})
+    spec = {k: v for k, v in config.algorithm.items() if k != "extra_alpha_grid"}
+    grid = config.algorithm.get("extra_alpha_grid", _DEFAULT_ALPHA_GRID)
 
     best: tuple[int, float, RunTrace] | None = None
     statuses: dict[float, str] = {}
-    for alpha in sorted(grid, reverse=True):
+    for alpha in sorted(map(float, grid), reverse=True):
         budget = config.max_vector_rounds if best is None else best[0]
-        algo_spec = {k: v for k, v in config.algorithm.items() if k != "extra_alpha_grid"}
-        algo_spec["extra_alpha"] = alpha
         sub = replace(
-            config, algorithm=algo_spec, max_vector_rounds=budget, output=None
+            config, algorithm={**spec, "extra_alpha": alpha}, max_vector_rounds=budget, output=None
         )
         trace = run(sub)
         statuses[alpha] = trace.status

@@ -12,6 +12,7 @@ from gossipopt import (
     QuadraticFamily,
     backtrack_batch,
     build_erdos_renyi,
+    metropolis_weights,
 )
 from gossipopt.graphs import Graph
 
@@ -207,12 +208,17 @@ def metropolis_reference(g) -> np.ndarray:
     return w
 
 
+def dense(op) -> np.ndarray:
+    """A mixing operator as a dense array: ``gm.W_op``, ``gm.I_minus_W`` or ``metropolis_weights(g)``."""
+    return op if isinstance(op, np.ndarray) else op.toarray()
+
+
 def spectral_reference(gm) -> np.ndarray:
     """M = c^-1 pinv(I - W_tilde) - I from the eigendecomposition of W_tilde.
 
     Eigenvalues of I - W_tilde within 1e-10 of zero count as exactly zero.
     """
-    vals, vecs = np.linalg.eigh(gm.W_tilde)
+    vals, vecs = np.linalg.eigh(dense(metropolis_weights(gm.graph)))
     gap = 1.0 - vals
     inv = np.where(np.abs(gap) > 1e-10, 1.0 / np.where(gap == 0.0, 1.0, gap), 0.0)
     return (vecs * inv) @ vecs.T / gm.c - np.eye(gm.graph.m)

@@ -28,6 +28,7 @@ from gossipopt import (
     local_min_consensus,
     merit_cvx,
     merit_sc,
+    metropolis_weights,
     run,
     spectral_data,
 )
@@ -35,6 +36,7 @@ from gossipopt.algorithms import METHODS
 from gossipopt.harness import experiment_suite
 from conftest import (
     curvature_family,
+    dense,
     find_a3a,
     graph_from_pairs,
     metric_from_factor,
@@ -151,7 +153,7 @@ def test_criterion_4_equivalence_oracle(rng):
             state = AdaptiveState.initial(X, theta0=theta0)
             state.Y = Y.copy()
             adaptive_step(state, NeighborExchange(gm), fam, 1.5, 1.0, method)
-            X_ref, Y_ref = written_out_step(gm.W, fam, X, Y, state.theta, state.pi)
+            X_ref, Y_ref = written_out_step(dense(gm.W_op), fam, X, Y, state.theta, state.pi)
             assert np.abs(state.X - X_ref).max() <= 1e-12
             assert np.abs(state.Y - Y_ref).max() <= 1e-12
             if method == "nips_global":
@@ -285,7 +287,7 @@ def test_criterion_10_gossip_and_merit_algebra(rng):
     for seed in range(10):
         g = build_erdos_renyi(10, 0.4, seed=400 + seed)
         gm = gossip_matrix(g, c=0.5)
-        for W in (gm.W_tilde, gm.W):
+        for W in (dense(metropolis_weights(g)), dense(gm.W_op)):
             assert np.abs(W.sum(axis=1) - 1.0).max() <= 1e-12
             assert np.abs(W - W.T).max() <= 1e-12
         M = metric_from_factor(spectral_data(gm), gm.c)

@@ -33,6 +33,7 @@ from conftest import (
     agent_gradient,
     backtrack,
     connected_er,
+    dense,
     edge_adjacency,
     floyd_warshall_diameter,
     neighborhood,
@@ -130,6 +131,8 @@ def test_gamma_schedule_default_values():
     assert gamma(1) == 1.5
     assert gamma(10**9) == pytest.approx(1.0, abs=1e-8)
     assert all(GammaSchedule(beta1=1.0, beta2=b)(k) == 1.0 for b in (0.5, 1.0, 3.0) for k in range(50))
+    # the power overflows: the factor is inf, and the line search ends the run stalled
+    assert GammaSchedule(beta2=2.0**64)(0) == np.inf
 
 
 def test_gamma_schedule_validation():
@@ -146,7 +149,7 @@ def test_gossip_weights_come_only_from_the_graph(rng):
     g = build_erdos_renyi(12, 0.3, seed=2)
     gm = gossip_matrix(g, c=0.5)
     non_edge = np.setdiff1d(np.arange(g.m), neighborhood(g, 0))[0]
-    for W in (gm.W, gm.W_tilde):
+    for W in (gm.W_op, gm.I_minus_W):
         with pytest.raises(ValueError):
             W[0, non_edge] = 1e-3  # read-only: no weight can be smuggled onto a non-edge
     with pytest.raises(TypeError):
@@ -304,7 +307,7 @@ def test_step_matches_written_out_recurrence(method, rng):
         state = AdaptiveState.initial(X, theta0=float(rng.uniform(1e-3, 1.0)))
         state.Y = Y.copy()
         adaptive_step(state, NeighborExchange(gm), fam, 1.5, 1.0, method)
-        X_ref, Y_ref = written_out_step(gm.W, fam, X, Y, state.theta, state.pi)
+        X_ref, Y_ref = written_out_step(dense(gm.W_op), fam, X, Y, state.theta, state.pi)
         assert np.abs(state.X - X_ref).max() <= 1e-12
         assert np.abs(state.Y - Y_ref).max() <= 1e-12
         if method != "adaptive":
@@ -483,8 +486,9 @@ def test_state_validation():
         AdaptiveAlgorithm(gm, fam, X0=np.zeros((2, 2)), delta=1.5)
     with pytest.raises(ValueError):
         AdaptiveAlgorithm(gm, fam, X0=np.zeros((2, 2)), method="sideways")
-    with pytest.raises(ValueError):
-        ExtraAlgorithm(gm, fam, X0=np.zeros((2, 2)), alpha=0.0)
+    for alpha in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="alpha"):
+            ExtraAlgorithm(gm, fam, X0=np.zeros((2, 2)), alpha=alpha)
     with pytest.raises(TypeError, match="callable"):
         AdaptiveAlgorithm(gm, fam, X0=np.zeros((2, 2)), gamma=1.5)
 

@@ -20,6 +20,7 @@ from gossipopt import (
 )
 from conftest import (
     connected_er,
+    dense,
     edge_adjacency,
     erdos_renyi_reference,
     floyd_warshall_diameter,
@@ -188,7 +189,7 @@ def test_metropolis_equals_edge_loop_on_600_agents():
 
 def test_gossip_complete2_half_mixing():
     gm = gossip_matrix(build_complete_graph(2), c=0.5)
-    np.testing.assert_allclose(gm.W, [[0.75, 0.25], [0.25, 0.75]], rtol=0, atol=0)
+    np.testing.assert_allclose(dense(gm.W_op), [[0.75, 0.25], [0.25, 0.75]], rtol=0, atol=0)
 
 
 def test_gossip_line3_half_mixing():
@@ -197,7 +198,7 @@ def test_gossip_line3_half_mixing():
     expected = np.array(
         [[5 * sixth, sixth, 0.0], [sixth, 4 * sixth, sixth], [0.0, sixth, 5 * sixth]]
     )
-    np.testing.assert_allclose(gm.W, expected, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(dense(gm.W_op), expected, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("c", [0.0, -0.1, 0.51, 1.0])
@@ -220,14 +221,15 @@ def test_gossip_invariants_random_graphs(g, c):
     # off the diagonal exactly on the edge set
     gm = gossip_matrix(g, c=c)
     edges = edge_adjacency(g) != 0.0
-    for W in (gm.W_tilde, gm.W):
+    W_tilde, W = dense(metropolis_weights(g)), dense(gm.W_op)
+    for W in (W_tilde, W):
         assert np.array_equal(W, W.T)
         assert np.abs(W.sum(axis=1) - 1.0).max() <= 1e-12
         assert np.abs(W.sum(axis=0) - 1.0).max() <= 1e-12
         off = W - np.diag(np.diag(W))
         assert np.array_equal(off != 0.0, edges)
-    assert np.diag(gm.W_tilde).min() > 0.0
-    assert np.diag(gm.W).min() >= 1.0 - c
+    assert np.diag(W_tilde).min() > 0.0
+    assert np.diag(W).min() >= 1.0 - c
 
 
 @settings(max_examples=60, deadline=None)
@@ -256,7 +258,7 @@ def test_mixing_limit_small_c():
 
 def test_spectral_complete2_hand_values():
     gm = gossip_matrix(build_complete_graph(2), c=0.5)
-    assert np.linalg.eigvalsh(gm.W_tilde)[0] == pytest.approx(0.0, abs=1e-12)
+    assert np.linalg.eigvalsh(dense(metropolis_weights(gm.graph)))[0] == pytest.approx(0.0, abs=1e-12)
     # disagreement direction has M-eigenvalue 2/1 - 1 = 1, ones direction -1
     M = metric_from_factor(spectral_data(gm), gm.c)
     np.testing.assert_allclose(M, [[0.0, -1.0], [-1.0, 0.0]], atol=1e-12)
@@ -270,7 +272,7 @@ def test_spectral_single_node():
 def test_spectral_lambda2_below_one_connected():
     for seed in range(5):
         g = build_erdos_renyi(10, 0.4, seed=seed)
-        eig = np.linalg.eigvalsh(gossip_matrix(g, c=0.5).W_tilde)
+        eig = np.linalg.eigvalsh(dense(metropolis_weights(g)))
         assert eig[-2] < 1.0 - 1e-8
         assert eig[0] >= -1.0 - 1e-12
 
@@ -317,7 +319,7 @@ def test_M_positive_definite_on_disagreement_subspace():
         eig = np.linalg.eigvalsh(restricted)
         # one zero eigenvalue from the projected-out direction; rest positive
         positive = eig[np.abs(eig) > 1e-9]
-        lambda_min = np.linalg.eigvalsh(gm.W_tilde)[0]
+        lambda_min = np.linalg.eigvalsh(dense(metropolis_weights(g)))[0]
         floor = 1.0 / gm.c / (1.0 - lambda_min) - 1.0 - 1e-9
         assert positive.min() >= floor
         assert positive.min() > 0.0

@@ -1,8 +1,14 @@
+import contextlib
+import copy
+import io
+import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings, strategies as st
 
 from gossipopt import (
     ConfigError,
@@ -440,6 +446,16 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
         lambda d: d["algorithm"].update(delta="0.5"),
         lambda d: d.update(algorithm={"algorithm": "extra", "extra_alpha": float("nan")}),
         lambda d: d.update(algorithm={"algorithm": "extra", "extra_alpha": float("inf")}),
+        # every section, kind and method takes only the keys it lists
+        lambda d: d["algorithm"].update(foo=1),
+        lambda d: d.update(graph={"kind": "line", "m": 6, "p": 0.5}),
+        lambda d: d["problem"].update(dataset="a3a"),
+        lambda d: d["algorithm"].update(extra_alpha=1e-3),
+        lambda d: d["algorithm"].update(extra_alpha_grid=[1e-3]),
+        lambda d: d["algorithm"].update(gamma={"beta1": 2, "zeta": 1}),
+        lambda d: d["algorithm"].update(safeguard={"enabled": True, "R_tilde": 1.0, "q": 1}),
+        lambda d: d["algorithm"].update(safeguard={"enabled": "no", "R_tilde": 1.0}),
+        lambda d: d["algorithm"].update(gamma=True),
     ],
     ids=["max_iterations", "max_vector_rounds", "stride", "seed", "c", "epsilon",
          "fixed_point_tol", "missing_n", "problem_n", "problem_lambda", "problem_seed",
@@ -452,7 +468,10 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
          "dataset_directory", "d0_beyond_int64", "epsilon_nan", "lambda_nan", "lambda_inf",
          "d0_float", "d0_bool", "problem_n_string", "problem_h_float", "problem_h_bool",
          "problem_seed_float", "graph_seed_float", "graph_seed_beyond_int64", "graph_p_string",
-         "lambda_bool", "theta0_string", "delta_string", "extra_alpha_nan", "extra_alpha_inf"],
+         "lambda_bool", "theta0_string", "delta_string", "extra_alpha_nan", "extra_alpha_inf",
+         "algorithm_unknown_key", "line_graph_p", "quadratic_dataset", "adaptive_extra_alpha",
+         "adaptive_extra_alpha_grid", "gamma_unknown_key", "safeguard_unknown_key",
+         "safeguard_enabled_string", "gamma_bool"],
 )
 def test_cli_rejects_mistyped_config(tmp_path, capfd, mutate):
     raw = small_quadratic_config()
@@ -571,18 +590,20 @@ def test_cli_setup_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
 
 def test_run_on_scaled_data_passes_the_oracle(monkeypatch):
     # A x3, b x1e4: ||sum grad f(0)|| = 2.7e7 lifts the gradient's rounding
-    # floor to about 2.5e-8, above the absolute 1e-8 the oracle's loop aims at
+    # floor to about 2.5e-8, above the absolute 1e-8 the oracle's loop aims at;
+    # b x1e6 lifts the dual rows' sum at x* to about 4.6e-7, above 20 x 1e-8
     generate = harness.generate_quadratic
-
-    def scaled(*args, **kwargs):
-        base = generate(*args, **kwargs)
-        return QuadraticFamily(3.0 * base.A, 1e4 * base.b)
-
-    monkeypatch.setattr(harness, "generate_quadratic", scaled)
     raw = small_quadratic_config(max_iterations=3)
     raw["graph"] = {"kind": "line", "m": 20}
     raw["problem"] = {"kind": "quadratic", "m": 20, "h": 110, "n": 100, "lambda": 0.0, "seed": 10}
-    assert run(RunConfig.from_dict(raw)).status == "budget_exhausted"
+    for b_scale in (1e4, 1e6):
+
+        def scaled(*args, **kwargs):
+            base = generate(*args, **kwargs)
+            return QuadraticFamily(3.0 * base.A, b_scale * base.b)
+
+        monkeypatch.setattr(harness, "generate_quadratic", scaled)
+        assert run(RunConfig.from_dict(raw)).status == "budget_exhausted"
 
 
 def test_cli_tune_extra(tmp_path, capsys):
@@ -592,6 +613,127 @@ def test_cli_tune_extra(tmp_path, capsys):
     cfg_path.write_text(yaml.safe_dump(raw))
     assert main(["tune-extra", "--config", str(cfg_path)]) == 0
     assert "best alpha" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "grid", ["ab", 5, ["x"], [float("nan")], [True]],
+    ids=["string", "scalar", "list_of_string", "nan", "bool"],
+)
+def test_cli_tune_extra_rejects_malformed_grid(tmp_path, capsys, grid):
+    raw = small_quadratic_config()
+    raw["algorithm"] = {"algorithm": "extra", "extra_alpha_grid": grid}
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(raw))
+    assert main(["tune-extra", "--config", str(cfg_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: algorithm.extra_alpha_grid") and "Traceback" not in err
+
+
+def test_every_run_config_is_checked_when_built():
+    # dataclasses.replace builds a RunConfig too: tune_extra's per-alpha runs, the CLI's --out
+    cfg = RunConfig.from_dict(small_quadratic_config())
+    with pytest.raises(ConfigError, match="unknown config key algorithm.d0"):
+        replace(cfg, algorithm={**cfg.algorithm, "algorithm": "nips_global"})
+    with pytest.raises(ConfigError, match="stride must be"):
+        replace(cfg, stride=0)
+    with pytest.raises(ConfigError, match="algorithm.extra_alpha must be"):
+        replace(cfg, algorithm={"algorithm": "extra", "extra_alpha": float("nan")})
+    with pytest.raises(ConfigError, match="algorithm.extra_alpha_grid must be"):
+        tune_extra(replace(cfg, algorithm={"algorithm": "extra"}), grid=[])
+
+
+# the example configs the fuzzing mutates, and the command each one is run with
+FUZZ_COMMANDS = {"quadratic_line": "run", "extra_tune": "tune-extra"}
+FUZZ_VALUES = (None, True, "x", [1], {}, float("nan"), float("inf"), -1, 0, 2**64)
+DROP = "<drop>"
+
+
+def _key_paths(node: dict, prefix=()):
+    for key, value in node.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+def _edit(raw: dict, path: tuple, value) -> None:
+    """Set the key at ``path`` to ``value``, adding it if absent, or drop it when ``value`` is DROP."""
+    parent = raw
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DROP:
+        parent.pop(path[-1], None)
+    else:  # a copy: FUZZ_VALUES' {} and [1] are shared between edits
+        parent[path[-1]] = copy.deepcopy(value)
+
+
+def _value_at(raw: dict, path: tuple):
+    for key in path:
+        raw = raw[key]
+    return raw
+
+
+@st.composite
+def mutated_examples(draw):
+    """An example config and one or two edits: drop a key, set it to an odd value, or add an unlisted key."""
+    name = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    raw = yaml.safe_load((EXAMPLES / f"{name}.yaml").read_text())
+    edits = []
+    for _ in range(draw(st.integers(1, 2))):
+        paths = list(_key_paths(raw))
+        if draw(st.booleans()):
+            path = draw(st.sampled_from(paths))
+        else:
+            mappings = [()] + [p for p in paths if isinstance(_value_at(raw, p), dict)]
+            path = draw(st.sampled_from(mappings)) + ("unlisted",)
+        value = draw(st.sampled_from((DROP, *FUZZ_VALUES)))
+        _edit(raw, path, value)
+        edits.append((path, value))
+    return name, edits
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=mutated_examples(), must_reject=st.just(False))
+# pinned: inputs that ran, or crashed, before every config key was checked, and a
+# growth exponent whose power overflowed inside a step
+@example(case=("quadratic_line", [(("algorithm", "foo"), 1)]), must_reject=True)
+@example(case=("quadratic_line", [(("graph", "p"), 0.5)]), must_reject=True)
+@example(case=("quadratic_line", [(("problem", "dataset"), "a3a")]), must_reject=True)
+@example(case=("quadratic_line", [(("algorithm", "extra_alpha"), 1e-3)]), must_reject=True)
+@example(case=("quadratic_line", [(("algorithm", "extra_alpha_grid"), [1e-3])]), must_reject=True)
+@example(case=("quadratic_line", [(("algorithm", "gamma"), {"beta1": 2, "zeta": 1})]), must_reject=True)
+@example(
+    case=("quadratic_line", [(("algorithm", "safeguard"), {"enabled": True, "R_tilde": 1.0, "q": 1})]),
+    must_reject=True,
+)
+@example(
+    case=("quadratic_line", [(("algorithm", "safeguard"), {"enabled": "no", "R_tilde": 1.0})]),
+    must_reject=True,
+)
+@example(case=("quadratic_line", [(("algorithm", "gamma"), True)]), must_reject=True)
+@example(case=("quadratic_line", [(("algorithm", "gamma", "beta2"), 2**64)]), must_reject=False)
+@example(case=("extra_tune", [(("algorithm", "extra_alpha_grid"), "ab")]), must_reject=True)
+@example(case=("extra_tune", [(("algorithm", "extra_alpha_grid"), 5)]), must_reject=True)
+@example(case=("extra_tune", [(("algorithm", "extra_alpha_grid"), ["x"])]), must_reject=True)
+@example(case=("extra_tune", [(("algorithm", "extra_alpha_grid"), [float("nan")])]), must_reject=True)
+@example(case=("extra_tune", [(("algorithm", "extra_alpha_grid"), [True])]), must_reject=True)
+def test_cli_mutated_example_configs_exit_cleanly(case, must_reject):
+    # a mutated example config exits 0-3 and never with a traceback; one that
+    # keeps a key no section lists, and each one pinned above, exits 3
+    name, edits = case
+    raw = yaml.safe_load((EXAMPLES / f"{name}.yaml").read_text())
+    raw["max_iterations"] = 3
+    for path, value in edits:
+        _edit(raw, path, value)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "cfg.yaml"
+        cfg_path.write_text(yaml.safe_dump(raw))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([FUZZ_COMMANDS[name], "--config", str(cfg_path), "--out", str(Path(tmp) / "t.csv")])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if must_reject or any("unlisted" in path for path in _key_paths(raw)):
+        assert code == 3 and err.getvalue().startswith("config error:")
 
 
 def test_cli_suite(tmp_path):

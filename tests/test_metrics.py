@@ -18,7 +18,7 @@ from gossipopt import (
     merit_sc,
     spectral_data,
 )
-from conftest import CountingFamily, connected_er, spectral_reference, synthetic_logistic
+from conftest import CountingFamily, connected_er, dense, spectral_reference, synthetic_logistic
 
 
 def two_agent_pull():
@@ -87,7 +87,7 @@ def test_merit_sc_positive_under_perturbations(rng):
     T = spectral_data(gm)
     fam = generate_quadratic(m=5, h=6, n=3, ridge=0.0, seed=31)
     fp = fixed_point(fam, tol=1e-8)
-    IW = np.eye(5) - gm.W
+    IW = dense(gm.I_minus_W)
     for _ in range(20):
         dX = rng.standard_normal((5, 3)) * 1e-3
         assert merit_sc(fp.X_star + dX, fp.Y_star, 0.5, fp, T) >= 1e-16
