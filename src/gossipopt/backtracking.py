@@ -46,7 +46,8 @@ def backtrack_batch(
     theta = np.asarray(theta, dtype=float)
     if np.any(theta <= 0.0):
         raise BacktrackingError("initial stepsizes must be positive")
-    theta_plus = np.asarray(gamma, dtype=float) * theta
+    with np.errstate(over="ignore"):  # an overflowed product is the error raised next
+        theta_plus = np.asarray(gamma, dtype=float) * theta
     if not np.isfinite(theta_plus).all():
         raise BacktrackingError("stepsize overflow: the grown stepsize is not finite")
     trials = np.ones(len(theta), dtype=int)

@@ -13,6 +13,7 @@ from .losses import centralized_solve
 __all__ = [
     "ErgodicAverage",
     "FixedPoint",
+    "MeritBlock",
     "MetricsError",
     "fixed_point",
     "linear_rate_fit",
@@ -58,26 +59,65 @@ def fixed_point(family, tol: float = 1e-8) -> FixedPoint:
     return FixedPoint(x_star=x_star, X_star=X_star, Y_star=Y_star, F_star=F_star)
 
 
-def merit_sc(X: np.ndarray, Y: np.ndarray, theta_min_prev: float, fp: FixedPoint, T: np.ndarray) -> float:
-    """Strongly convex merit: ||X - X*||^2 + theta^2 ||Y - Y*||^2_M, with M = T T^T - 11^T/(cm) - I.
+def _squared_norm(A: np.ndarray) -> np.float64:
+    """||A||^2 summed in A's C order, as BLAS ``ddot`` sums a contiguous array, however A is strided."""
+    A = np.ascontiguousarray(A)
+    return np.vdot(A, A)
 
-    ``T`` is the factor of ``spectral_data``. The dual difference dY is first projected off the
-    all-ones direction, along which M is indefinite and which the theory keeps the duals out of
+
+class MeritBlock:
+    """The strongly convex merit V of a block of up to ``rows`` iterates, in one triangular product.
+
+    V = ||X - X*||^2 + theta^2 ||Y - Y*||^2_M, with M = T T^T - 11^T/(cm) - I and ``T`` the
+    factor of ``spectral_data``. The dual difference dY is first projected off the all-ones
+    direction, along which M is indefinite and which the theory keeps the duals out of
     (range(I - W)); the 11^T term then vanishes, and the M-form ||T^T dY||^2 - ||dY||^2 is
     floored at zero against roundoff.
+
+    ``add`` keeps a row's scalars and writes its dY^T into the next d rows of one Fortran
+    (rows d x m) buffer, allocated here. Once the block is full, or on ``flush``, one in-place
+    BLAS ``dtrmm`` multiplies the whole buffer by T, so the product a slot goes through never
+    depends on how many rows are pending, and the block's V are returned in the order added.
     """
+
+    def __init__(self, fp: FixedPoint, T: np.ndarray, rows: int):
+        m, d = fp.Y_star.shape
+        self._fp, self._T, self._rows, self._d = fp, T, rows, d
+        self._buffer = np.zeros((rows * d, m), order="F")
+        self._pending: list[tuple[float, float, float]] = []  # (||dX||^2, ||dY||^2, theta^2)
+
+    def add(self, dX_sq: float, Y: np.ndarray, theta_min_prev: float) -> list[float]:
+        """Queue one row, given ||X - X*||^2; the block's V once this row fills it, else []."""
+        b = len(self._pending) * self._d
+        dY = self._buffer[b : b + self._d].T  # the slot, agents by rows as in Y
+        np.subtract(Y, self._fp.Y_star, out=dY)
+        dY -= dY.mean(axis=0)
+        try:
+            theta_sq = theta_min_prev**2
+        except OverflowError:  # a Python float above about 1.34e154
+            theta_sq = np.inf
+        self._pending.append((dX_sq, _squared_norm(dY), theta_sq))
+        return self.flush() if len(self._pending) == self._rows else []
+
+    def flush(self) -> list[float]:
+        """The V of every pending row, in the order added; the block is empty afterwards."""
+        if not self._pending:
+            return []
+        # (T^T dY)^T = dY^T T for every slot: one right-side triangular product, in place
+        Z = dtrmm(1.0, self._T, self._buffer, side=1, overwrite_b=1)
+        values = []
+        for i, (dX_sq, dY_sq, theta_sq) in enumerate(self._pending):
+            m_form = max(float(_squared_norm(Z[i * self._d : (i + 1) * self._d].T) - dY_sq), 0.0)
+            values.append(dX_sq + theta_sq * m_form)
+        self._pending.clear()
+        return values
+
+
+def merit_sc(X: np.ndarray, Y: np.ndarray, theta_min_prev: float, fp: FixedPoint, T: np.ndarray) -> float:
+    """Strongly convex merit of one iterate: ||X - X*||^2 + theta^2 ||Y - Y*||^2_M (see ``MeritBlock``)."""
     dX = X - fp.X_star
-    dY = Y - fp.Y_star
-    dY -= dY.mean(axis=0)
-    dY_sq = np.vdot(dY, dY)
-    # (T^T dY)^T = dY^T T: one right-side triangular product on the Fortran-ordered view, in place
-    Z = dtrmm(1.0, T, dY.T, side=1, overwrite_b=1).T
-    m_form = max(float(np.vdot(Z, Z) - dY_sq), 0.0)
-    try:
-        theta_sq = theta_min_prev**2
-    except OverflowError:  # a Python float above about 1.34e154
-        theta_sq = np.inf
-    return float(np.vdot(dX, dX)) + theta_sq * m_form
+    (V,) = MeritBlock(fp, T, rows=1).add(float(np.vdot(dX, dX)), Y, theta_min_prev)
+    return V
 
 
 def merit_cvx(

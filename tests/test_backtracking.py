@@ -245,6 +245,7 @@ def test_overflowing_trial_is_rejected():
         assert (thetas[i], trials[i]) == backtrack(1e300, fam, i, X[i], D[i], 1.0, delta=1.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_growth_raises():
     fam = curvature_family(1.0)
     with pytest.raises(BacktrackingError, match="overflow"):

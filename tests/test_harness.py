@@ -19,7 +19,7 @@ from gossipopt import (
     run,
     tune_extra,
 )
-from gossipopt import BacktrackingError, algorithms, harness
+from gossipopt import BacktrackingError, DivergenceError, algorithms, harness, merit_sc
 from gossipopt.cli import main
 from gossipopt.harness import CSV_HEADER, experiment_suite
 from conftest import synthetic_logistic
@@ -133,8 +133,10 @@ def test_run_stride_thins_rows():
 )
 def test_stride_rows_are_the_full_rows_sampled(tmp_path, monkeypatch, algorithm, status):
     # a thinned trace writes the every-iteration trace's rows at k % stride == 0
-    # and its final row, bit for bit, and computes merits for those rows only
-    calls = {"merit_sc": 0, "merit_cvx": 0, "spectral_data": 0}
+    # and its final row, bit for bit, and computes merits for those rows only:
+    # V, a block of rows at a time, for exactly the rows written
+    calls = {"merit_cvx": 0, "spectral_data": 0}
+    added, evaluated = [], []
 
     def counted(name, fn):
         def wrapper(*args):
@@ -142,12 +144,25 @@ def test_stride_rows_are_the_full_rows_sampled(tmp_path, monkeypatch, algorithm,
             return fn(*args)
         return wrapper
 
+    class CountedBlock(harness.MeritBlock):
+        def add(self, *args):
+            added.append(None)
+            return super().add(*args)
+
+        def flush(self):
+            values = super().flush()
+            evaluated.extend(values)
+            return values
+
     for name in calls:
         monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
+    monkeypatch.setattr(harness, "MeritBlock", CountedBlock)
     lines, counts = {}, {}
     for stride in (1, 4):
         for name in calls:
             calls[name] = 0
+        added.clear()
+        evaluated.clear()
         cfg = small_quadratic_config(max_iterations=30, stride=stride, algorithm=algorithm)
         trace = run(RunConfig.from_dict(cfg))
         assert trace.status == status
@@ -159,8 +174,10 @@ def test_stride_rows_are_the_full_rows_sampled(tmp_path, monkeypatch, algorithm,
     assert lines[4][2:] == [r for r in full[:-1] if int(r.split(",")[0]) % 4 == 0] + full[-1:]
     rows = len(lines[4]) - 2
     has_duals = algorithm["algorithm"] != "extra"
-    assert counts[4] == {"merit_sc": rows * has_duals, "merit_cvx": rows - 1, "spectral_data": has_duals}
+    assert counts[4] == {"merit_cvx": rows - 1, "spectral_data": has_duals}
     assert counts[1]["merit_cvx"] == len(full) - 1 > counts[4]["merit_cvx"]
+    assert len(added) == rows * has_duals
+    assert evaluated == ([r.V for r in trace.rows] if has_duals else [])
 
 
 def test_logistic_stop_reads_the_ergodic_merit_every_iteration(tmp_path, monkeypatch):
@@ -529,6 +546,7 @@ def test_cli_huge_theta0_converges(tmp_path, capsys, raw, theta0):
     assert "status=converged" in capsys.readouterr().out
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_overflowing_growth_ends_stalled(tmp_path, capsys):
     # gamma_0 * theta0 = 2 * 1e308 is inf: no halving reaches a finite stepsize
     raw = small_quadratic_config()
@@ -539,22 +557,22 @@ def test_cli_overflowing_growth_ends_stalled(tmp_path, capsys):
     assert "status=stalled" in capsys.readouterr().out
 
 
-def _stall_after(monkeypatch, searches: int) -> None:
-    """Let the first ``searches`` line searches run, then make every later one fail."""
+def _fail_after(monkeypatch, searches: int, error=BacktrackingError) -> None:
+    """Let the first ``searches`` line searches run, then make every later one raise ``error``."""
     real = algorithms.backtrack_batch
     calls = []
 
-    def stalling(*args):
+    def failing(*args):
         calls.append(None)
         if len(calls) > searches:
-            raise BacktrackingError("stepsize underflow: sufficient decrease never reached")
+            raise error("the step failed")
         return real(*args)
 
-    monkeypatch.setattr(algorithms, "backtrack_batch", stalling)
+    monkeypatch.setattr(algorithms, "backtrack_batch", failing)
 
 
 def test_run_ends_stalled_when_the_line_search_fails(monkeypatch):
-    _stall_after(monkeypatch, 3)
+    _fail_after(monkeypatch, 3)
     trace = run(RunConfig.from_dict(small_quadratic_config()))
     assert trace.status == "stalled"
     assert [r.k for r in trace.rows] == [0, 1, 2, 3]
@@ -564,7 +582,7 @@ def test_run_ends_stalled_when_the_line_search_fails(monkeypatch):
 
 
 def test_cli_stalled_run_exits_1_without_traceback(tmp_path, capsys, monkeypatch):
-    _stall_after(monkeypatch, 0)
+    _fail_after(monkeypatch, 0)
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text(yaml.safe_dump(small_quadratic_config()))
     assert main(["run", "--config", str(cfg_path)]) == 1
@@ -586,6 +604,101 @@ def test_cli_setup_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
     assert main(["run", "--config", str(cfg_path)]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("config error: not enough memory") and "Traceback" not in err
+
+
+def _large_quadratic_config(m: int, n: int, **overrides) -> dict:
+    """A sparse ER quadratic with m agents and dimension n, past the size where V is blocked."""
+    raw = small_quadratic_config(**{"max_iterations": 40, **overrides})
+    raw["graph"] = {"kind": "erdos_renyi", "m": m, "p": 0.03, "seed": 5}
+    raw["problem"] = {"kind": "quadratic", "m": m, "h": 3, "n": n, "lambda": 0.1, "seed": 3}
+    return raw
+
+
+def _spy_on_V(monkeypatch) -> tuple[list, list]:
+    """(merit_sc on the iterate of every row run() adds to a merit block, each block's rows)."""
+    expected, block_rows, algos = [], [], []
+    make = harness._make_algorithm
+    monkeypatch.setattr(harness, "_make_algorithm", lambda *args: algos.append(make(*args)) or algos[-1])
+
+    class Spy(harness.MeritBlock):
+        def __init__(self, fp, T, rows):
+            super().__init__(fp, T, rows)
+            self.fp, self.T = fp, T
+            block_rows.append(rows)
+
+        def add(self, dX_sq, Y, theta_min_prev):
+            expected.append(merit_sc(algos[-1].X, Y, theta_min_prev, self.fp, self.T))
+            return super().add(dX_sq, Y, theta_min_prev)
+
+    monkeypatch.setattr(harness, "MeritBlock", Spy)
+    return expected, block_rows
+
+
+@pytest.mark.parametrize(
+    "raw,fail,status,rows_per_block",
+    [
+        (small_quadratic_config(), None, "converged", 1),
+        (small_quadratic_config(max_iterations=25, stride=3), None, "budget_exhausted", 1),
+        (_large_quadratic_config(300, 7), None, "budget_exhausted", 16),
+        (_large_quadratic_config(256, 20, stride=3), None, "budget_exhausted", 8),
+        (_large_quadratic_config(260, 1, max_iterations=16), None, "budget_exhausted", 16),
+        (_large_quadratic_config(280, 4, stride=2), (19, DivergenceError), "diverged", 16),
+        (_large_quadratic_config(280, 4), (21, BacktrackingError), "stalled", 16),
+        (_large_quadratic_config(256, 12, algorithm={"algorithm": "nips_local"}), None,
+         "budget_exhausted", 16),
+    ],
+    ids=["m6", "m6-stride3", "m300-d7", "m256-d20-stride3", "m260-d1",
+         "m280-d4-stride2-diverged", "m280-d4-stalled", "m256-d12-nips_local"],
+)
+def test_every_V_is_merit_sc_of_its_iterate(monkeypatch, raw, fail, status, rows_per_block):
+    # V, evaluated a block of rows at a time, is the one-row merit of each written row's
+    # iterate, over full and partial last blocks and the final row of every kind of stop
+    expected, block_rows = _spy_on_V(monkeypatch)
+    if fail is not None:
+        _fail_after(monkeypatch, *fail)
+    trace = run(RunConfig.from_dict(raw))
+    assert trace.status == status and block_rows == [rows_per_block]
+    V = [r.V for r in trace.rows]
+    assert len(V) == len(expected) and all(v is not None for v in V)
+    assert V == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_extra_rows_have_no_V(monkeypatch):
+    expected, block_rows = _spy_on_V(monkeypatch)
+    raw = _large_quadratic_config(300, 7, max_iterations=20)
+    raw["algorithm"] = {"algorithm": "extra", "extra_alpha": 1e-3}
+    trace = run(RunConfig.from_dict(raw))
+    assert len(trace.rows) == 21 and all(r.V is None for r in trace.rows)
+    assert expected == block_rows == []
+
+
+@pytest.mark.parametrize("m,n", [(6, 5), (300, 7)])
+def test_a_cut_run_is_a_prefix_of_a_longer_one(tmp_path, m, n):
+    # a partial last block gives its rows the V a full block would: the run cut at
+    # k=23 writes the longer run's rows up to k=23 byte for byte, V included
+    raw = small_quadratic_config() if m == 6 else _large_quadratic_config(m, n)
+    lines = {}
+    for cut in (23, 40):
+        out = tmp_path / f"{cut}.csv"
+        run(RunConfig.from_dict({**raw, "max_iterations": cut, "epsilon": 1e-30, "output": str(out)}))
+        lines[cut] = out.read_text().splitlines()[2:]
+    assert len(lines[23]) == 24 and lines[23][:-1] == lines[40][:23]
+    assert lines[23][-1] == lines[40][23].replace(",running", ",budget_exhausted")
+
+
+def test_cli_merit_block_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
+    # stands in for the block of a large run; nothing large is allocated
+    def no_memory(fp, T, rows):
+        raise MemoryError(f"Unable to allocate {8 * rows * fp.Y_star.size} bytes")
+
+    monkeypatch.setattr(harness, "MeritBlock", no_memory)
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(small_quadratic_config()))
+    assert main(["run", "--config", str(cfg_path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("config error: not enough memory to set up a run with m=6 agents: ")
+    assert "Unable to allocate 240 bytes" in err
 
 
 def test_run_on_scaled_data_passes_the_oracle(monkeypatch):

@@ -18,6 +18,7 @@ from gossipopt import (
     merit_sc,
     spectral_data,
 )
+from gossipopt.metrics import MeritBlock
 from conftest import CountingFamily, connected_er, dense, spectral_reference, synthetic_logistic
 
 
@@ -120,6 +121,30 @@ def test_merit_sc_matches_dense_reference(g, c, theta, seed, alternating):
     dX = X - fp.X_star
     expected = np.sum(dX * dX) + theta**2 * max(np.sum(dY * (spectral_reference(gm) @ dY)), 0.0)
     assert merit_sc(X, Y, theta, fp, spectral_data(gm)) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "m,d,rows,added", [(7, 3, 1, 3), (12, 2, 8, 5), (40, 1, 16, 16), (300, 20, 8, 19), (260, 7, 16, 40)]
+)
+def test_merit_block_gives_each_row_its_merit_sc(m, d, rows, added):
+    # a block hands back its rows' V in the order added, whole once full and the rest on
+    # flush; each is the one-row merit of its iterate
+    gm = gossip_matrix(build_line_graph(m), c=0.4)
+    T = spectral_data(gm)
+    rng = np.random.default_rng(m)
+    fp = FixedPoint(
+        x_star=np.zeros(d), X_star=rng.standard_normal((m, d)), Y_star=rng.standard_normal((m, d)), F_star=0.0
+    )
+    block, values, expected = MeritBlock(fp, T, rows), [], []
+    for i in range(added):
+        X, Y, theta = fp.X_star + rng.standard_normal((m, d)), fp.Y_star + rng.standard_normal((m, d)), i / 8
+        expected.append(merit_sc(X, Y, theta, fp, T))
+        dX = X - fp.X_star
+        values += block.add(float(np.vdot(dX, dX)), Y, theta)
+        assert len(values) == (i + 1) // rows * rows
+    values += block.flush()
+    assert block.flush() == []
+    assert values == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def direct_merit_cvx(X, fp, family, gm, delta):

@@ -152,3 +152,26 @@ def test_bench_pairs_refuses_a_parent_without_git_head(tmp_path, monkeypatch):
     with pytest.raises(SystemExit, match="git clone.*git worktree add --detach"):
         bench_pairs.main([str(tmp_path / "parent"), str(ROOT), "--seeds", "1", "--out", str(out)])
     assert calls == [] and not out.exists()
+
+
+def test_sweep_times_each_agent_count_in_its_own_process(tmp_path, capsys):
+    # tiny cycles, one pair of runs each: every figure is there and the thinned run writes 2 rows
+    out = tmp_path / "sweep.json"
+    args = ["--out", str(out), "--agents", "6,9", "--runs", "1", "--iterations", "3"]
+    assert _tool("sweep").main(args) == 0
+    sweep = json.loads(out.read_text())
+    assert (sweep["iterations"], sweep["runs"], list(sweep["trees"])) == (3, 1, ["this"])
+    figures = sweep["trees"]["this"]["agents"]
+    assert list(figures) == ["6", "9"]
+    for m in figures.values():
+        assert m["rows"] == {"written": 4, "thinned": 2}
+        for key in ("setup_s", "spectral_s", "us_per_iter", "step_us", "peak_rss_mb"):
+            assert m[key] > 0.0
+        assert "merit_ms_per_row" in m
+    assert "m=9" in capsys.readouterr().out
+
+
+def test_sweep_rejects_a_tree_without_the_package(tmp_path):
+    with pytest.raises(SystemExit):
+        _tool("sweep").main(["--out", str(tmp_path / "s.json"), "--tree", f"x={tmp_path}"])
+    assert not (tmp_path / "s.json").exists()

@@ -1,0 +1,186 @@
+"""Time adaptive runs on cycle graphs of growing size, and write one BENCH_<n>_sweep.json.
+
+Usage::
+
+    python tools/sweep.py --out BENCH_18_sweep.json --tree parent=PARENT/src --tree change=src
+
+Each ``--tree LABEL=SRC`` names a package source tree (the directory that holds
+``gossipopt/``); with none, the sweep times this checkout's ``src``. For every
+agent count m (``--agents``, default 200, 800 and 3200) and every tree, one
+fresh process, on one BLAS thread, runs ``--runs`` pairs of the same adaptive
+quadratic on the m-agent cycle (h=5 rows and n=20 columns per agent), each for
+exactly ``--iterations`` iterations: one run writes a row at every iteration
+(``stride: 1``), the other is fully thinned (``stride`` = the iteration count:
+rows at k=0 and at the end). The trees take turns at each m, so drift on the
+host falls on all of them alike. Per tree and m the output records the medians
+over the runs of
+
+- ``setup_s``: from ``run()``'s entry to its first iteration (every run);
+- ``spectral_s``: the time of ``spectral_data``, the m x m factor of the merit V;
+- ``us_per_iter``: the written run's solve time (first iteration to return)
+  per iteration;
+- ``step_us``: the thinned run's solve time per iteration: the step, plus the
+  merits of two rows (where V is blocked, one whole block's product);
+- ``merit_ms_per_row``: the written run's solve time minus the thinned run's,
+  over the difference in their row counts, per pair: both merits of one row;
+- ``peak_rss_mb``: the process's peak resident set.
+
+V is evaluated a block of rows at a time, and a run's last block is multiplied
+whole however few rows it holds. The default 33 iterations give the written
+run 34 rows, two more than a multiple of 16, the largest block: both runs then
+end on a block of two rows, so the difference is whole blocks. A run that
+stops before the last iteration is an error.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import resource
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parents[1]
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+H, N = 5, 20
+
+
+def config(m: int, iterations: int, stride: int) -> dict:
+    return {
+        "graph": {"kind": "cycle", "m": m},
+        "problem": {"kind": "quadratic", "m": m, "h": H, "n": N, "lambda": 0.0, "seed": 1},
+        "algorithm": {"algorithm": "adaptive", "delta": 1.0, "theta0": 1.0, "d0": 1,
+                      "gamma": {"beta1": 2.0, "beta2": 1.0}},
+        "epsilon": 1e-30,
+        "max_iterations": iterations,
+        "stride": stride,
+        "seed": 1,
+    }
+
+
+def measure(m: int, runs: int, iterations: int) -> dict:
+    """The figures of one agent count, in this process, with the package already importable."""
+    from gossipopt import RunConfig, harness, run
+
+    first_iteration, spectral = [], []
+    stats, spectral_data = harness.AdaptiveAlgorithm.stats, harness.spectral_data
+
+    def marked_stats(algo):  # run() calls stats() at the top of every iteration
+        if not first_iteration:
+            first_iteration.append(perf_counter())
+        return stats(algo)
+
+    def timed_spectral_data(gm):
+        start = perf_counter()
+        T = spectral_data(gm)
+        spectral.append(perf_counter() - start)
+        return T
+
+    harness.AdaptiveAlgorithm.stats = marked_stats
+    harness.spectral_data = timed_spectral_data
+    written, thinned = (RunConfig.from_dict(config(m, iterations, s)) for s in (1, iterations))
+    setup, solve, rows = [], {}, {}
+    for _ in range(runs):
+        for name, cfg in (("written", written), ("thinned", thinned)):
+            first_iteration.clear()
+            start = perf_counter()
+            trace = run(cfg)
+            end = perf_counter()
+            if trace.final.k != iterations:
+                raise RuntimeError(f"m={m}: the run stopped at k={trace.final.k} ({trace.status})")
+            setup.append(first_iteration[0] - start)
+            solve.setdefault(name, []).append(end - first_iteration[0])
+            rows[name] = len(trace.rows)
+    extra_rows = rows["written"] - rows["thinned"]
+    return {
+        "setup_s": statistics.median(setup),
+        "spectral_s": statistics.median(spectral),
+        "us_per_iter": 1e6 * statistics.median(solve["written"]) / iterations,
+        "step_us": 1e6 * statistics.median(solve["thinned"]) / iterations,
+        "merit_ms_per_row": 1e3 * statistics.median(
+            (w - t) / extra_rows for w, t in zip(solve["written"], solve["thinned"])),
+        "rows": rows,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+    }
+
+
+def child(src: Path, m: int, runs: int, iterations: int) -> dict:
+    """``measure`` in a fresh process on one BLAS thread, importing the package from ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(src), **{var: "1" for var in THREAD_VARS})
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--child", str(m),
+           "--runs", str(runs), "--iterations", str(iterations)]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{src}: m={m} exited {proc.returncode}\n{proc.stderr}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def commit(src: Path) -> dict:
+    """The tree's git commit, and whether its files differ from that commit."""
+    def git(*args):
+        proc = subprocess.run(["git", "-C", str(src), *args], capture_output=True, text=True)
+        return proc.stdout.strip() if proc.returncode == 0 else None
+    head = git("rev-parse", "HEAD")
+    return {"commit": head, "modified": bool(git("status", "--porcelain", "--", ".")) if head else None}
+
+
+def machine() -> dict:
+    import numpy
+    import scipy
+
+    cpu = next((line.split(":", 1)[1].strip() for line in open("/proc/cpuinfo", encoding="utf-8")
+                if line.startswith("model name")), platform.processor())
+    return {"nproc": os.cpu_count(), "cpu": cpu, "python": platform.python_version(),
+            "numpy": numpy.__version__, "scipy": scipy.__version__}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", type=Path)
+    parser.add_argument("--tree", action="append", default=[], metavar="LABEL=SRC")
+    parser.add_argument("--agents", default="200,800,3200")
+    parser.add_argument("--runs", type=int, default=5)
+    parser.add_argument("--iterations", type=int, default=33)
+    parser.add_argument("--child", type=int, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child is not None:
+        print(json.dumps(measure(args.child, args.runs, args.iterations)))
+        return 0
+    if args.out is None:
+        parser.error("--out is required")
+
+    trees = dict(tree.split("=", 1) for tree in args.tree) or {"this": str(ROOT / "src")}
+    trees = {label: Path(src).resolve() for label, src in trees.items()}
+    for label, src in trees.items():
+        if not (src / "gossipopt" / "__init__.py").is_file():
+            parser.error(f"--tree {label}: no gossipopt package in {src}")
+    agents = [int(m) for m in args.agents.split(",")]
+    results = {label: {**commit(src), "agents": {}} for label, src in trees.items()}
+    for m in agents:
+        for label, src in trees.items():
+            start = perf_counter()
+            figures = results[label]["agents"][str(m)] = child(src, m, args.runs, args.iterations)
+            print(f"{label} m={m}: " + ", ".join(
+                f"{key} {value:.4g}" for key, value in figures.items() if key != "rows")
+                + f" ({perf_counter() - start:.1f} s)", flush=True)
+    args.out.write_text(json.dumps({
+        "what": ("tools/sweep.py: adaptive runs on the cycle graph, medians over the runs of "
+                 "each agent count, one process per tree and agent count, one BLAS thread"),
+        "machine": machine(),
+        "problem": {"graph": "cycle", "h": H, "n": N, "method": "adaptive"},
+        "iterations": args.iterations,
+        "runs": args.runs,
+        "trees": results,
+    }, indent=1) + "\n")
+    print(f"wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
