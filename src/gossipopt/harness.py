@@ -33,7 +33,7 @@ from .losses import (
     partition_logistic,
     quadratic_condition_numbers,
 )
-from .metrics import ErgodicAverage, MeritBlock, fixed_point, merit_cvx
+from .metrics import ErgodicAverage, MeritBlock, fixed_point, merit_cvx, squared_norm
 
 __all__ = [
     "CSV_HEADER",
@@ -373,7 +373,7 @@ def run(config: RunConfig) -> RunTrace:
 
     kind = config.problem["kind"]
     erg = ErgodicAverage()
-    denom = float(np.linalg.norm(X0 - fp.X_star)) or 1.0
+    denom = math.sqrt(squared_norm(X0 - fp.X_star)) or 1.0
 
     def fill(values: list[float]) -> None:
         """Give the last len(values) rows the V that their block has just evaluated."""
@@ -404,8 +404,7 @@ def run(config: RunConfig) -> RunTrace:
     while True:
         stats = algo.stats()
         vector_rounds, scalar_rounds = algo.exchange.vector_rounds, algo.exchange.scalar_rounds
-        dX = algo.X - fp.X_star
-        dX_sq = float(np.vdot(dX, dX))
+        dX_sq = squared_norm(algo.X - fp.X_star)
         err_rel = math.sqrt(dX_sq) / denom
         # the logistic stop reads M_erg every iteration; the quadratic one only err_rel
         m_erg = (

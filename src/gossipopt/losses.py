@@ -17,6 +17,9 @@ block-diagonal CSR matrix, which reads only the nonzero features.
 
 from __future__ import annotations
 
+from itertools import chain, islice
+from operator import itemgetter
+
 import numpy as np
 from scipy.sparse import csr_array, get_index_dtype
 from scipy.special import expit
@@ -34,6 +37,11 @@ __all__ = [
 
 # Newton steps of the centralized oracle; logistic data needs about five
 _NEWTON_ROUNDS = 30
+# lines of a libsvm file parsed at a time, which bounds the memory its tokens take
+_BLOCK_LINES = 128
+_HEAD, _TAIL = itemgetter(0), itemgetter(slice(1, None))
+# every byte but ' ' and ':', which bytes.translate deletes
+_NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b" :")))
 
 
 class LossError(ValueError):
@@ -174,43 +182,86 @@ def generate_quadratic(m: int, h: int, n: int, ridge: float, seed: int) -> Quadr
     return QuadraticFamily(A, b, ridge)
 
 
+def _check_libsvm_line(tokens: list[str]) -> None:
+    """Raise the ValueError that makes one split libsvm line malformed, if any."""
+    float(tokens[0])
+    for token in tokens[1:]:
+        idx_s, val_s = token.split(":", 1)
+        if (idx := int(idx_s)) < 1:
+            raise ValueError(f"index {idx} is not 1-based")
+        float(val_s)
+
+
+class _IndexMemo(dict):
+    """``int`` of each index string looked up, parsed on its first lookup only."""
+
+    def __missing__(self, idx_s: str) -> int:
+        self[idx_s] = idx = int(idx_s)
+        return idx
+
+
 def parse_libsvm(path) -> tuple[np.ndarray, np.ndarray, int]:
     """Read a libsvm text file: ``<label> <idx>:<val> ...`` with 1-based indices.
 
-    Returns (labels in {-1,+1}, dense feature rows, feature count). Rows are
-    densified to the maximum index seen anywhere in the file.
+    Returns (labels in {-1,+1}, dense feature rows, feature count). Tokens are
+    separated by any whitespace and parsed by Python's ``float`` (labels and
+    values) and ``int`` (indices); a label above 0 becomes +1, any other -1.
+    Blank lines are skipped, a row may have no entry, and a repeated index
+    keeps its last value. Rows are densified to the largest index seen
+    anywhere in the file. A malformed line, an empty file or a file without
+    any ``idx:val`` entry raises ``LossError``.
+
+    The file is read ``_BLOCK_LINES`` lines at a time. Each line is split
+    once, each block's entries are joined and split on ':' once, and its
+    labels, indices and values are parsed by ``map``, each distinct index
+    string only once, so no Python bytecode runs per token. When a block
+    fails, its lines are checked one by one to name the first bad one.
     """
-    labels: list[float] = []
-    row_sizes: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
+    labels, row_sizes, cols, vals = [], [], [], []
+    first_line = 1
+    indices = _IndexMemo()  # a file repeats the same few index strings
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens = line.split()
-            if not tokens:
-                continue
+        while lines := list(islice(fh, _BLOCK_LINES)):
+            rows = list(filter(None, map(str.split, lines)))
+            entries = list(chain.from_iterable(map(_TAIL, rows)))
+            text = " ".join(entries)
             try:
-                raw = float(tokens[0])
-                entries = {}
-                for tok in tokens[1:]:
-                    idx_s, val_s = tok.split(":", 1)
-                    idx = int(idx_s)
-                    if idx < 1:
-                        raise ValueError(f"index {idx} is not 1-based")
-                    entries[idx] = float(val_s)
-            except ValueError as exc:
-                raise LossError(f"{path}: malformed libsvm line {lineno}: {exc}") from exc
-            labels.append(1.0 if raw > 0 else -1.0)
-            row_sizes.append(len(entries))
-            cols.extend(entries)
-            vals.extend(entries.values())
-    if not labels:
+                # one ':' per entry: the separators alternate ':', ' ', ..., ':'
+                if text.encode().translate(None, _NOT_SEPARATORS) != (b": " * len(entries))[:-1]:
+                    raise ValueError("an entry is not one idx:val pair")
+                parts = text.replace(" ", ":").split(":") if entries else []
+                labels.append(np.fromiter(map(float, map(_HEAD, rows)), float, len(rows)))
+                cols.append(np.fromiter(map(indices.__getitem__, parts[0::2]), np.intp, len(entries)))
+                vals.append(np.fromiter(map(float, parts[1::2]), float, len(entries)))
+                if (cols[-1] < 1).any():
+                    raise ValueError("an index is not 1-based")
+            except (ValueError, OverflowError):  # an index beyond np.intp overflows
+                for lineno, line in enumerate(lines, start=first_line):
+                    try:
+                        if tokens := line.split():
+                            _check_libsvm_line(tokens)
+                    except ValueError as exc:
+                        raise LossError(f"{path}: malformed libsvm line {lineno}: {exc}") from exc
+                raise
+            row_sizes.append(np.fromiter(map(len, rows), np.intp, len(rows)) - 1)
+            first_line += len(lines)
+    labels = np.concatenate(labels) if labels else np.empty(0)
+    if not labels.size:
         raise LossError(f"{path}: empty libsvm file")
-    col_index = np.array(cols, dtype=np.intp) - 1
-    n_features = int(col_index.max()) + 1 if cols else 0
-    features = np.zeros((len(labels), n_features))
-    features[np.repeat(np.arange(len(labels)), row_sizes), col_index] = vals
-    return np.array(labels), features, n_features
+    col_index = np.concatenate(cols) - 1
+    if not col_index.size:
+        raise LossError(f"{path}: no idx:val entry in the libsvm file")
+    n_features = int(col_index.max()) + 1
+    features = np.zeros((labels.size, n_features))
+    flat = features.ravel()
+    keys = np.repeat(np.arange(labels.size) * n_features, np.concatenate(row_sizes)) + col_index
+    # numpy leaves the winner of a repeated index to its iteration order, so
+    # mark each entry's last occurrence by its position first, then store those
+    order = np.arange(1.0, keys.size + 1.0)
+    np.maximum.at(flat, keys, order)
+    last = flat[keys] == order
+    flat[keys[last]] = np.concatenate(vals)[last]
+    return np.where(labels > 0, 1.0, -1.0), features, n_features
 
 
 def partition_logistic(

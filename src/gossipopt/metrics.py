@@ -19,7 +19,12 @@ __all__ = [
     "linear_rate_fit",
     "merit_cvx",
     "merit_sc",
+    "squared_norm",
 ]
+
+
+# terms per BLAS ddot in squared_norm, below OpenBLAS's threading threshold of 10,000
+_NORM_CHUNK = 8192
 
 
 class MetricsError(ValueError):
@@ -59,10 +64,21 @@ def fixed_point(family, tol: float = 1e-8) -> FixedPoint:
     return FixedPoint(x_star=x_star, X_star=X_star, Y_star=Y_star, F_star=F_star)
 
 
-def _squared_norm(A: np.ndarray) -> np.float64:
-    """||A||^2 summed in A's C order, as BLAS ``ddot`` sums a contiguous array, however A is strided."""
-    A = np.ascontiguousarray(A)
-    return np.vdot(A, A)
+def squared_norm(A: np.ndarray) -> float:
+    """||A||^2 summed in A's C order, however A is strided, the same at every BLAS thread count.
+
+    BLAS ``ddot`` sums a contiguous run of terms, and OpenBLAS splits a run of
+    more than 10,000 across threads, which rounds differently at each thread
+    count. So the terms go to ``ddot`` in chunks of at most ``_NORM_CHUNK``,
+    whose sums are added left to right: an array of up to ``_NORM_CHUNK``
+    terms gets exactly the bytes of one ``ddot``.
+    """
+    a = np.ascontiguousarray(A).ravel()
+    total = 0.0
+    for start in range(0, a.size, _NORM_CHUNK):
+        chunk = a[start : start + _NORM_CHUNK]
+        total += np.vdot(chunk, chunk)
+    return float(total)
 
 
 class MeritBlock:
@@ -96,7 +112,7 @@ class MeritBlock:
             theta_sq = theta_min_prev**2
         except OverflowError:  # a Python float above about 1.34e154
             theta_sq = np.inf
-        self._pending.append((dX_sq, _squared_norm(dY), theta_sq))
+        self._pending.append((dX_sq, squared_norm(dY), theta_sq))
         return self.flush() if len(self._pending) == self._rows else []
 
     def flush(self) -> list[float]:
@@ -107,7 +123,7 @@ class MeritBlock:
         Z = dtrmm(1.0, self._T, self._buffer, side=1, overwrite_b=1)
         values = []
         for i, (dX_sq, dY_sq, theta_sq) in enumerate(self._pending):
-            m_form = max(float(_squared_norm(Z[i * self._d : (i + 1) * self._d].T) - dY_sq), 0.0)
+            m_form = max(squared_norm(Z[i * self._d : (i + 1) * self._d].T) - dY_sq, 0.0)
             values.append(dX_sq + theta_sq * m_form)
         self._pending.clear()
         return values
@@ -116,7 +132,7 @@ class MeritBlock:
 def merit_sc(X: np.ndarray, Y: np.ndarray, theta_min_prev: float, fp: FixedPoint, T: np.ndarray) -> float:
     """Strongly convex merit of one iterate: ||X - X*||^2 + theta^2 ||Y - Y*||^2_M (see ``MeritBlock``)."""
     dX = X - fp.X_star
-    (V,) = MeritBlock(fp, T, rows=1).add(float(np.vdot(dX, dX)), Y, theta_min_prev)
+    (V,) = MeritBlock(fp, T, rows=1).add(squared_norm(dX), Y, theta_min_prev)
     return V
 
 

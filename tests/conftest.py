@@ -9,6 +9,7 @@ from scipy.special import expit
 from gossipopt import (
     BacktrackingError,
     LogisticFamily,
+    LossError,
     QuadraticFamily,
     backtrack_batch,
     build_erdos_renyi,
@@ -34,6 +35,46 @@ def find_a3a() -> Path | None:
         if cand and Path(cand).is_file():
             return Path(cand)
     return None
+
+
+def libsvm_reference(path) -> tuple[np.ndarray, np.ndarray, int]:
+    """``parse_libsvm`` token by token: the reference for its bulk reader.
+
+    Each line's label goes through ``float``, each ``idx:val`` token through
+    ``str.split(":", 1)``, ``int`` and ``float`` into a dict, so a repeated
+    index keeps its last value; the first malformed line raises ``LossError``
+    naming it. An empty file, or one with no entry at all, is rejected.
+    """
+    labels, row_sizes, cols, vals = [], [], [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            tokens = line.split()
+            if not tokens:
+                continue
+            try:
+                raw = float(tokens[0])
+                entries = {}
+                for tok in tokens[1:]:
+                    idx_s, val_s = tok.split(":", 1)
+                    idx = int(idx_s)
+                    if idx < 1:
+                        raise ValueError(f"index {idx} is not 1-based")
+                    entries[idx] = float(val_s)
+            except ValueError as exc:
+                raise LossError(f"{path}: malformed libsvm line {lineno}: {exc}") from exc
+            labels.append(1.0 if raw > 0 else -1.0)
+            row_sizes.append(len(entries))
+            cols.extend(entries)
+            vals.extend(entries.values())
+    if not labels:
+        raise LossError(f"{path}: empty libsvm file")
+    if not cols:
+        raise LossError(f"{path}: no idx:val entry in the libsvm file")
+    col_index = np.array(cols, dtype=np.intp) - 1
+    n_features = int(col_index.max()) + 1
+    features = np.zeros((len(labels), n_features))
+    features[np.repeat(np.arange(len(labels)), row_sizes), col_index] = vals
+    return np.array(labels), features, n_features
 
 
 def synthetic_logistic(m: int, h: int, d: int, seed: int) -> LogisticFamily:

@@ -23,6 +23,7 @@ from gossipopt import (
     fixed_point,
     generate_quadratic,
     gossip_matrix,
+    graph_from_spec,
     local_max_consensus,
     local_min_consensus,
 )
@@ -608,3 +609,92 @@ def test_failed_adaptive_step_charges_no_rounds(monkeypatch, method):
     assert _rounds(algo) == before
     assert algo.state.k == state.k == 4
     np.testing.assert_array_equal(algo.X, state.X)
+
+
+# --- exact metamorphic checks: locality and scale equivariance ---
+
+
+def _agent_rows(state: AdaptiveState) -> np.ndarray:
+    """Each agent's X, Y, theta, tracker, pi and diameter estimate, as the bits of one row."""
+    rows = np.column_stack([state.X, state.Y, state.theta, state.theta_tracker, state.pi, state.diam])
+    return rows.view(np.uint64)
+
+
+LIGHT_CONE_GRAPHS = {
+    "line60": {"kind": "line", "m": 60},
+    "cycle60": {"kind": "cycle", "m": 60},
+    "er120": {"kind": "erdos_renyi", "m": 120, "p": 0.03, "seed": 4},
+}
+
+
+@pytest.mark.parametrize("graph", sorted(LIGHT_CONE_GRAPHS))
+@pytest.mark.parametrize("method, hops_per_iteration", [("adaptive", 3), ("nips_local", 2)])
+def test_perturbing_one_agent_reaches_a_bounded_number_of_hops(graph, method, hops_per_iteration):
+    # after k iterations, every agent farther than hops_per_iteration * k from agent j
+    # holds exactly the state it holds without the perturbation of f_j
+    g = graph_from_spec(LIGHT_CONE_GRAPHS[graph])
+    gm = gossip_matrix(g)
+    base = generate_quadratic(g.m, h=6, n=5, ridge=0.0, seed=3)
+    j = 0
+    hops = shortest_path(edge_adjacency(g), unweighted=True, indices=j)
+    for factor in (10.0, 0.1, 3.0):
+        A = base.A.copy()
+        A[j] *= factor
+        algos = [AdaptiveAlgorithm(gm, fam, np.zeros((g.m, 5)), method=method)
+                 for fam in (base, QuadraticFamily(A, base.b))]
+        for k in range(1, 16):
+            for algo in algos:
+                algo.step()
+            differs = (_agent_rows(algos[0].state) != _agent_rows(algos[1].state)).any(axis=1)
+            assert differs[j]
+            assert hops[differs].max() <= hops_per_iteration * k, (factor, k)
+
+
+def test_network_wide_minimum_reaches_the_far_end_at_once():
+    # nips_global's flood is not local: the light cone check above would see it at k = 1
+    g = build_line_graph(60)
+    gm = gossip_matrix(g)
+    base = generate_quadratic(60, h=6, n=5, ridge=0.0, seed=3)
+    A = base.A.copy()
+    A[0] *= 10.0
+    algos = [AdaptiveAlgorithm(gm, fam, np.zeros((60, 5)), method="nips_global")
+             for fam in (base, QuadraticFamily(A, base.b))]
+    for algo in algos:
+        algo.step()
+    differs = (_agent_rows(algos[0].state) != _agent_rows(algos[1].state)).any(axis=1)
+    assert differs[59]
+
+
+SCALE_CASES = [
+    ({"kind": "line", "m": 20}, "adaptive", 0.0),
+    ({"kind": "line", "m": 20}, "adaptive", 1.0),
+    ({"kind": "line", "m": 20}, "nips_local", 0.0),
+    ({"kind": "line", "m": 20}, "nips_local", 1.0),
+    ({"kind": "erdos_renyi", "m": 30, "p": 0.2, "seed": 2}, "adaptive", 0.0),
+    ({"kind": "cycle", "m": 40}, "nips_global", 0.0),
+]
+
+
+@pytest.mark.parametrize("spec, method, ridge", SCALE_CASES)
+def test_scaling_every_loss_scales_the_stepsizes_and_duals_exactly(spec, method, ridge):
+    # f_i -> s f_i with theta0 -> theta0 / s: the iterates are those of the unscaled run,
+    # theta * s and Y / s too, bit for bit, at every iteration; s and sqrt(s) are powers of two
+    g = graph_from_spec(spec)
+    gm = gossip_matrix(g)
+    base = generate_quadratic(g.m, h=6, n=5, ridge=ridge, seed=1)
+    reference = AdaptiveAlgorithm(gm, base, np.zeros((g.m, 5)), method=method)
+    scaled = {
+        s: AdaptiveAlgorithm(gm, QuadraticFamily(np.sqrt(s) * base.A, np.sqrt(s) * base.b, s * ridge),
+                             np.zeros((g.m, 5)), method=method, theta0=1.0 / s)
+        for s in (4.0, 2.0**-6, 1024.0)
+    }
+    for _ in range(400):
+        reference.step()
+        for s, algo in scaled.items():
+            algo.step()
+            assert np.array_equal(algo.X, reference.X)
+            assert np.array_equal(algo.state.theta * s, reference.state.theta)
+            assert np.array_equal(algo.Y / s, reference.Y)
+    for algo in scaled.values():
+        assert (algo.exchange.vector_rounds, algo.exchange.scalar_rounds) == (
+            reference.exchange.vector_rounds, reference.exchange.scalar_rounds)

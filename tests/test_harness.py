@@ -1,6 +1,9 @@
 import contextlib
 import copy
 import io
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -78,6 +81,19 @@ def test_logistic_config_requires_existing_dataset():
     raw["problem"] = {"kind": "logistic", "dataset": "/no/such/file", "m": 6, "h": 5}
     with pytest.raises(ConfigError, match="not found"):
         RunConfig.from_dict(raw)
+
+
+def test_cli_rejects_a_dataset_without_features(tmp_path, capsys):
+    # labels alone made a 0-dimensional problem that "converged" at k=1 and exited 0
+    data = tmp_path / "labels.svm"
+    data.write_text("+1\n-1\n-1\n+1\n")
+    raw = small_quadratic_config()
+    raw["graph"] = {"kind": "line", "m": 2}
+    raw["problem"] = {"kind": "logistic", "dataset": str(data), "m": 2, "h": 2, "seed": 1}
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(raw))
+    assert main(["run", "--config", str(cfg_path)]) == 3
+    assert "no idx:val entry" in capsys.readouterr().err
 
 
 def test_run_converges_and_is_deterministic(tmp_path):
@@ -191,6 +207,29 @@ def test_logistic_stop_reads_the_ergodic_merit_every_iteration(tmp_path, monkeyp
     trace = run(RunConfig.from_dict(cfg))
     assert [r.k for r in trace.rows] == [0, 5, 10, 12]
     assert len(cvx_calls) == 12  # k = 1..12, with nothing averaged yet at k = 0
+
+
+def test_err_rel_does_not_depend_on_blas_threads():
+    # m*d = 12,000 terms: one OpenBLAS ddot would split ||X - X*||^2 across threads
+    script = (
+        "import math\n"
+        "from gossipopt import RunConfig, run\n"
+        "m = 600\n"
+        "trace = run(RunConfig.from_dict({\n"
+        "    'graph': {'kind': 'erdos_renyi', 'm': m, 'p': round(3 * math.log(m) / m, 4), 'seed': 7},\n"
+        "    'problem': {'kind': 'quadratic', 'm': m, 'h': 10, 'n': 20, 'lambda': 0.0, 'seed': 1},\n"
+        "    'algorithm': {'algorithm': 'adaptive'}, 'epsilon': 1e-5, 'seed': 1}))\n"
+        "print(trace.status, [(r.k, r.vector_rounds, r.scalar_rounds, r.err_rel.hex()) for r in trace.rows])\n"
+    )
+    src = str(Path(harness.__file__).resolve().parents[1])
+    outputs = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        outputs.add(done.stdout)
+    assert len(outputs) == 1
+    assert outputs.pop().startswith("converged [(0, 0, 0,")
 
 
 def test_run_divergence_recorded_not_raised():

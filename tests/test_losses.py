@@ -1,10 +1,13 @@
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gossipopt
 from gossipopt import (
@@ -17,7 +20,8 @@ from gossipopt import (
     partition_logistic,
     quadratic_condition_numbers,
 )
-from conftest import agent_gradient, agent_value, find_a3a, synthetic_logistic
+from gossipopt import losses
+from conftest import agent_gradient, agent_value, find_a3a, libsvm_reference, synthetic_logistic
 
 
 def row_directional_fd(fam, X, U, eps=1e-6):
@@ -249,6 +253,109 @@ def test_parse_libsvm_empty_file(tmp_path):
         parse_libsvm(path)
 
 
+def test_parse_libsvm_rejects_a_file_without_entries(tmp_path):
+    # labels alone would make a 0-dimensional problem; a label-only row among others stays allowed
+    path = tmp_path / "labels.svm"
+    path.write_text("+1\n-1\n\n-1\n+1\n")
+    with pytest.raises(LossError, match="no idx:val entry"):
+        parse_libsvm(path)
+    path.write_text("\n \t\n")
+    with pytest.raises(LossError, match="empty"):
+        parse_libsvm(path)
+
+
+def _parsed(parse, path):
+    """What a reader makes of a file: the bytes of its arrays, or its error message."""
+    try:
+        labels, feats, dims = parse(path)
+    except LossError as exc:
+        return str(exc)
+    return labels.dtype, labels.tobytes(), feats.dtype, feats.shape, feats.tobytes(), dims
+
+
+# token texts the reference reads as a valid index (1-based, 0-padded, signed, non-ASCII digits) ...
+_INDEX_TEXT = st.integers(1, 12).flatmap(
+    lambda i: st.sampled_from([str(i), f"0{i}", f"+{i}"] + ([chr(0x0660 + i)] if i < 10 else []))
+)
+_VALUE_TEXT = st.one_of(
+    st.sampled_from(["1", "0", "-0", "0.5", "-2", "1e-3", "inf", "nan", "1_0"]),
+    st.floats(width=64, allow_nan=False).map(repr),
+)
+_LABEL_TEXT = st.sampled_from(["+1", "-1", "1", "0", "2.5", "-0.0", "nan", "1e0"])
+# ... and tokens it rejects, each in its own way
+_BAD_TOKENS = ["x:3", "3", "3:", ":3", "3:1:2", "0:1", "-2:1", "3:y"]
+_SPACE = st.sampled_from([" ", "\t", "  ", " \t "])
+
+
+@st.composite
+def libsvm_text(draw, bad: bool):
+    """A libsvm file: shuffled and repeated indices, label-only, blank and whitespace-only lines,
+    tabs and CRLF endings; with ``bad``, possibly a malformed token or label somewhere."""
+    lines = []
+    for _ in range(draw(st.integers(1, 14))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", "   ", "\t", " \t "])))
+            continue
+        tokens = [draw(_LABEL_TEXT)]
+        for _ in range(draw(st.integers(0, 5))):
+            tokens.append(f"{draw(_INDEX_TEXT)}:{draw(_VALUE_TEXT)}")
+        if bad and draw(st.integers(0, 9)) == 0:
+            slot = draw(st.integers(0, len(tokens)))
+            tokens.insert(slot, draw(st.sampled_from(_BAD_TOKENS if slot else ["x", "1:1", "+"])))
+        line = draw(st.sampled_from(["", " ", "\t"])) + "".join(t + draw(_SPACE) for t in tokens)
+        lines.append(line.rstrip(" \t") if draw(st.booleans()) else line)
+    return "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=libsvm_text(bad=True), block=st.sampled_from([1, 2, 3, 5, 128]))
+def test_parse_libsvm_matches_the_token_by_token_reference(tmp_path_factory, text, block):
+    # labels, features and dimension byte for byte, or the same error naming the same line,
+    # whichever block the line falls in
+    path = tmp_path_factory.mktemp("svm") / "data.svm"
+    path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(losses, "_BLOCK_LINES", block):
+        assert _parsed(parse_libsvm, path) == _parsed(libsvm_reference, path)
+
+
+@pytest.mark.parametrize(
+    "bad", ["-1 x:3", "-1 3", "-1 3:", "-1 :3", "-1 3:1:2", "-1 0:1", "x 3:1", "-1 3 4:1:2"]
+)
+@pytest.mark.parametrize("lineno", [1, 4, 11])
+def test_parse_libsvm_names_the_malformed_line(tmp_path, monkeypatch, bad, lineno):
+    # blocks of 4 lines: line 11 falls in the third block, after two good ones
+    monkeypatch.setattr(losses, "_BLOCK_LINES", 4)
+    lines = ["+1 1:1 5:0.5"] * 12
+    lines[lineno - 1] = bad
+    lines[lineno] = "+1 7:1:1"  # a later bad line must not be the one named
+    path = tmp_path / "bad.svm"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(LossError, match=f"line {lineno}:") as raised:
+        parse_libsvm(path)
+    assert str(raised.value) == _parsed(libsvm_reference, path)
+
+
+def _benchmark_libsvm():
+    spec = importlib.util.spec_from_file_location(
+        "synthetic_logistic", Path(__file__).resolve().parents[1] / "benchmarks" / "synthetic_logistic.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_parse_libsvm_reads_the_benchmark_file_byte_for_byte(tmp_path):
+    # a3a-shaped data, 3,185 lines in many blocks, at the token orders of seeds 1-10
+    synthetic = _benchmark_libsvm()
+    labels, features = synthetic.generate(7)
+    for seed in range(1, 11):
+        path = tmp_path / f"seed{seed}.svm"
+        synthetic.write_libsvm(path, labels, features, token_seed=seed)
+        parsed = _parsed(parse_libsvm, path)
+        assert parsed == _parsed(libsvm_reference, path)
+        assert parsed[3] == (3185, 123)
+
+
 def test_parse_a3a_counts():
     path = find_a3a()
     if path is None:
@@ -257,6 +364,7 @@ def test_parse_a3a_counts():
     assert len(labels) == 3185
     assert dims == 123
     assert set(np.unique(labels)) == {-1.0, 1.0}
+    assert _parsed(parse_libsvm, path) == _parsed(libsvm_reference, path)
 
 
 # --- partitioning ---

@@ -18,7 +18,7 @@ from gossipopt import (
     merit_sc,
     spectral_data,
 )
-from gossipopt.metrics import MeritBlock
+from gossipopt.metrics import MeritBlock, squared_norm
 from conftest import CountingFamily, connected_er, dense, spectral_reference, synthetic_logistic
 
 
@@ -291,3 +291,17 @@ def test_linear_rate_fit_skips_nonpositive_and_errors_when_short():
     vs[20:] = 0.0  # last half keeps only 5 positive rows
     with pytest.raises(MetricsError):
         linear_rate_fit(ks, vs)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (7, 3), (600, 13), (8192,), (8193,), (600, 20), (40000,)])
+def test_squared_norm_sums_chunks_of_one_ddot_left_to_right(shape, rng):
+    A = rng.standard_normal(shape)
+    a = A.ravel()
+    expected = 0.0
+    for start in range(0, a.size, 8192):
+        expected += np.vdot(a[start : start + 8192], a[start : start + 8192])
+    assert squared_norm(A) == expected
+    if a.size <= 8192:  # one chunk: the bytes of the one ddot it replaces
+        assert squared_norm(A) == np.vdot(A, A)
+    # a strided view sums in its own C order, as its contiguous copy does
+    assert squared_norm(A.T) == squared_norm(np.ascontiguousarray(A.T))

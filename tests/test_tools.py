@@ -109,6 +109,30 @@ def test_bench_pairs_summary_arithmetic():
     assert entry["attempted_ops"] == {"parent": 50, "change": 50}
 
 
+def test_bench_pairs_prints_every_metric_and_whether_a_gain_holds(capsys):
+    bench_pairs = _tool("bench_pairs")
+    seeds = range(1, 11)
+    parent = [1.0 + 0.01 * s for s in seeds]  # median 1.055, exclusive quartiles 1.0275 and 1.0825
+    runs = {
+        "parent": {w: [_result(s, v, 100) for s, v in zip(seeds, parent)] for w in ("w", "v")},
+        "change": {
+            # lower on 9 of 10 pairs; by 0.1, more than the IQR, at w, and by 0.001 at v
+            w: [_result(s, v - gap if s < 10 else v + 0.01, 100) for s, v in zip(seeds, parent)]
+            for w, gap in (("w", 0.1), ("v", 0.001))
+        },
+    }
+    lines = bench_pairs.summary_lines(bench_pairs.summarize(runs))
+    assert lines == [
+        "w run_s: median 1.055 -> 0.955 (-9.5%), change lower on 9/10 pairs, parent IQR 0.055, gain rule holds",
+        "w iterations: median 100 -> 100 (+0.0%), change lower on 0/10 pairs, parent IQR 0, "
+        "gain rule does not hold",
+        "v run_s: median 1.055 -> 1.054 (-0.1%), change lower on 9/10 pairs, parent IQR 0.055, "
+        "gain rule does not hold",
+        "v iterations: median 100 -> 100 (+0.0%), change lower on 0/10 pairs, parent IQR 0, "
+        "gain rule does not hold",
+    ]
+
+
 def test_bench_pairs_rejects_unpaired_seeds():
     runs = {"parent": {"w": [_result(1, 1.0, 1)]}, "change": {"w": [_result(2, 1.0, 1)]}}
     with pytest.raises(ValueError, match="different seeds"):
@@ -121,7 +145,7 @@ def test_bench_pairs_reproduces_committed_summary(name):
     assert _tool("bench_pairs").summarize(bench["runs"]) == bench["summary"]
 
 
-def test_bench_pairs_alternates_the_side_that_runs_first(tmp_path, monkeypatch):
+def test_bench_pairs_alternates_the_side_that_runs_first(tmp_path, monkeypatch, capsys):
     bench_pairs = _tool("bench_pairs")
     calls = []
 
@@ -138,6 +162,9 @@ def test_bench_pairs_alternates_the_side_that_runs_first(tmp_path, monkeypatch):
     assert calls == [("change", 1), ("parent", 1), ("parent", 2), ("change", 2), ("change", 3), ("parent", 3)]
     bench = json.loads(out.read_text())
     assert (bench["seeds"], bench["seconds"], bench["parent_commit"]) == ([1, 2, 3], 30, "head-of-parent")
+    printed = capsys.readouterr().out
+    assert "w run_s: median 1 -> 0.5 (-50.0%), change lower on 3/3 pairs, parent IQR 0, gain rule holds" in printed
+    assert "w iterations: median 7 -> 7 (+0.0%)" in printed
     assert bench["summary"]["w"]["run_s"]["change_lower_pairs"] == 3
     assert [r["seed"] for r in bench["runs"]["parent"]["w"]] == [1, 2, 3]
 

@@ -23,7 +23,10 @@ parent's), ``median_change`` (the change's median relative to the parent's)
 and ``parent_iqr`` (the parent's Q3 - Q1, in the metric's unit). A claimed
 gain holds when the change is lower on at least nine of ten pairs and the
 median gap exceeds ``parent_iqr``. Each workload also records ``pairs`` and
-the failed and attempted operations per side.
+the failed and attempted operations per side. The script ends by printing,
+for every workload and end-to-end metric, the two medians, the median
+change, the pairs the change was lower on, the parent IQR and whether that
+gain rule holds (every metric of the benchmark is lower-is-better).
 """
 
 from __future__ import annotations
@@ -95,6 +98,30 @@ def summarize(runs: dict) -> dict:
     return summary
 
 
+def gain_holds(metric: dict, pairs: int) -> bool:
+    """The claimed-gain rule for a lower-is-better metric: lower on at least nine of ten
+    pairs, and the change's median below the parent's by more than ``parent_iqr``."""
+    gap = metric["parent"]["median"] - metric["change"]["median"]
+    return 10 * metric["change_lower_pairs"] >= 9 * pairs and gap > metric["parent_iqr"]
+
+
+def summary_lines(summary: dict) -> list[str]:
+    """One printed line per workload and end-to-end metric of a ``summarize`` result."""
+    lines = []
+    for workload, entry in summary.items():
+        pairs = entry["pairs"]
+        for name, metric in entry.items():
+            if not isinstance(metric, dict) or "parent_iqr" not in metric:
+                continue
+            lines.append(
+                f"{workload} {name}: median {metric['parent']['median']:.4g} -> "
+                f"{metric['change']['median']:.4g} ({metric['median_change']:+.1%}), change lower on "
+                f"{metric['change_lower_pairs']}/{pairs} pairs, parent IQR {metric['parent_iqr']:.3g}, "
+                f"gain rule {'holds' if gain_holds(metric, pairs) else 'does not hold'}"
+            )
+    return lines
+
+
 def git_head(tree: Path) -> str | None:
     proc = subprocess.run(["git", "-C", str(tree), "rev-parse", "HEAD"], capture_output=True, text=True)
     return proc.stdout.strip() if proc.returncode == 0 else None
@@ -136,11 +163,7 @@ def main(argv: list[str] | None = None) -> int:
         "summary": summary,
         "runs": runs,
     }, indent=1) + "\n")
-    for workload, entry in summary.items():
-        run_s = entry["run_s"]
-        print(f"{workload}: run_s median {run_s['parent']['median']:.4g} -> {run_s['change']['median']:.4g} "
-              f"({run_s['median_change']:+.1%}), change lower on {run_s['change_lower_pairs']}/{entry['pairs']} "
-              f"pairs, parent IQR {run_s['parent_iqr']:.3g}")
+    print("\n".join(summary_lines(summary)))
     print(f"wrote {args.out}")
     return 0
 
