@@ -306,7 +306,7 @@ def spectral_data(gm: GossipMatrix) -> np.ndarray:
     eigendecomposition and no m x m product. S is scattered from the CSR
     W_tilde into one m x m array, which both LAPACK calls overwrite in place,
     so T is the only m x m array of a run. T is Fortran-ordered, the layout
-    BLAS ``dtrmm`` reads without a copy, and zero below the diagonal.
+    BLAS ``dtrmm`` reads without a copy, zero below the diagonal, and read-only.
     """
     m = gm.graph.m
     S = gm._W_tilde.toarray().T  # Fortran order, LAPACK's own: the factorization works in place
@@ -319,4 +319,5 @@ def spectral_data(gm: GossipMatrix) -> np.ndarray:
         raise GraphError("I - W_tilde + 11^T/m is singular: the graph is disconnected")
     T, _ = dtrtri(R, overwrite_c=1)  # cannot fail: the pivots checked above are nonzero
     T *= gm.c**-0.5
+    T.setflags(write=False)
     return T

@@ -5,14 +5,21 @@ deterministic given its seeds, and emits one merit row per recorded iterate.
 Suites reproduce the desk-scale experiments: strongly convex quadratics on
 three graph families, a condition-number sweep, a line-graph diameter sweep,
 and logistic regression on a libsvm dataset.
+
+The runs of one ``tune_extra`` or ``experiment_suite`` call share their
+set-up: each distinct gossip matrix, loss family (with its fixed point) and
+merit factor is built once per call and dropped when the call ends. A
+``run()`` called on its own builds everything itself.
 """
 
 from __future__ import annotations
 
+import contextvars
 import json
 import math
 import numbers
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -306,6 +313,48 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+# The set-ups shared by the runs of the tune_extra or experiment_suite call under way, by key;
+# None outside one, where every run() builds its own.
+_SETUPS: contextvars.ContextVar[dict | None] = contextvars.ContextVar("gossipopt_setups", default=None)
+
+
+@contextmanager
+def _shared_setups():
+    """Let the runs inside build each distinct set-up once; a nested scope reuses the open one.
+
+    ``tune_extra`` and ``experiment_suite`` each run inside one. The set-ups
+    go when the outermost scope ends, normally or by an error, so two
+    top-level calls share nothing.
+    """
+    if _SETUPS.get() is not None:
+        yield
+        return
+    token = _SETUPS.set({})
+    try:
+        yield
+    finally:
+        _SETUPS.reset(token)
+
+
+def _setup(key: tuple, build):
+    """``build()``; inside a scope, the value the first ``build()`` for ``key`` gave."""
+    setups = _SETUPS.get()
+    if setups is None:
+        return build()
+    if key not in setups:
+        setups[key] = build()
+    return setups[key]
+
+
+def _spec_key(spec: dict) -> tuple:
+    return tuple(sorted(spec.items()))
+
+
+def _family(problem: dict, default_seed: int):
+    """The loss family of a problem section, built once per set-up scope."""
+    return _setup(("family", _spec_key(problem), default_seed), lambda: _build_family(problem, default_seed))
+
+
 def _build_family(problem: dict, default_seed: int):
     kind = problem["kind"]
     if kind == "quadratic":
@@ -352,16 +401,16 @@ def run(config: RunConfig) -> RunTrace:
     started = time.perf_counter()
     graph_spec = dict(config.graph)
     graph_spec.setdefault("seed", config.seed)
+    graph_key = (_spec_key(graph_spec), config.c)
     try:
-        graph = graph_from_spec(graph_spec)
-        gm = gossip_matrix(graph, c=config.c)
-        family = _build_family(config.problem, config.seed)
-        fp = fixed_point(family)
+        gm = _setup(("gossip", graph_key), lambda: gossip_matrix(graph_from_spec(graph_spec), c=config.c))
+        family = _family(config.problem, config.seed)
+        fp = fixed_point(family)  # computed once per family
         delta = float(config.algorithm.get("delta", 1.0))
         X0 = np.zeros((family.m, family.dim))
         algo = _make_algorithm(config.algorithm, gm, family, X0, delta)
         # the strongly convex merit weighs the duals; EXTRA has none
-        T = spectral_data(gm) if algo.Y is not None else None
+        T = _setup(("factor", graph_key), lambda: spectral_data(gm)) if algo.Y is not None else None
         merits = MeritBlock(fp, T, _merit_block_rows(family.m, family.dim)) if T is not None else None
     # GraphError, LossError, MetricsError, an unreadable dataset
     except (ValueError, TypeError, OverflowError, OSError) as exc:
@@ -459,11 +508,13 @@ def run(config: RunConfig) -> RunTrace:
     return trace
 
 
+@_shared_setups()
 def tune_extra(config: RunConfig, grid=None) -> tuple[float, RunTrace]:
     """Grid-search EXTRA's stepsize: fewest vector rounds to target wins.
 
     Later grid points are capped at the incumbent's round count, so clearly
-    worse stepsizes are pruned early. Ties go to the smaller alpha.
+    worse stepsizes are pruned early. Ties go to the smaller alpha. The grid
+    runs share one set-up: graph, data, fixed point.
     """
     if config.algorithm["algorithm"] != "extra":
         raise ConfigError("tune_extra needs an 'extra' algorithm config")
@@ -520,7 +571,7 @@ def _condition_members(data_path) -> list:
     members = []
     for ridge in (0.0, 1.0, 10.0, 100.0, 1000.0):
         problem = _quadratic(20, 110, ridge, 1)
-        kappa = float(quadratic_condition_numbers(_build_family(problem, 1)).max())
+        kappa = float(quadratic_condition_numbers(_family(problem, 1)).max())
         key = (_fmt(ridge), _fmt(kappa))
         members.append((key, f"lambda{ridge:g}", _SUITE_GRAPHS["er05"], problem, 1))
     return members
@@ -565,6 +616,7 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
+@_shared_setups()
 def experiment_suite(
     name: str,
     out_dir,
@@ -578,6 +630,7 @@ def experiment_suite(
     spot over ``alpha_grid``. A grid with no converged stepsize gives a
     ``tune_failed`` summary row, and no trace, instead of aborting the suite.
     Every run is configured, and so validated, before anything is written.
+    The suite's runs share their set-up, as a ``tune_extra`` call's do.
     """
     if name not in _SUITES:
         raise ConfigError(f"unknown suite {name!r}; pick one of {SUITE_NAMES}")

@@ -17,6 +17,7 @@ block-diagonal CSR matrix, which reads only the nonzero features.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import chain, islice
 from operator import itemgetter
 
@@ -48,6 +49,20 @@ class LossError(ValueError):
     """Malformed loss data, dimension mismatch, or oracle failure."""
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A view of ``a`` that refuses writes; ``a`` itself keeps its flags."""
+    view = a.view()
+    view.setflags(write=False)
+    return view
+
+
+def _frozen(M: csr_array) -> csr_array:
+    """``M`` with its data and index arrays read-only."""
+    for a in (M.data, M.indices, M.indptr):
+        a.setflags(write=False)
+    return M
+
+
 class _FamilyBase:
     m: int
     dim: int
@@ -68,7 +83,7 @@ class _FamilyBase:
 
 
 class QuadraticFamily(_FamilyBase):
-    """f_i(x) = ||A_i x - b_i||^2 + (ridge/2) ||x||^2 per agent."""
+    """f_i(x) = ||A_i x - b_i||^2 + (ridge/2) ||x||^2 per agent; ``A`` and ``b`` are read-only views."""
 
     def __init__(self, A: np.ndarray, b: np.ndarray, ridge: float = 0.0):
         A = np.asarray(A, dtype=float)
@@ -77,8 +92,8 @@ class QuadraticFamily(_FamilyBase):
             raise LossError(f"need A of shape (m, h, n) and matching b, got {A.shape}, {b.shape}")
         if not (0.0 <= ridge < np.inf):
             raise LossError(f"ridge coefficient must be finite and >= 0, got {ridge}")
-        self.A = A
-        self.b = b
+        self.A = _read_only(A)
+        self.b = _read_only(b)
         self.ridge = float(ridge)
         self.m = A.shape[0]
         self.dim = A.shape[2]
@@ -113,7 +128,8 @@ class QuadraticFamily(_FamilyBase):
 class LogisticFamily(_FamilyBase):
     """f_i(x) = (1/h_i) sum_j log(1 + exp(-b_ij <x, a_ij>)) per agent.
 
-    ``features`` (m, h, d) and ``labels`` (m, h) stay as given. The oracle
+    ``features`` (m, h, d) and ``labels`` (m, h) are kept as read-only views
+    of the arrays given, and every CSR matrix below is read-only too. The oracle
     runs on one CSR matrix S of shape (m*h, m*d), block-diagonal with block i
     equal to diag(b_i) F_i, and on a CSR copy of its transpose: the margins
     are S vec(X) and the gradients -S^T vec(expit(-z)) / h.
@@ -128,8 +144,8 @@ class LogisticFamily(_FamilyBase):
             )
         if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise LossError("labels must be -1 or +1")
-        self.features = features
-        self.labels = labels
+        self.features = _read_only(features)
+        self.labels = _read_only(labels)
         self.m, self._h, self.dim = features.shape
         # sign each sample row by its label, then shift agent i's columns to
         # block i: row r of the stacked samples belongs to agent r // h
@@ -141,8 +157,8 @@ class LogisticFamily(_FamilyBase):
         idx = get_index_dtype((F.indices, F.indptr), maxval=self.m * self.dim)
         cols = F.indices.astype(idx, copy=False)
         cols += np.repeat(np.arange(rows, dtype=idx) // self._h * self.dim, row_nnz)
-        self._S = csr_array((F.data, cols, F.indptr), shape=(rows, self.m * self.dim))
-        self._ST = self._S.T.tocsr()
+        self._S = _frozen(csr_array((F.data, cols, F.indptr), shape=(rows, self.m * self.dim)))
+        self._ST = _frozen(self._S.T.tocsr())
 
     def images(self, X: np.ndarray) -> np.ndarray:
         """The margins z = S vec(X), shape (m, h)."""
@@ -157,19 +173,25 @@ class LogisticFamily(_FamilyBase):
         z = self.images(X) if image is None else image
         return -(self._ST @ expit(-z).ravel()).reshape(self.m, self.dim) / self._h
 
+    @cached_property
+    def _fold(self) -> tuple[csr_array, csr_array]:
+        """T, S with its agent blocks folded onto the d shared columns, and T^T as CSR; built on first use."""
+        S = self._S
+        T = csr_array((S.data, S.indices % self.dim, S.indptr), shape=(S.shape[0], self.dim))
+        return _frozen(T), _frozen(T.T.tocsr())
+
     def _hessian(self, x: np.ndarray) -> np.ndarray:
         """Hessian of sum_i f_i at the shared x: T^T diag(s(z)s(-z)/h) T, s = expit.
 
-        T is S with its agent blocks folded onto the d shared columns (the
-        label-signed stacked features). A CSR product, so no threaded BLAS
-        call decides its bytes.
+        T (the label-signed stacked features) and T^T keep their pattern from
+        step to step, so only the weights and DT's data are new. A CSR product,
+        so no threaded BLAS call decides its bytes.
         """
         z = self.images(np.broadcast_to(x, (self.m, self.dim))).ravel()
-        S = self._S
-        weights = np.repeat(expit(z) * expit(-z) / self._h, np.diff(S.indptr))
-        T = csr_array((S.data, S.indices % self.dim, S.indptr), shape=(len(z), self.dim))
-        DT = csr_array((S.data * weights, T.indices, S.indptr), shape=T.shape)
-        return (T.T @ DT).toarray()
+        T, TT = self._fold
+        weights = np.repeat(expit(z) * expit(-z) / self._h, np.diff(T.indptr))
+        DT = csr_array((T.data * weights, T.indices, T.indptr), shape=T.shape)
+        return (TT @ DT).toarray()
 
 
 def generate_quadratic(m: int, h: int, n: int, ridge: float, seed: int) -> QuadraticFamily:

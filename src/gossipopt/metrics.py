@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,9 @@ __all__ = [
 # terms per BLAS ddot in squared_norm, below OpenBLAS's threading threshold of 10,000
 _NORM_CHUNK = 8192
 
+# family -> {tol: FixedPoint}, each entry dropped with its family
+_FIXED_POINTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
 
 class MetricsError(ValueError):
     pass
@@ -37,7 +41,7 @@ class FixedPoint:
 
     The dual rows sum to ~0 across agents (x* zeroes the aggregate gradient),
     which places Y* in the range of I - W. ``F_star`` is the unscaled optimal
-    value F(X*) = sum_i f_i(x*).
+    value F(X*) = sum_i f_i(x*). The arrays are read-only.
     """
 
     x_star: np.ndarray
@@ -52,7 +56,18 @@ def fixed_point(family, tol: float = 1e-8) -> FixedPoint:
     The sum of the dual rows is the aggregate gradient at x*, whose rounding
     floor grows with the data's scale; so it is bounded by
     m tol max(1, || sum_i grad f_i(0) ||), the scale ``centralized_solve`` uses.
+
+    A family's fixed point is computed once per tol: a repeated call returns
+    the same ``FixedPoint`` for as long as the family object lives. The
+    families' data are read-only, so the anchor cannot go stale.
     """
+    memo = _FIXED_POINTS.setdefault(family, {})
+    if tol not in memo:
+        memo[tol] = _fixed_point(family, tol)
+    return memo[tol]
+
+
+def _fixed_point(family, tol: float) -> FixedPoint:
     x_star = centralized_solve(family, tol=tol)
     X_star = np.tile(x_star, (family.m, 1))
     Y_star = -family.gradients(X_star)
@@ -61,6 +76,8 @@ def fixed_point(family, tol: float = 1e-8) -> FixedPoint:
     if drift > family.m * tol * scale:
         raise MetricsError(f"fixed point inconsistent: ||sum of dual rows|| = {drift:.3e}")
     F_star = float(family.values(X_star).sum())
+    for a in (x_star, X_star, Y_star):
+        a.setflags(write=False)
     return FixedPoint(x_star=x_star, X_star=X_star, Y_star=Y_star, F_star=F_star)
 
 

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import strategies as st
+from scipy.sparse import csr_array
 from scipy.special import expit
 
 from gossipopt import (
@@ -85,6 +86,35 @@ def synthetic_logistic(m: int, h: int, d: int, seed: int) -> LogisticFamily:
     margins = np.einsum("ahd,d->ah", feats, w)
     labels = np.where(rng.random((m, h)) < 1.0 / (1.0 + np.exp(-margins)), 1.0, -1.0)
     return LogisticFamily(feats, labels)
+
+
+def logistic_hessian_reference(family: LogisticFamily, x: np.ndarray) -> np.ndarray:
+    """``LogisticFamily._hessian`` as first written: T rebuilt from S, then T^T (CSC) times DT.
+
+    The reference for the family's cached fold, which must give the same bytes.
+    """
+    z = family.images(np.broadcast_to(x, (family.m, family.dim))).ravel()
+    S = family._S
+    weights = np.repeat(expit(z) * expit(-z) / family._h, np.diff(S.indptr))
+    T = csr_array((S.data, S.indices % family.dim, S.indptr), shape=(len(z), family.dim))
+    DT = csr_array((S.data * weights, T.indices, S.indptr), shape=T.shape)
+    return (T.T @ DT).toarray()
+
+
+class ScaledLoss:
+    """A loss family times s: its values and gradients multiplied by s, its images as they are."""
+
+    def __init__(self, family, s: float):
+        self.family, self.s = family, s
+
+    def __getattr__(self, name):
+        return getattr(self.family, name)
+
+    def values(self, X, image=None):
+        return self.s * self.family.values(X, image)
+
+    def gradients(self, X, image=None):
+        return self.s * self.family.gradients(X, image)
 
 
 def agent_value(family, i: int, x: np.ndarray) -> float:

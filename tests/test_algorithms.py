@@ -31,6 +31,7 @@ from gossipopt import algorithms
 from gossipopt.algorithms import DIVERGENCE_NORM, METHODS
 from conftest import (
     CountingFamily,
+    ScaledLoss,
     agent_gradient,
     backtrack,
     connected_er,
@@ -675,26 +676,69 @@ SCALE_CASES = [
 ]
 
 
+def _assert_runs_correspond(reference, runs, iterations=400):
+    """Step the reference and each run ``iterations`` times, checking every step bit for bit.
+
+    ``runs`` holds (run, back) pairs: ``back(X, theta, pi, Y)`` maps the run's
+    state onto the reference's by exact power-of-two factors. The round counts
+    must be equal at the end.
+    """
+    def state(algo):
+        return algo.X, algo.state.theta, algo.state.pi, algo.Y
+
+    for k in range(1, iterations + 1):
+        reference.step()
+        for algo, back in runs:
+            algo.step()
+            for name, got, want in zip("X theta pi Y".split(), back(*state(algo)), state(reference)):
+                assert np.array_equal(got, want), (name, k)
+    for algo, _ in runs:
+        assert (algo.exchange.vector_rounds, algo.exchange.scalar_rounds) == (
+            reference.exchange.vector_rounds, reference.exchange.scalar_rounds)
+
+
+def _loss_scaled(s):
+    """f -> s f with theta0 -> theta0 / s: the stepsizes scale by 1/s and the duals by s."""
+    return lambda X, theta, pi, Y: (X, theta * s, pi * s, Y / s)
+
+
 @pytest.mark.parametrize("spec, method, ridge", SCALE_CASES)
 def test_scaling_every_loss_scales_the_stepsizes_and_duals_exactly(spec, method, ridge):
     # f_i -> s f_i with theta0 -> theta0 / s: the iterates are those of the unscaled run,
-    # theta * s and Y / s too, bit for bit, at every iteration; s and sqrt(s) are powers of two
+    # theta * s, pi * s and Y / s too, bit for bit, at every iteration; s and sqrt(s) are powers of two
     g = graph_from_spec(spec)
     gm = gossip_matrix(g)
     base = generate_quadratic(g.m, h=6, n=5, ridge=ridge, seed=1)
     reference = AdaptiveAlgorithm(gm, base, np.zeros((g.m, 5)), method=method)
-    scaled = {
-        s: AdaptiveAlgorithm(gm, QuadraticFamily(np.sqrt(s) * base.A, np.sqrt(s) * base.b, s * ridge),
-                             np.zeros((g.m, 5)), method=method, theta0=1.0 / s)
+    _assert_runs_correspond(reference, [
+        (AdaptiveAlgorithm(gm, QuadraticFamily(np.sqrt(s) * base.A, np.sqrt(s) * base.b, s * ridge),
+                           np.zeros((g.m, 5)), method=method, theta0=1.0 / s), _loss_scaled(s))
         for s in (4.0, 2.0**-6, 1024.0)
-    }
-    for _ in range(400):
-        reference.step()
-        for s, algo in scaled.items():
-            algo.step()
-            assert np.array_equal(algo.X, reference.X)
-            assert np.array_equal(algo.state.theta * s, reference.state.theta)
-            assert np.array_equal(algo.Y / s, reference.Y)
-    for algo in scaled.values():
-        assert (algo.exchange.vector_rounds, algo.exchange.scalar_rounds) == (
-            reference.exchange.vector_rounds, reference.exchange.scalar_rounds)
+    ])
+
+
+@pytest.mark.parametrize("method", ["adaptive", "nips_local"])
+def test_scaling_every_logistic_loss_scales_the_stepsizes_and_duals_exactly(method):
+    # the same symmetry for logistic losses, scaled by a wrapper around their values and gradients
+    g = graph_from_spec({"kind": "erdos_renyi", "m": 20, "p": 0.5, "seed": 11})
+    gm = gossip_matrix(g)
+    base = synthetic_logistic(20, 15, 8, seed=4)
+    reference = AdaptiveAlgorithm(gm, base, np.zeros((20, 8)), method=method)
+    _assert_runs_correspond(reference, [
+        (AdaptiveAlgorithm(gm, ScaledLoss(base, s), np.zeros((20, 8)), method=method, theta0=1.0 / s),
+         _loss_scaled(s))
+        for s in (4.0, 2.0**-6, 1024.0)
+    ])
+
+
+@pytest.mark.parametrize("spec, method, ridge", SCALE_CASES)
+def test_scaling_the_variables_scales_iterates_stepsizes_and_duals_exactly(spec, method, ridge):
+    # A -> A/2, ridge -> ridge/4 and theta0 -> 4 theta0 make f~(x) = f(x/2):
+    # X -> 2X, theta and pi -> 4 theta and 4 pi, Y -> Y/2, bit for bit
+    g = graph_from_spec(spec)
+    gm = gossip_matrix(g)
+    base = generate_quadratic(g.m, h=6, n=5, ridge=ridge, seed=1)
+    reference = AdaptiveAlgorithm(gm, base, np.zeros((g.m, 5)), method=method)
+    scaled = AdaptiveAlgorithm(gm, QuadraticFamily(base.A / 2, base.b, ridge / 4), np.zeros((g.m, 5)),
+                               method=method, theta0=4.0)
+    _assert_runs_correspond(reference, [(scaled, lambda X, theta, pi, Y: (X / 2, theta / 4, pi / 4, 2 * Y))])

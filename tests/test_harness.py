@@ -15,14 +15,19 @@ from hypothesis import example, given, settings, strategies as st
 
 from gossipopt import (
     ConfigError,
+    LogisticFamily,
     QuadraticFamily,
     RunConfig,
     TuneExtraError,
+    build_line_graph,
+    fixed_point,
+    gossip_matrix,
     load_config,
     run,
+    spectral_data,
     tune_extra,
 )
-from gossipopt import BacktrackingError, DivergenceError, algorithms, harness, merit_sc
+from gossipopt import BacktrackingError, DivergenceError, GraphError, algorithms, harness, merit_sc, metrics
 from gossipopt.cli import main
 from gossipopt.harness import CSV_HEADER, experiment_suite
 from conftest import synthetic_logistic
@@ -302,6 +307,113 @@ def test_tune_extra_rejects_non_extra_config():
     cfg = RunConfig.from_dict(small_quadratic_config())
     with pytest.raises(ConfigError):
         tune_extra(cfg)
+
+
+# --- the set-up that the runs of one tune_extra or suite call share ---
+
+
+def _csv_bytes(trace, path) -> bytes:
+    trace.write_csv(path)
+    return path.read_bytes()
+
+
+def test_tune_extra_grid_runs_equal_runs_on_their_own(tmp_path, monkeypatch):
+    # with a diverging, a converging and budget-capped grid points
+    grid_runs, plain_run = [], harness.run
+    monkeypatch.setattr(harness, "run", lambda cfg: grid_runs.append((cfg, plain_run(cfg))) or grid_runs[-1][1])
+    raw = small_quadratic_config(epsilon=1e-5)
+    raw["algorithm"] = {"algorithm": "extra"}
+    tune_extra(RunConfig.from_dict(raw), grid=[1e3, 3e-2, 1e-2, 3e-3, 3e-4])
+    assert {trace.status for _, trace in grid_runs} == {"diverged", "converged", "budget_exhausted"}
+    for cfg, trace in grid_runs:
+        assert _csv_bytes(trace, tmp_path / "grid.csv") == _csv_bytes(plain_run(cfg), tmp_path / "alone.csv")
+
+
+@pytest.fixture
+def setup_counts(monkeypatch):
+    """Count the family builds, the x* solves and the graph builds from here on."""
+    counts = {"families": 0, "solves": 0, "graphs": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(harness, "_build_family", counted("families", harness._build_family))
+    monkeypatch.setattr(metrics, "centralized_solve", counted("solves", metrics.centralized_solve))
+    monkeypatch.setattr(harness, "graph_from_spec", counted("graphs", harness.graph_from_spec))
+    return counts
+
+
+def test_tune_extra_builds_its_problem_once(setup_counts):
+    raw = small_quadratic_config(epsilon=1e-5)
+    raw["algorithm"] = {"algorithm": "extra"}
+    tune_extra(RunConfig.from_dict(raw), grid=[3e-2, 1e-2, 3e-3, 1e-3])
+    assert setup_counts == {"families": 1, "solves": 1, "graphs": 1}
+
+
+def test_suite_builds_each_problem_and_graph_once(tmp_path, setup_counts):
+    # 3 graphs x (3 methods + 3 grid points) runs on one problem; tune_extra's scope is the suite's
+    experiment_suite("quadratic_graphs", tmp_path, max_vector_rounds=60, alpha_grid=(1e-2, 1e-3, 1e-4))
+    assert setup_counts == {"families": 1, "solves": 1, "graphs": 3}
+
+
+def test_top_level_runs_share_nothing(setup_counts):
+    cfg = RunConfig.from_dict(small_quadratic_config(max_iterations=5))
+    first, second = run(cfg), run(cfg)
+    assert setup_counts == {"families": 2, "solves": 2, "graphs": 2}
+    assert harness._SETUPS.get() is None
+    assert [r.err_rel for r in first.rows] == [r.err_rel for r in second.rows]
+
+
+def test_failed_tuning_drops_its_setups(setup_counts):
+    raw = small_quadratic_config(max_iterations=5)
+    raw["algorithm"] = {"algorithm": "extra"}
+    with pytest.raises(TuneExtraError):
+        tune_extra(RunConfig.from_dict(raw), grid=[1e3, 1e4])
+    assert setup_counts["families"] == 1 and harness._SETUPS.get() is None
+    run(RunConfig.from_dict(small_quadratic_config(max_iterations=5)))
+    assert setup_counts["families"] == 2
+
+
+def test_suite_stopped_by_a_config_error_drops_its_setups(tmp_path, monkeypatch, setup_counts):
+    # the second graph's factor fails: the suite stops after the first graph's runs
+    factors, spectral_data = [], harness.spectral_data
+
+    def fail_second(gm):
+        factors.append(gm)
+        if len(factors) == 2:
+            raise GraphError("no factor")
+        return spectral_data(gm)
+
+    monkeypatch.setattr(harness, "spectral_data", fail_second)
+    with pytest.raises(ConfigError, match="no factor"):
+        experiment_suite("quadratic_graphs", tmp_path, max_vector_rounds=60, alpha_grid=(1e-2,))
+    assert setup_counts["families"] == 1 and harness._SETUPS.get() is None
+    monkeypatch.setattr(harness, "spectral_data", spectral_data)
+    run(RunConfig.from_dict({
+        "graph": harness._SUITE_GRAPHS["line"], "problem": harness._quadratic(20, 110, 0.0, 1),
+        "algorithm": {"algorithm": "adaptive"}, "max_iterations": 3, "seed": 1,
+    }))
+    assert setup_counts["families"] == 2
+
+
+def test_shared_arrays_refuse_writes():
+    # a run that wrote into what a scope shares would change the next run of the scope
+    A, b = np.ones((2, 3, 2)), np.ones((2, 3))
+    features, labels = np.ones((4, 6, 3)), np.ones((4, 6))
+    quadratic, logistic = QuadraticFamily(A, b), LogisticFamily(features, labels)
+    fp = fixed_point(quadratic)
+    T = spectral_data(gossip_matrix(build_line_graph(4)))
+    fold, fold_t = logistic._fold
+    shared = [quadratic.A, quadratic.b, logistic.features, logistic.labels, logistic._S.data,
+              logistic._ST.data, fold.data, fold_t.data, fp.x_star, fp.X_star, fp.Y_star, T]
+    for array in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = 1.0
+    # the arrays a family was given keep their own flags
+    assert all(array.flags.writeable for array in (A, b, features, labels))
 
 
 def write_binary_libsvm(path, n_rows=3185, n_features=123, active=14, seed=77):

@@ -21,7 +21,14 @@ from gossipopt import (
     quadratic_condition_numbers,
 )
 from gossipopt import losses
-from conftest import agent_gradient, agent_value, find_a3a, libsvm_reference, synthetic_logistic
+from conftest import (
+    agent_gradient,
+    agent_value,
+    find_a3a,
+    libsvm_reference,
+    logistic_hessian_reference,
+    synthetic_logistic,
+)
 
 
 def row_directional_fd(fam, X, U, eps=1e-6):
@@ -137,6 +144,18 @@ def test_centralized_solve_reaches_tolerance(data):
     _, sv, Vt = np.linalg.svd(stacked)
     null = Vt[np.count_nonzero(sv > 1e-10 * sv[0]):]
     assert np.linalg.norm(null @ x) <= 1e-12 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: one_hot_logistic(20, 159, groups=14, width=9, seed=21),
+    lambda: synthetic_logistic(5, 40, 30, seed=21),
+])
+def test_logistic_hessian_from_the_cached_fold_has_the_reference_bytes(make):
+    fam = make()
+    rng = np.random.default_rng(8)
+    for x in (np.zeros(fam.dim), rng.standard_normal(fam.dim), 0.1 * rng.standard_normal(fam.dim)):
+        H = fam._hessian(x)
+        assert H.tobytes() == logistic_hessian_reference(fam, x).tobytes()
 
 
 def test_centralized_solve_bytes_do_not_depend_on_blas_threads():

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +20,7 @@ from gossipopt import (
     merit_sc,
     spectral_data,
 )
+from gossipopt import metrics
 from gossipopt.metrics import MeritBlock, squared_norm
 from conftest import CountingFamily, connected_er, dense, spectral_reference, synthetic_logistic
 
@@ -52,6 +55,22 @@ def test_fixed_point_random_residual():
     fam = generate_quadratic(m=20, h=10, n=8, ridge=0.0, seed=30)
     fp = fixed_point(fam, tol=1e-8)
     assert np.linalg.norm(fam.gradients(fp.X_star).sum(axis=0)) <= 1e-8
+
+
+def test_fixed_point_is_solved_once_per_family_and_tol(monkeypatch):
+    solves = []
+    solve = metrics.centralized_solve
+    monkeypatch.setattr(metrics, "centralized_solve", lambda fam, tol: solves.append(tol) or solve(fam, tol=tol))
+    fam = generate_quadratic(m=4, h=5, n=3, ridge=0.0, seed=2)
+    fp = fixed_point(fam)
+    assert fixed_point(fam) is fp and fixed_point(fam, tol=1e-10) is not fp
+    assert fixed_point(generate_quadratic(m=4, h=5, n=3, ridge=0.0, seed=2)) is not fp
+    assert solves == [1e-8, 1e-10, 1e-8]
+    gc.collect()
+    entries = len(metrics._FIXED_POINTS)
+    del fam, fp
+    gc.collect()
+    assert len(metrics._FIXED_POINTS) == entries - 1  # each entry goes with its family
 
 
 def test_merit_sc_zero_at_fixed_point():

@@ -2,6 +2,7 @@
 benchmark-pair summary on canned reports."""
 
 import importlib.util
+import io
 import json
 import sys
 from pathlib import Path
@@ -89,6 +90,16 @@ def _result(seed: int, run_s: float, iterations: int, failed: int = 0) -> dict:
     metrics = {"run_s": {"value": run_s, "unit": "s"}, "iterations": {"value": iterations, "unit": "count"}}
     return {"seed": seed, "correct": True, "attempted": 10, "failed": failed, "metrics": metrics,
             "wall_s": 1.0, "exit": 0}
+
+
+def test_trace_corpus_prints_a_section_time(monkeypatch):
+    corpus = _tool("trace_corpus")
+    clock = iter([10.0, 12.345])
+    monkeypatch.setattr(corpus.time, "perf_counter", lambda: next(clock))
+    stream = io.StringIO()
+    with corpus.timed("suites/quadratic_graphs", stream):
+        pass
+    assert stream.getvalue() == "suites/quadratic_graphs: 2.35 s\n"
 
 
 def test_bench_pairs_summary_arithmetic():

@@ -10,8 +10,8 @@ output directories. A change meant to keep the arithmetic compares them with
 ``diff -r``: no output means every per-run CSV (its JSON comment line
 included) and every ``summary.csv`` is byte-identical. The script uses only
 the public API (``RunConfig``, ``load_config``, ``run``, ``tune_extra``,
-``experiment_suite``), so it runs against older source trees too. It takes a
-few minutes on two cores.
+``experiment_suite``), so it runs against older source trees too. It takes
+about a minute on two cores.
 
 A change that alters floating-point rounding compares them with
 ``--compare A B`` instead. For every per-run CSV it prints whether the two
@@ -53,6 +53,10 @@ The corpus:
   ``logistic_graphs`` on ``benchmarks/synthetic_logistic.generate(7)`` data;
 - the three suites that tune EXTRA again with a grid that never converges,
   so their ``tune_failed`` rows are compared too.
+
+While writing, it prints each section's wall time to stderr (the line runs,
+the er200 runs, ``tune_extra``, and each suite), one ``<section>: <s> s``
+line apiece; the files it writes do not carry them.
 """
 
 from __future__ import annotations
@@ -61,6 +65,8 @@ import csv
 import math
 import os
 import sys
+import time
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -86,6 +92,14 @@ def main(argv: list[str]) -> int:
     return 0
 
 
+@contextmanager
+def timed(section: str, stream=None):
+    """Print the block's wall time to ``stream`` (stderr by default) as ``<section>: <s> s``."""
+    start = time.perf_counter()
+    yield
+    print(f"{section}: {time.perf_counter() - start:.2f} s", file=stream or sys.stderr, flush=True)
+
+
 def write_corpus(out: Path) -> None:
     # one BLAS thread, set before numpy is first imported
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
@@ -103,33 +117,38 @@ def write_corpus(out: Path) -> None:
     os.chdir(out)
 
     line = load_config(ROOT / "examples_config" / "quadratic_line.yaml")
-    for method in METHODS:
-        spec = {k: v for k, v in line.algorithm.items() if method == "adaptive" or k != "d0"}
-        run(replace(line, algorithm={**spec, "algorithm": method}, output=f"line/{method}.csv"))
-    guarded = {**line.algorithm, "safeguard": {"enabled": True, "R_tilde": 5.0}}
-    run(replace(line, algorithm=guarded, output="line/adaptive_safeguard.csv"))
+    with timed("line"):
+        for method in METHODS:
+            spec = {k: v for k, v in line.algorithm.items() if method == "adaptive" or k != "d0"}
+            run(replace(line, algorithm={**spec, "algorithm": method}, output=f"line/{method}.csv"))
+        guarded = {**line.algorithm, "safeguard": {"enabled": True, "R_tilde": 5.0}}
+        run(replace(line, algorithm=guarded, output="line/adaptive_safeguard.csv"))
 
-    for method in METHODS:
-        run(RunConfig.from_dict({
-            "graph": {"kind": "erdos_renyi", "m": 200, "p": 0.05, "seed": 5},
-            "problem": {"kind": "quadratic", "m": 200, "h": 10, "n": 20, "seed": 5},
-            "algorithm": {"algorithm": method},
-            "seed": 5,
-            "output": f"er200/{method}.csv",
-        }))
+    with timed("er200"):
+        for method in METHODS:
+            run(RunConfig.from_dict({
+                "graph": {"kind": "erdos_renyi", "m": 200, "p": 0.05, "seed": 5},
+                "problem": {"kind": "quadratic", "m": 200, "h": 10, "n": 20, "seed": 5},
+                "algorithm": {"algorithm": method},
+                "seed": 5,
+                "output": f"er200/{method}.csv",
+            }))
 
-    alpha, trace = tune_extra(load_config(ROOT / "examples_config" / "extra_tune.yaml"))
+    with timed("tune_extra"):
+        alpha, trace = tune_extra(load_config(ROOT / "examples_config" / "extra_tune.yaml"))
     trace.comment["tuned_alpha"] = alpha
     trace.write_csv("extra_tune/best.csv")
 
     labels, features = synthetic_logistic.generate(DATA_SEED)
     synthetic_logistic.write_libsvm(Path("synthetic.svm"), labels, features, token_seed=DATA_SEED)
-    for name in ("quadratic_graphs", "condition_sweep", "diameter_sweep", "logistic_graphs"):
-        experiment_suite(name, "suites", data_path="synthetic.svm",
-                         max_vector_rounds=SUITE_BUDGET, alpha_grid=ALPHA_GRID)
-    for name in ("quadratic_graphs", "condition_sweep", "logistic_graphs"):
-        experiment_suite(name, "suites_tune_failed", data_path="synthetic.svm",
-                         max_vector_rounds=SUITE_BUDGET, alpha_grid=FAILING_GRID)
+    for directory, grid, names in (
+        ("suites", ALPHA_GRID, ("quadratic_graphs", "condition_sweep", "diameter_sweep", "logistic_graphs")),
+        ("suites_tune_failed", FAILING_GRID, ("quadratic_graphs", "condition_sweep", "logistic_graphs")),
+    ):
+        for name in names:
+            with timed(f"{directory}/{name}"):
+                experiment_suite(name, directory, data_path="synthetic.svm",
+                                 max_vector_rounds=SUITE_BUDGET, alpha_grid=grid)
     print(f"corpus written to {out}", file=sys.stderr)
 
 
