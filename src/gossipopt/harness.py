@@ -440,7 +440,7 @@ def run(config: RunConfig) -> RunTrace:
             err_rel=err_rel,
             V=values[-1] if values else None,
             M_erg=(
-                merit_cvx(erg.value, erg.image, fp, family, gm, delta)
+                merit_cvx(erg.X_sum, erg.image_sum, fp, family, gm, delta, erg.count)
                 if kind == "quadratic" and erg.count
                 else m_erg
             ),
@@ -457,7 +457,7 @@ def run(config: RunConfig) -> RunTrace:
         err_rel = math.sqrt(dX_sq) / denom
         # the logistic stop reads M_erg every iteration; the quadratic one only err_rel
         m_erg = (
-            merit_cvx(erg.value, erg.image, fp, family, gm, delta)
+            merit_cvx(erg.X_sum, erg.image_sum, fp, family, gm, delta, erg.count)
             if kind == "logistic" and erg.count
             else None
         )

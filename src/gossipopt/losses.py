@@ -8,11 +8,13 @@ A_i x_i - b_i of a quadratic or the margins S vec(X) of a logistic loss, an
 (m, h) array whose row i depends on x_i alone. ``values(X, image)`` and
 ``gradients(X, image)`` evaluate from a given image, X supplying only the ridge
 term; without one they compute it from X. A caller that keeps the image of an
-iterate, or the running mean of such images (the image of the mean iterate up
-to rounding, as the map is affine), so evaluates the losses there with no
-further pass. The quadratic contractions are batched BLAS products,
-``(A @ X[:, :, None])``; the logistic ones are products with one label-signed,
-block-diagonal CSR matrix, which reads only the nonzero features.
+iterate so evaluates the losses there with no further pass, and
+``total_at_mean(S, R, count)`` gives sum_i f_i at the mean of ``count``
+iterates from the sums S of the iterates and R of their images (R/count is
+the image of the mean up to rounding, as the map is affine). The quadratic
+contractions are batched BLAS products, ``(A @ X[:, :, None])``; the logistic
+ones are products with one label-signed, block-diagonal CSR matrix, which
+reads only the nonzero features.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ __all__ = [
 
 # Newton steps of the centralized oracle; logistic data needs about five
 _NEWTON_ROUNDS = 30
+# terms per BLAS ddot in inner, below OpenBLAS's threading threshold of 10,000
+_DDOT_CHUNK = 8192
 # lines of a libsvm file parsed at a time, which bounds the memory its tokens take
 _BLOCK_LINES = 128
 _HEAD, _TAIL = itemgetter(0), itemgetter(slice(1, None))
@@ -54,6 +58,27 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     view = a.view()
     view.setflags(write=False)
     return view
+
+
+def inner(A: np.ndarray, B: np.ndarray) -> float:
+    """<A, B> summed in C order, however A and B are strided, the same at every BLAS thread count.
+
+    BLAS ``ddot`` sums a contiguous run of terms, and OpenBLAS splits a run of
+    more than 10,000 across threads, which rounds differently at each thread
+    count. So the terms go to ``ddot`` in chunks of at most ``_DDOT_CHUNK``,
+    whose sums are added left to right: arrays of up to ``_DDOT_CHUNK`` terms
+    get exactly the bytes of one ``ddot``.
+    """
+    if A.shape != B.shape:
+        raise ValueError(f"inner product of shapes {A.shape} and {B.shape}")
+    a = A.ravel()  # C order, copied only where A is strided
+    b = a if B is A else B.ravel()
+    if a.size <= _DDOT_CHUNK:  # one chunk: the loop's bytes, without its overhead
+        return float(np.vdot(a, b))
+    total = 0.0
+    for start in range(0, a.size, _DDOT_CHUNK):
+        total += np.vdot(a[start : start + _DDOT_CHUNK], b[start : start + _DDOT_CHUNK])
+    return float(total)
 
 
 def _frozen(M: csr_array) -> csr_array:
@@ -111,6 +136,17 @@ class QuadraticFamily(_FamilyBase):
             values += 0.5 * self.ridge * np.einsum("an,an->a", X, X)
         return values
 
+    def total_at_mean(self, S: np.ndarray, R: np.ndarray, count: int) -> float:
+        """sum_i f_i at the mean iterate S/count, from the sums S of iterates and R of their images.
+
+        The loss is homogeneous of degree 2 in (x, image), so the total at the
+        mean is (||R||^2 + (ridge/2) ||S||^2) / count^2, and no mean is formed.
+        """
+        total = inner(R, R)
+        if self.ridge:
+            total += 0.5 * self.ridge * inner(S, S)
+        return total / count**2
+
     def gradients(self, X: np.ndarray, image: np.ndarray | None = None) -> np.ndarray:
         X = self._check_stack(X)
         r = self.images(X) if image is None else image
@@ -165,8 +201,15 @@ class LogisticFamily(_FamilyBase):
         return (self._S @ self._check_stack(X).ravel()).reshape(self.m, self._h)
 
     def values(self, X: np.ndarray, image: np.ndarray | None = None) -> np.ndarray:
-        z = self.images(X) if image is None else image
-        # softplus(-z), stable for either sign of z
+        return self._softplus_means(self.images(X) if image is None else image)
+
+    def total_at_mean(self, S: np.ndarray, R: np.ndarray, count: int) -> float:
+        """sum_i f_i at the mean iterate, from the sum R of the iterates' margins: the softplus at R/count."""
+        return float(self._softplus_means(R / count).sum())
+
+    @staticmethod
+    def _softplus_means(z: np.ndarray) -> np.ndarray:
+        """Each agent's mean of softplus(-z) over its samples, stable for either sign of z."""
         return (np.maximum(-z, 0.0) + np.log1p(np.exp(-np.abs(z)))).mean(axis=1)
 
     def gradients(self, X: np.ndarray, image: np.ndarray | None = None) -> np.ndarray:

@@ -9,7 +9,7 @@ import numpy as np
 from scipy.linalg.blas import dtrmm
 
 from .graphs import GossipMatrix
-from .losses import centralized_solve
+from .losses import centralized_solve, inner
 
 __all__ = [
     "ErgodicAverage",
@@ -23,9 +23,6 @@ __all__ = [
     "squared_norm",
 ]
 
-
-# terms per BLAS ddot in squared_norm, below OpenBLAS's threading threshold of 10,000
-_NORM_CHUNK = 8192
 
 # family -> {tol: FixedPoint}, each entry dropped with its family
 _FIXED_POINTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -82,20 +79,8 @@ def _fixed_point(family, tol: float) -> FixedPoint:
 
 
 def squared_norm(A: np.ndarray) -> float:
-    """||A||^2 summed in A's C order, however A is strided, the same at every BLAS thread count.
-
-    BLAS ``ddot`` sums a contiguous run of terms, and OpenBLAS splits a run of
-    more than 10,000 across threads, which rounds differently at each thread
-    count. So the terms go to ``ddot`` in chunks of at most ``_NORM_CHUNK``,
-    whose sums are added left to right: an array of up to ``_NORM_CHUNK``
-    terms gets exactly the bytes of one ``ddot``.
-    """
-    a = np.ascontiguousarray(A).ravel()
-    total = 0.0
-    for start in range(0, a.size, _NORM_CHUNK):
-        chunk = a[start : start + _NORM_CHUNK]
-        total += np.vdot(chunk, chunk)
-    return float(total)
+    """||A||^2 as ``inner(A, A)``: chunked ``ddot``, the same at every BLAS thread count."""
+    return inner(A, A)
 
 
 class MeritBlock:
@@ -154,51 +139,45 @@ def merit_sc(X: np.ndarray, Y: np.ndarray, theta_min_prev: float, fp: FixedPoint
 
 
 def merit_cvx(
-    X: np.ndarray, image: np.ndarray, fp: FixedPoint, family, gm: GossipMatrix, delta: float
+    S: np.ndarray, R: np.ndarray, fp: FixedPoint, family, gm: GossipMatrix, delta: float, count: int = 1
 ) -> float:
-    """Convex merit: max of the consensus form and the Lagrangian gap.
+    """Convex merit at the mean iterate X = S/count: max of the consensus form and the Lagrangian gap.
 
     max( delta <(I-W) X, X>,  F(X) - F(X*) + <Y*, X> ) with unscaled
-    F(X) = sum_i f_i(x_i); zero exactly at consensual optimal points. F is
-    evaluated from ``image``, the family's image of X (``family.images(X)``, or
-    the running mean of the images kept by ``ErgodicAverage``), so a merit
-    makes no oracle pass; X supplies the ridge term and <Y*, X>.
+    F(X) = sum_i f_i(x_i); zero exactly at consensual optimal points. S is the
+    sum of ``count`` iterates and R the sum of their images (``family.images``),
+    as ``ErgodicAverage`` keeps them; with count 1 they are one iterate and its
+    image. The mean is never formed: the consensus form is
+    delta <(I-W) S, S> / count^2, floored at 0 against roundoff, <Y*, X> is
+    <Y*, S> / count, and F(X) is the family's ``total_at_mean``, so a merit
+    makes no oracle pass. Every inner product is a chunked ``inner``, the same
+    at every BLAS thread count.
     """
-    consensus = max(delta * float(np.sum(X * (gm.I_minus_W @ X))), 0.0)
-    gap = float(family.values(X, image).sum() - fp.F_star + np.sum(fp.Y_star * X))
+    if count < 1:
+        raise MetricsError("convex merit of an empty ergodic average")
+    consensus = max(delta * inner(gm.I_minus_W @ S, S) / count**2, 0.0)
+    gap = family.total_at_mean(S, R, count) - fp.F_star + inner(fp.Y_star, S) / count
     return max(consensus, gap)
 
 
 class ErgodicAverage:
-    """Running means of the iterates X^1..X^k and of their oracle images, O(m(d + h)) per step.
+    """Running sums of the iterates X^1..X^k and of their oracle images, O(m(d + h)) per step.
 
-    The images are affine in X, so the mean image is the image of the mean
-    iterate up to rounding; ``merit_cvx`` reads it in place of an oracle pass.
+    ``merit_cvx(X_sum, image_sum, ..., count)`` evaluates the convex merit at
+    the mean iterate from the sums; no mean is formed. The sums are None until
+    the first ``update``.
     """
 
     def __init__(self):
-        self._sum = self._image_sum = None
+        self.X_sum = self.image_sum = None
         self.count = 0
 
     def update(self, X: np.ndarray, image: np.ndarray) -> None:
-        if self._sum is None:
-            self._sum, self._image_sum = np.zeros(np.shape(X)), np.zeros(np.shape(image))
-        self._sum += X
-        self._image_sum += image
+        if self.X_sum is None:
+            self.X_sum, self.image_sum = np.zeros(np.shape(X)), np.zeros(np.shape(image))
+        self.X_sum += X
+        self.image_sum += image
         self.count += 1
-
-    def _mean(self, total: np.ndarray) -> np.ndarray:
-        if self.count == 0:
-            raise MetricsError("ergodic average of an empty sequence")
-        return total / self.count
-
-    @property
-    def value(self) -> np.ndarray:
-        return self._mean(self._sum)
-
-    @property
-    def image(self) -> np.ndarray:
-        return self._mean(self._image_sum)
 
 
 def linear_rate_fit(ks, values) -> float:

@@ -102,7 +102,7 @@ def logistic_hessian_reference(family: LogisticFamily, x: np.ndarray) -> np.ndar
 
 
 class ScaledLoss:
-    """A loss family times s: its values and gradients multiplied by s, its images as they are."""
+    """A loss family times s: its values, gradients and totals multiplied by s, its images as they are."""
 
     def __init__(self, family, s: float):
         self.family, self.s = family, s
@@ -115,6 +115,9 @@ class ScaledLoss:
 
     def gradients(self, X, image=None):
         return self.s * self.family.gradients(X, image)
+
+    def total_at_mean(self, S, R, count):
+        return self.s * self.family.total_at_mean(S, R, count)
 
 
 def agent_value(family, i: int, x: np.ndarray) -> float:
@@ -293,6 +296,18 @@ def spectral_reference(gm) -> np.ndarray:
     gap = 1.0 - vals
     inv = np.where(np.abs(gap) > 1e-10, 1.0 / np.where(gap == 0.0, 1.0, gap), 0.0)
     return (vecs * inv) @ vecs.T / gm.c - np.eye(gm.graph.m)
+
+
+def merit_cvx_reference(S, R, fp, family, gm, delta, count=1) -> float:
+    """``merit_cvx`` from the materialized means X = S/count and R/count, summed by numpy.
+
+    max( delta <(I-W) X, X>, F(X) - F(X*) + <Y*, X> ), with F(X) from
+    ``family.values`` at the mean image.
+    """
+    X, image = S / count, R / count
+    consensus = max(delta * float(np.sum(X * (gm.I_minus_W @ X))), 0.0)
+    gap = float(family.values(X, image).sum() - fp.F_star + np.sum(fp.Y_star * X))
+    return max(consensus, gap)
 
 
 def metric_from_factor(T: np.ndarray, c: float) -> np.ndarray:

@@ -3,6 +3,7 @@ import gc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_array
 
 from gossipopt import (
     ErgodicAverage,
@@ -21,8 +22,16 @@ from gossipopt import (
     spectral_data,
 )
 from gossipopt import metrics
+from gossipopt.losses import inner
 from gossipopt.metrics import MeritBlock, squared_norm
-from conftest import CountingFamily, connected_er, dense, spectral_reference, synthetic_logistic
+from conftest import (
+    CountingFamily,
+    connected_er,
+    dense,
+    merit_cvx_reference,
+    spectral_reference,
+    synthetic_logistic,
+)
 
 
 def two_agent_pull():
@@ -201,8 +210,9 @@ def test_merit_cvx_hand_consensus_term():
 
 
 def test_merit_cvx_makes_no_oracle_call(rng):
-    # F(X*) is cached on the fixed point and F(X) read from the given image, so
-    # a merit row computes no image and needs no gradient
+    # F(X*) is cached on the fixed point and F(X) read from the given image by
+    # the family's total_at_mean, so a merit row computes no image, and calls
+    # neither values nor gradients
     fam = generate_quadratic(m=4, h=5, n=3, ridge=0.0, seed=32)
     gm = gossip_matrix(build_erdos_renyi(4, 0.7, seed=6), c=0.5)
     fp = fixed_point(fam, tol=1e-8)
@@ -210,7 +220,7 @@ def test_merit_cvx_makes_no_oracle_call(rng):
     for rows in range(1, 4):
         X = rng.standard_normal((4, 3))
         merit_cvx(X, fam.images(X), fp, counted, gm, delta=1.0)
-        assert counted.passes == [] and counted.calls == {"images": 0, "values": rows, "gradients": 0}
+        assert counted.passes == [] and counted.calls == {"images": 0, "values": 0, "gradients": 0}
 
 
 @settings(max_examples=200, deadline=None)
@@ -237,12 +247,50 @@ def test_merit_cvx_from_mean_image_matches_direct(kind, m, iterates, spread, see
     for _ in range(iterates):
         X = spread * rng.standard_normal((m, 3))
         erg.update(X, fam.images(X))
-    X_bar = erg.value
-    merit = merit_cvx(X_bar, erg.image, fp, fam, gm, delta=0.5)
+    X_bar = erg.X_sum / erg.count
+    merit = merit_cvx(erg.X_sum, erg.image_sum, fp, fam, gm, 0.5, erg.count)
     direct = direct_merit_cvx(X_bar, fp, fam, gm, delta=0.5)
     # the gap is a difference of these terms; its rounding scales with them
     terms = fam.values(X_bar).sum() + abs(fp.F_star) + abs(np.sum(fp.Y_star * X_bar))
     assert abs(merit - direct) <= 1e-12 * (abs(direct) + terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["quadratic", "logistic"]),
+    graph=st.sampled_from(["complete", "line"]),
+    ridge=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+    count=st.integers(1, 50),
+    spread=st.floats(1e-3, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_merit_cvx_from_sums_matches_the_materialized_reference(kind, graph, ridge, count, spread, seed):
+    # the merit from the sums and the count against the mean iterate formed and
+    # summed by numpy; the line graphs of 64 agents and more get a CSR I - W
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 7)) if graph == "complete" else int(rng.integers(64, 81))
+    g = build_complete_graph(m) if graph == "complete" else build_line_graph(m)
+    gm = gossip_matrix(g, c=0.5)
+    assert isinstance(gm.I_minus_W, csr_array) == (graph == "line")
+    if kind == "quadratic":
+        fam = generate_quadratic(m=m, h=5, n=3, ridge=ridge, seed=seed % 1000)
+    else:
+        fam = synthetic_logistic(m, 7, 3, seed=seed % 1000)
+    fp = FixedPoint(
+        x_star=np.zeros(3), X_star=np.zeros((m, 3)), Y_star=rng.standard_normal((m, 3)),
+        F_star=float(rng.uniform(0.0, 10.0)),
+    )
+    erg = ErgodicAverage()
+    for _ in range(count):
+        X = spread * rng.standard_normal((m, 3))
+        erg.update(X, fam.images(X))
+    merit = merit_cvx(erg.X_sum, erg.image_sum, fp, fam, gm, 0.5, erg.count)
+    reference = merit_cvx_reference(erg.X_sum, erg.image_sum, fp, fam, gm, 0.5, erg.count)
+    X_bar = erg.X_sum / erg.count
+    # the gap is a difference of these terms; its rounding scales with them
+    F_bar = fam.values(X_bar, erg.image_sum / erg.count).sum()
+    terms = F_bar + abs(fp.F_star) + abs(np.sum(fp.Y_star * X_bar))
+    assert abs(merit - reference) <= 1e-12 * (abs(reference) + terms)
 
 
 def test_merit_cvx_nonnegative_random(rng):
@@ -259,16 +307,18 @@ def test_ergodic_average_constant():
     C, R = np.full((2, 2), 3.5), np.full((2, 3), -0.25)
     for _ in range(7):
         erg.update(C, R)
-    np.testing.assert_array_equal(erg.value, C)
-    np.testing.assert_array_equal(erg.image, R)
+    assert erg.count == 7
+    np.testing.assert_array_equal(erg.X_sum / erg.count, C)
+    np.testing.assert_array_equal(erg.image_sum / erg.count, R)
 
 
 def test_ergodic_average_two_point():
     erg = ErgodicAverage()
     erg.update(np.zeros((1, 2)), np.full((1, 3), 4.0))
     erg.update(np.full((1, 2), 2.0), np.zeros((1, 3)))
-    np.testing.assert_allclose(erg.value, np.ones((1, 2)))
-    np.testing.assert_allclose(erg.image, np.full((1, 3), 2.0))
+    np.testing.assert_array_equal(erg.X_sum, np.full((1, 2), 2.0))
+    np.testing.assert_array_equal(erg.image_sum, np.full((1, 3), 4.0))
+    assert erg.count == 2
 
 
 def test_ergodic_average_matches_direct_sum(rng):
@@ -277,14 +327,19 @@ def test_ergodic_average_matches_direct_sum(rng):
     rs = [rng.standard_normal((3, 4)) for _ in range(5)]
     for x, r in zip(xs, rs):
         erg.update(x, r)
-    np.testing.assert_allclose(erg.value, sum(xs) / 5.0, atol=1e-12)
-    np.testing.assert_allclose(erg.image, sum(rs) / 5.0, atol=1e-12)
+    np.testing.assert_allclose(erg.X_sum / erg.count, sum(xs) / 5.0, atol=1e-12)
+    np.testing.assert_allclose(erg.image_sum / erg.count, sum(rs) / 5.0, atol=1e-12)
 
 
 def test_ergodic_average_empty_errors():
-    for mean in ("value", "image"):
-        with pytest.raises(MetricsError):
-            getattr(ErgodicAverage(), mean)
+    # the merit of an average of no iterates is an error, not a division by zero
+    fam = two_agent_pull()
+    gm = gossip_matrix(build_complete_graph(2), c=0.5)
+    fp = fixed_point(fam, tol=1e-10)
+    erg = ErgodicAverage()
+    assert erg.X_sum is None and erg.image_sum is None and erg.count == 0
+    with pytest.raises(MetricsError):
+        merit_cvx(fp.X_star, fam.images(fp.X_star), fp, fam, gm, 1.0, erg.count)
 
 
 def test_linear_rate_fit_exact_geometric():
@@ -314,13 +369,19 @@ def test_linear_rate_fit_skips_nonpositive_and_errors_when_short():
 
 @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (600, 13), (8192,), (8193,), (600, 20), (40000,)])
 def test_squared_norm_sums_chunks_of_one_ddot_left_to_right(shape, rng):
-    A = rng.standard_normal(shape)
-    a = A.ravel()
-    expected = 0.0
+    A, B = rng.standard_normal(shape), rng.standard_normal(shape)
+    a, b = A.ravel(), B.ravel()
+    expected = expected_sq = 0.0
     for start in range(0, a.size, 8192):
-        expected += np.vdot(a[start : start + 8192], a[start : start + 8192])
-    assert squared_norm(A) == expected
+        expected += np.vdot(a[start : start + 8192], b[start : start + 8192])
+        expected_sq += np.vdot(a[start : start + 8192], a[start : start + 8192])
+    assert inner(A, B) == expected
+    assert squared_norm(A) == inner(A, A) == expected_sq
     if a.size <= 8192:  # one chunk: the bytes of the one ddot it replaces
+        assert inner(A, B) == np.vdot(A, B)
         assert squared_norm(A) == np.vdot(A, A)
     # a strided view sums in its own C order, as its contiguous copy does
     assert squared_norm(A.T) == squared_norm(np.ascontiguousarray(A.T))
+    assert inner(A.T, B.T) == inner(np.ascontiguousarray(A.T), np.ascontiguousarray(B.T))
+    with pytest.raises(ValueError):
+        inner(A, B[..., None])
