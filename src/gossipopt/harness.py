@@ -36,11 +36,12 @@ from .backtracking import BacktrackingError
 from .graphs import gossip_matrix, graph_from_spec, spectral_data
 from .losses import (
     generate_quadratic,
+    inner,
     parse_libsvm,
     partition_logistic,
     quadratic_condition_numbers,
 )
-from .metrics import ErgodicAverage, MeritBlock, fixed_point, merit_cvx, squared_norm
+from .metrics import ErgodicAverage, MeritBlock, fixed_point, merit_cvx
 
 __all__ = [
     "CSV_HEADER",
@@ -422,7 +423,7 @@ def run(config: RunConfig) -> RunTrace:
 
     kind = config.problem["kind"]
     erg = ErgodicAverage()
-    denom = math.sqrt(squared_norm(X0 - fp.X_star)) or 1.0
+    denom = math.sqrt(inner(X0 - fp.X_star)) or 1.0
 
     def fill(values: list[float]) -> None:
         """Give the last len(values) rows the V that their block has just evaluated."""
@@ -453,7 +454,7 @@ def run(config: RunConfig) -> RunTrace:
     while True:
         stats = algo.stats()
         vector_rounds, scalar_rounds = algo.exchange.vector_rounds, algo.exchange.scalar_rounds
-        dX_sq = squared_norm(algo.X - fp.X_star)
+        dX_sq = inner(algo.X - fp.X_star)
         err_rel = math.sqrt(dX_sq) / denom
         # the logistic stop reads M_erg every iteration; the quadratic one only err_rel
         m_erg = (

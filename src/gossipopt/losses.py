@@ -60,8 +60,8 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return view
 
 
-def inner(A: np.ndarray, B: np.ndarray) -> float:
-    """<A, B> summed in C order, however A and B are strided, the same at every BLAS thread count.
+def inner(A: np.ndarray, B: np.ndarray | None = None) -> float:
+    """<A, B>, or ||A||^2 without B, summed in C order however strided, the same at every BLAS thread count.
 
     BLAS ``ddot`` sums a contiguous run of terms, and OpenBLAS splits a run of
     more than 10,000 across threads, which rounds differently at each thread
@@ -69,12 +69,10 @@ def inner(A: np.ndarray, B: np.ndarray) -> float:
     whose sums are added left to right: arrays of up to ``_DDOT_CHUNK`` terms
     get exactly the bytes of one ``ddot``.
     """
-    if A.shape != B.shape:
+    if B is not None and A.shape != B.shape:
         raise ValueError(f"inner product of shapes {A.shape} and {B.shape}")
     a = A.ravel()  # C order, copied only where A is strided
-    b = a if B is A else B.ravel()
-    if a.size <= _DDOT_CHUNK:  # one chunk: the loop's bytes, without its overhead
-        return float(np.vdot(a, b))
+    b = a if B is None else B.ravel()
     total = 0.0
     for start in range(0, a.size, _DDOT_CHUNK):
         total += np.vdot(a[start : start + _DDOT_CHUNK], b[start : start + _DDOT_CHUNK])
@@ -142,9 +140,9 @@ class QuadraticFamily(_FamilyBase):
         The loss is homogeneous of degree 2 in (x, image), so the total at the
         mean is (||R||^2 + (ridge/2) ||S||^2) / count^2, and no mean is formed.
         """
-        total = inner(R, R)
+        total = inner(R)
         if self.ridge:
-            total += 0.5 * self.ridge * inner(S, S)
+            total += 0.5 * self.ridge * inner(S)
         return total / count**2
 
     def gradients(self, X: np.ndarray, image: np.ndarray | None = None) -> np.ndarray:

@@ -20,7 +20,6 @@ __all__ = [
     "linear_rate_fit",
     "merit_cvx",
     "merit_sc",
-    "squared_norm",
 ]
 
 
@@ -78,11 +77,6 @@ def _fixed_point(family, tol: float) -> FixedPoint:
     return FixedPoint(x_star=x_star, X_star=X_star, Y_star=Y_star, F_star=F_star)
 
 
-def squared_norm(A: np.ndarray) -> float:
-    """||A||^2 as ``inner(A, A)``: chunked ``ddot``, the same at every BLAS thread count."""
-    return inner(A, A)
-
-
 class MeritBlock:
     """The strongly convex merit V of a block of up to ``rows`` iterates, in one triangular product.
 
@@ -114,7 +108,7 @@ class MeritBlock:
             theta_sq = theta_min_prev**2
         except OverflowError:  # a Python float above about 1.34e154
             theta_sq = np.inf
-        self._pending.append((dX_sq, squared_norm(dY), theta_sq))
+        self._pending.append((dX_sq, inner(dY), theta_sq))
         return self.flush() if len(self._pending) == self._rows else []
 
     def flush(self) -> list[float]:
@@ -125,7 +119,7 @@ class MeritBlock:
         Z = dtrmm(1.0, self._T, self._buffer, side=1, overwrite_b=1)
         values = []
         for i, (dX_sq, dY_sq, theta_sq) in enumerate(self._pending):
-            m_form = max(squared_norm(Z[i * self._d : (i + 1) * self._d].T) - dY_sq, 0.0)
+            m_form = max(inner(Z[i * self._d : (i + 1) * self._d].T) - dY_sq, 0.0)
             values.append(dX_sq + theta_sq * m_form)
         self._pending.clear()
         return values
@@ -133,8 +127,7 @@ class MeritBlock:
 
 def merit_sc(X: np.ndarray, Y: np.ndarray, theta_min_prev: float, fp: FixedPoint, T: np.ndarray) -> float:
     """Strongly convex merit of one iterate: ||X - X*||^2 + theta^2 ||Y - Y*||^2_M (see ``MeritBlock``)."""
-    dX = X - fp.X_star
-    (V,) = MeritBlock(fp, T, rows=1).add(squared_norm(dX), Y, theta_min_prev)
+    (V,) = MeritBlock(fp, T, rows=1).add(inner(X - fp.X_star), Y, theta_min_prev)
     return V
 
 
