@@ -32,18 +32,6 @@ import numpy as np
 from .backtracking import backtrack_batch
 from .graphs import Graph, GossipMatrix, diameter
 
-__all__ = [
-    "AdaptiveAlgorithm",
-    "AdaptiveState",
-    "DivergenceError",
-    "ExtraAlgorithm",
-    "GammaSchedule",
-    "NeighborExchange",
-    "adaptive_step",
-    "local_max_consensus",
-    "local_min_consensus",
-]
-
 # Iterates larger than this abort the run: the stepsize is unstable.
 DIVERGENCE_NORM = 1e12
 

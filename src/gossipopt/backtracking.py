@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["BacktrackingError", "backtrack_batch"]
-
 # Below this the trial stepsize has underflowed: the objective is not smooth
 # along the direction (or the oracle is buggy), so the search cannot end.
 _THETA_FLOOR = 1e-300

@@ -10,25 +10,9 @@ from scipy.linalg.lapack import dpotrf, dtrtri
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
-__all__ = [
-    "Graph",
-    "GraphError",
-    "GossipMatrix",
-    "build_line_graph",
-    "build_cycle_graph",
-    "build_complete_graph",
-    "build_erdos_renyi",
-    "graph_from_spec",
-    "diameter",
-    "metropolis_weights",
-    "gossip_matrix",
-    "spectral_data",
-]
-
 _ER_MAX_DRAWS = 1000
 
-# Rows per block of the set-up's dense work arrays: the Erdos-Renyi draws and the
-# Metropolis diagonal's row sums touch at most this many rows of m at a time.
+# Rows per block of an Erdos-Renyi draw: it holds the uniforms of at most this many rows of m.
 _ROW_BLOCK = 64
 
 # A spectral gap 1 - lambda_2(W_tilde) at or below this counts as zero: the
@@ -190,16 +174,9 @@ def _pattern_rows(g: Graph) -> np.ndarray:
 
 
 def _on_pattern(g: Graph, data: np.ndarray) -> csr_array:
-    """The m x m CSR matrix with ``data`` on the pattern of ``g``.
-
-    Zeros are dropped, as a dense-to-CSR conversion drops them: a tiny c can
-    round a weight of W, or a diagonal entry of I - W, to zero. The int32
-    casts copy the pattern, so dropping them leaves ``g`` as it was.
-    """
+    """The m x m CSR matrix with ``data`` on the pattern of ``g``, with int32 copies of its indices."""
     indices, indptr = g.indices.astype(np.int32), g.indptr.astype(np.int32)
-    A = csr_array((data, indices, indptr), shape=(g.m, g.m))
-    A.eliminate_zeros()
-    return A
+    return csr_array((data, indices, indptr), shape=(g.m, g.m))
 
 
 def _product_operator(g: Graph, data: np.ndarray) -> np.ndarray | csr_array:
@@ -223,26 +200,16 @@ def _product_operator(g: Graph, data: np.ndarray) -> np.ndarray | csr_array:
 def metropolis_weights(g: Graph) -> csr_array:
     """Metropolis-Hastings mixing weights, computable from local degrees, as CSR.
 
-    Off-diagonal: 1 / (1 + max(deg_i, deg_j)) on edges; the diagonal absorbs
-    the remainder so every row sums to one. The pattern is that of ``g``. A
-    diagonal entry is 1 minus the row's sum over all m columns in numpy's
-    pairwise order, the rounding of the dense ``1 - w.sum(axis=1)``, which a
-    sum over the row's nonzeros alone misses; so the rows are summed as dense
-    blocks of ``_ROW_BLOCK`` rows.
+    Off-diagonal: 1 / (1 + max(deg_i, deg_j)) on edges; the diagonal entry
+    is 1 minus the sum of the row's off-diagonal weights, taken over the row's
+    nonzeros, so every row sums to one. The pattern is that of ``g``.
     """
     rows = _pattern_rows(g)
     degree = np.diff(g.indptr) - 1
     self_loop = g.indices == rows
     data = 1.0 / (1.0 + np.maximum(degree[rows], degree[g.indices]))
     data[self_loop] = 0.0
-    block = np.empty((_ROW_BLOCK, g.m))
-    for lo in range(0, g.m, _ROW_BLOCK):
-        hi = min(lo + _ROW_BLOCK, g.m)
-        dense = block[: hi - lo]
-        dense.fill(0.0)
-        span = slice(g.indptr[lo], g.indptr[hi])
-        dense[rows[span] - lo, g.indices[span]] = data[span]
-        data[span][self_loop[span]] = 1.0 - dense.sum(axis=1)
+    data[self_loop] = 1.0 - np.add.reduceat(data, g.indptr[:-1])
     return _on_pattern(g, data)
 
 

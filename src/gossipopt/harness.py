@@ -43,20 +43,6 @@ from .losses import (
 )
 from .metrics import ErgodicAverage, MeritBlock, fixed_point, merit_cvx
 
-__all__ = [
-    "CSV_HEADER",
-    "ConfigError",
-    "MeritRow",
-    "RunConfig",
-    "RunTrace",
-    "TuneExtraError",
-    "experiment_suite",
-    "load_config",
-    "run",
-    "tune_extra",
-    "SUITE_NAMES",
-]
-
 _ALGORITHMS = (*METHODS, "extra")
 
 _DEFAULT_ALPHA_GRID = tuple(float(a) for a in np.logspace(-6.0, 0.0, 25))
@@ -149,14 +135,6 @@ def _variants(selector: str, schemas: dict):
     return check
 
 
-def _gamma(path: str, raw) -> None:
-    """null, a constant factor c >= 1, {constant: c}, or the schedule {beta1, beta2}."""
-    if isinstance(raw, dict):
-        _mapping(path, raw, _GAMMA_CONSTANT if "constant" in raw else _GAMMA_SCHEDULE)
-    elif raw is not None:
-        _AT_LEAST_ONE(path, raw)
-
-
 def _safeguard(path: str, raw) -> None:
     """null, or {enabled, R_tilde}; R_tilde is required when enabled."""
     if raw is not None:
@@ -177,8 +155,8 @@ _GRID = _value(
 
 # The config schema: every key of every section, as key -> (check, required); the
 # graph's and the problem's kind, and the algorithm's name, pick the keys of the rest.
-_GAMMA_CONSTANT = {"constant": (_AT_LEAST_ONE, True)}
-_GAMMA_SCHEDULE = {"beta1": (_AT_LEAST_ONE, False), "beta2": (_POSITIVE, False)}
+# the growth schedule ((k + beta1)/(k + 1))**beta2; {beta1: 1} is gamma = 1
+_GAMMA = {"beta1": (_AT_LEAST_ONE, False), "beta2": (_POSITIVE, False)}
 _FLAG = _value(lambda v: isinstance(v, bool), "true or false")
 _SAFEGUARD = {on: {"enabled": (_FLAG, True), "R_tilde": (_POSITIVE, on)} for on in (False, True)}
 # run() writes the seed into every graph spec's trace comment, so every kind takes one
@@ -186,7 +164,7 @@ _GRAPH = {"m": (_COUNT, True), "seed": (_SEED, False)}
 _PROBLEM = {"m": (_COUNT, True), "h": (_COUNT, True), "seed": (_SEED, False)}
 # merit_cvx weighs consensus by delta on EXTRA runs too
 _METHOD = {"theta0": (_POSITIVE, False), "delta": (_FRACTION, False)}
-_NIPS = {**_METHOD, "gamma": (_gamma, False)}
+_NIPS = {**_METHOD, "gamma": (lambda path, raw: _mapping(path, raw, _GAMMA), False)}
 _SCHEMA = {
     "graph": (_variants("kind", {
         "line": _GRAPH, "cycle": _GRAPH, "complete": _GRAPH,
@@ -382,13 +360,7 @@ def _make_algorithm(spec: dict, gm, family, X0: np.ndarray, delta: float):
         if "extra_alpha" not in spec:
             raise ConfigError("EXTRA needs 'extra_alpha' (or run tune-extra first)")
         return ExtraAlgorithm(gm, family, X0, alpha=float(spec["extra_alpha"]))
-    # the growth factor k -> gamma: null, {beta1, beta2}, {constant: c} or a bare c
-    raw = spec.get("gamma")
-    if raw is None or (isinstance(raw, dict) and "constant" not in raw):
-        gamma = GammaSchedule(**{key: float(v) for key, v in (raw or {}).items()})
-    else:
-        constant = float(raw["constant"] if isinstance(raw, dict) else raw)
-        gamma = lambda k: constant  # noqa: E731
+    gamma = GammaSchedule(**{key: float(v) for key, v in spec.get("gamma", {}).items()})
     common = {"delta": delta, "theta0": float(spec.get("theta0", 1.0)), "gamma": gamma}
     if name == "adaptive":
         safeguard = spec.get("safeguard") or {}
@@ -549,14 +521,16 @@ _SUITE_GRAPHS = {
 }
 
 
-def _algo_spec(name: str, **extra) -> dict:
+def _algo_spec(name: str, alpha_grid) -> dict:
+    """A suite's algorithm section; EXTRA's carries the tuning grid, if one is given."""
     spec = {"algorithm": name, "delta": 1.0, "theta0": 1.0}
+    if name == "extra":
+        if alpha_grid is not None:
+            spec["extra_alpha_grid"] = list(alpha_grid)
+        return spec
+    spec["gamma"] = {"beta1": 2.0, "beta2": 1.0}
     if name == "adaptive":
         spec["d0"] = 1
-        spec["gamma"] = {"beta1": 2.0, "beta2": 1.0}
-    elif name in ("nips_global", "nips_local"):
-        spec["gamma"] = {"beta1": 2.0, "beta2": 1.0}
-    spec.update(extra)
     return spec
 
 
@@ -639,7 +613,7 @@ def experiment_suite(
     budget = 200_000 if max_vector_rounds is None else max_vector_rounds
     runs = [
         (key, f"{stem}_{algo}", RunConfig.from_dict({
-            "graph": graph, "problem": problem, "algorithm": _algo_spec(algo),
+            "graph": graph, "problem": problem, "algorithm": _algo_spec(algo, alpha_grid),
             "epsilon": epsilon, "max_vector_rounds": budget, "seed": seed,
         }))
         for key, stem, graph, problem, seed in members(data_path)
@@ -653,7 +627,7 @@ def experiment_suite(
         alpha = None
         try:
             if algo == "extra":
-                alpha, trace = tune_extra(cfg, grid=alpha_grid)
+                alpha, trace = tune_extra(cfg)
             else:
                 trace = run(cfg)
         except TuneExtraError:

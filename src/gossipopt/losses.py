@@ -27,17 +27,6 @@ import numpy as np
 from scipy.sparse import csr_array, get_index_dtype
 from scipy.special import expit
 
-__all__ = [
-    "LossError",
-    "QuadraticFamily",
-    "LogisticFamily",
-    "generate_quadratic",
-    "parse_libsvm",
-    "partition_logistic",
-    "centralized_solve",
-    "quadratic_condition_numbers",
-]
-
 # Newton steps of the centralized oracle; logistic data needs about five
 _NEWTON_ROUNDS = 30
 # terms per BLAS ddot in inner, below OpenBLAS's threading threshold of 10,000

@@ -1,4 +1,4 @@
-"""Fixed points, merit functions, ergodic averages, and rate diagnostics."""
+"""Fixed points, merit functions and ergodic averages."""
 
 from __future__ import annotations
 
@@ -10,17 +10,6 @@ from scipy.linalg.blas import dtrmm
 
 from .graphs import GossipMatrix
 from .losses import centralized_solve, inner
-
-__all__ = [
-    "ErgodicAverage",
-    "FixedPoint",
-    "MeritBlock",
-    "MetricsError",
-    "fixed_point",
-    "linear_rate_fit",
-    "merit_cvx",
-    "merit_sc",
-]
 
 
 # family -> {tol: FixedPoint}, each entry dropped with its family
@@ -171,22 +160,3 @@ class ErgodicAverage:
         self.X_sum += X
         self.image_sum += image
         self.count += 1
-
-
-def linear_rate_fit(ks, values) -> float:
-    """Least-squares slope of log(V) over the last half of a trace.
-
-    Rows with non-positive V are skipped; a clearly negative slope certifies
-    geometric decay.
-    """
-    ks = np.asarray(ks, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if ks.shape != values.shape or ks.ndim != 1:
-        raise MetricsError("need matching 1-d iteration and merit arrays")
-    start = len(ks) // 2
-    ks, values = ks[start:], values[start:]
-    keep = values > 0.0
-    ks, values = ks[keep], values[keep]
-    if len(ks) < 10:
-        raise MetricsError(f"need at least 10 positive rows in the fit window, got {len(ks)}")
-    return float(np.polyfit(ks, np.log(values), 1)[0])

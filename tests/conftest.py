@@ -7,16 +7,10 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_array
 from scipy.special import expit
 
-from gossipopt import (
-    BacktrackingError,
-    LogisticFamily,
-    LossError,
-    QuadraticFamily,
-    backtrack_batch,
-    build_erdos_renyi,
-    metropolis_weights,
-)
-from gossipopt.graphs import Graph
+from gossipopt import BacktrackingError, LossError, MetricsError
+from gossipopt.backtracking import backtrack_batch
+from gossipopt.graphs import Graph, build_erdos_renyi, metropolis_weights
+from gossipopt.losses import LogisticFamily, QuadraticFamily
 
 # connected Erdos-Renyi graphs for the graph property tests
 connected_er = st.builds(
@@ -121,10 +115,16 @@ class ScaledLoss:
 
 
 def agent_value(family, i: int, x: np.ndarray) -> float:
-    """f_i(x) from agent i's own data, independent of the stacked kernels."""
+    """f_i(x) from agent i's own data, independent of the stacked kernels.
+
+    A quadratic value that overflows is +inf, as ``QuadraticFamily.values``
+    gives it: the ridge term is skipped at ridge 0, where 0 * inf would be NaN.
+    """
     if isinstance(family, QuadraticFamily):
-        r = family.A[i] @ x - family.b[i]
-        return float(r @ r + 0.5 * family.ridge * (x @ x))
+        with np.errstate(over="ignore"):
+            r = family.A[i] @ x - family.b[i]
+            value = float(r @ r)
+            return value + 0.5 * family.ridge * float(x @ x) if family.ridge else value
     z = family.labels[i] * (family.features[i] @ x)
     return float(np.logaddexp(0.0, -z).mean())
 
@@ -270,16 +270,45 @@ def floyd_warshall_diameter(g) -> int:
 
 
 def metropolis_reference(g) -> np.ndarray:
-    """Metropolis weights by a loop over the edge set: 1 / (1 + max(deg_i, deg_j)) on edges."""
+    """Metropolis weights by a loop over the edge set: 1 / (1 + max(deg_i, deg_j)) on edges.
+
+    The diagonal entry of row i is 1 minus the row's sum over agent i's closed
+    neighbourhood in index order (its own entry counted as 0), added as
+    ``np.add.reduceat`` adds a segment: the first term plus numpy's sum of the rest.
+    """
     degree = [0] * g.m
+    closed = [{i} for i in range(g.m)]
     for i, j in g.edges:
         degree[i] += 1
         degree[j] += 1
+        closed[i].add(j)
+        closed[j].add(i)
     w = np.zeros((g.m, g.m))
     for i, j in g.edges:
         w[i, j] = w[j, i] = 1.0 / (1.0 + max(degree[i], degree[j]))
-    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
+    for i in range(g.m):
+        row = w[i, sorted(closed[i])]
+        w[i, i] = 1.0 - (row[0] + row[1:].sum())
     return w
+
+
+def linear_rate_fit(ks, values) -> float:
+    """Least-squares slope of log(V) over the last half of a trace.
+
+    Rows with non-positive V are skipped; a clearly negative slope certifies
+    geometric decay.
+    """
+    ks = np.asarray(ks, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if ks.shape != values.shape or ks.ndim != 1:
+        raise MetricsError("need matching 1-d iteration and merit arrays")
+    start = len(ks) // 2
+    ks, values = ks[start:], values[start:]
+    keep = values > 0.0
+    ks, values = ks[keep], values[keep]
+    if len(ks) < 10:
+        raise MetricsError(f"need at least 10 positive rows in the fit window, got {len(ks)}")
+    return float(np.polyfit(ks, np.log(values), 1)[0])
 
 
 def dense(op) -> np.ndarray:

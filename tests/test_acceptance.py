@@ -10,35 +10,31 @@ import pytest
 
 from gossipopt import (
     AdaptiveAlgorithm,
-    AdaptiveState,
-    FixedPoint,
-    GammaSchedule,
-    NeighborExchange,
-    QuadraticFamily,
     RunConfig,
-    adaptive_step,
-    backtrack_batch,
-    build_erdos_renyi,
-    build_line_graph,
-    diameter,
+    experiment_suite,
     fixed_point,
     generate_quadratic,
     gossip_matrix,
-    linear_rate_fit,
-    local_min_consensus,
-    merit_cvx,
-    merit_sc,
-    metropolis_weights,
     run,
-    spectral_data,
 )
-from gossipopt.algorithms import METHODS
-from gossipopt.harness import experiment_suite
+from gossipopt.algorithms import (
+    METHODS,
+    AdaptiveState,
+    GammaSchedule,
+    NeighborExchange,
+    adaptive_step,
+    local_min_consensus,
+)
+from gossipopt.backtracking import backtrack_batch
+from gossipopt.graphs import build_erdos_renyi, build_line_graph, diameter, metropolis_weights, spectral_data
+from gossipopt.losses import QuadraticFamily
+from gossipopt.metrics import FixedPoint, merit_cvx, merit_sc
 from conftest import (
     curvature_family,
     dense,
     find_a3a,
     graph_from_pairs,
+    linear_rate_fit,
     metric_from_factor,
     search_one,
     synthetic_logistic,

@@ -8,27 +8,26 @@ from scipy.sparse.csgraph import shortest_path
 
 from gossipopt import (
     AdaptiveAlgorithm,
-    AdaptiveState,
     DivergenceError,
     ExtraAlgorithm,
-    GammaSchedule,
-    GossipMatrix,
-    NeighborExchange,
-    QuadraticFamily,
-    adaptive_step,
-    build_complete_graph,
-    build_erdos_renyi,
-    build_line_graph,
-    diameter,
+    algorithms,
     fixed_point,
     generate_quadratic,
     gossip_matrix,
     graph_from_spec,
+)
+from gossipopt.algorithms import (
+    DIVERGENCE_NORM,
+    METHODS,
+    AdaptiveState,
+    GammaSchedule,
+    NeighborExchange,
+    adaptive_step,
     local_max_consensus,
     local_min_consensus,
 )
-from gossipopt import algorithms
-from gossipopt.algorithms import DIVERGENCE_NORM, METHODS
+from gossipopt.graphs import GossipMatrix, build_complete_graph, build_erdos_renyi, build_line_graph, diameter
+from gossipopt.losses import QuadraticFamily
 from conftest import (
     CountingFamily,
     ScaledLoss,

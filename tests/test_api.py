@@ -1,6 +1,7 @@
-"""The package's public surface, and the names the benchmark's probes look up in it."""
+"""The package's public surface, the README's account of it, and the names the benchmark's probes look up."""
 
 import importlib.util
+import re
 import sys
 import types
 from pathlib import Path
@@ -8,18 +9,19 @@ from pathlib import Path
 import gossipopt
 from gossipopt import algorithms
 
+ROOT = Path(__file__).resolve().parents[1]
+
 PUBLIC_NAMES = {
-    "AdaptiveAlgorithm", "AdaptiveState", "BacktrackingError", "ConfigError", "DivergenceError",
-    "ErgodicAverage", "ExtraAlgorithm", "FixedPoint", "GammaSchedule", "GossipMatrix", "Graph",
-    "GraphError", "LogisticFamily", "LossError", "MeritRow", "MetricsError",
-    "NeighborExchange", "QuadraticFamily", "RunConfig", "RunTrace", "TuneExtraError",
-    "adaptive_step", "backtrack_batch", "build_complete_graph", "build_cycle_graph",
-    "build_erdos_renyi", "build_line_graph", "centralized_solve", "diameter", "experiment_suite",
-    "fixed_point", "generate_quadratic", "gossip_matrix", "graph_from_spec", "linear_rate_fit",
-    "load_config", "local_max_consensus", "local_min_consensus", "merit_cvx", "merit_sc",
-    "metropolis_weights", "parse_libsvm", "partition_logistic", "quadratic_condition_numbers",
-    "run", "spectral_data", "tune_extra",
+    "RunConfig", "load_config", "run", "tune_extra", "experiment_suite", "ConfigError", "TuneExtraError",
+    "graph_from_spec", "gossip_matrix", "generate_quadratic", "parse_libsvm", "partition_logistic",
+    "fixed_point", "AdaptiveAlgorithm", "ExtraAlgorithm",
+    "GraphError", "LossError", "MetricsError", "DivergenceError", "BacktrackingError",
 }
+
+
+def _library_use() -> str:
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return readme[readme.index("## Library use"):]
 
 
 def test_public_api():
@@ -30,8 +32,28 @@ def test_public_api():
     assert names == PUBLIC_NAMES
 
 
+def test_no_module_lists_its_own_public_names():
+    for path in Path(gossipopt.__file__).parent.glob("*.py"):
+        assert "__all__" not in path.read_text(encoding="utf-8"), path.name
+
+
+def test_readme_table_lists_the_public_names():
+    rows = [line for line in _library_use().splitlines() if line.startswith("| `")]
+    listed = {name for row in rows for name in re.findall(r"`(\w+)", row.split("|")[1])}
+    assert listed == PUBLIC_NAMES
+
+
+def test_readme_library_use_example_runs(capsys):
+    block = re.search(r"```python\n(.*?)```", _library_use(), re.S).group(1)
+    cap = "MAX_ITERATIONS = 5000\n"
+    assert block.count(cap) == 1
+    exec(compile(block.replace(cap, "MAX_ITERATIONS = 20\n"), "README.md", "exec"), {})
+    status, k, vector_rounds = capsys.readouterr().out.splitlines()[0].split()
+    assert (status, int(k), int(vector_rounds)) == ("budget_exhausted", 20, 60)
+
+
 def _benchmark_probes():
-    path = Path(__file__).resolve().parents[1] / "benchmarks" / "probes.py"
+    path = ROOT / "benchmarks" / "probes.py"
     spec = importlib.util.spec_from_file_location("benchmark_probes", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses resolve annotations through sys.modules

@@ -3,11 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gossipopt import (
-    BacktrackingError,
-    backtrack_batch,
-    generate_quadratic,
-)
+from gossipopt import BacktrackingError, generate_quadratic
+from gossipopt.backtracking import backtrack_batch
 from conftest import (
     agent_gradient,
     agent_value,
@@ -230,6 +227,7 @@ def test_batch_rejects_nonpositive_theta():
         )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_trial_is_rejected():
     # at theta = 1e300 the residual overflows: the value is inf, and so is the
     # bound; inf <= inf holds, so only the finiteness check halves the trial

@@ -6,15 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_array
 
-from gossipopt import (
-    GraphError,
+from gossipopt import GraphError, gossip_matrix, graph_from_spec
+from gossipopt.graphs import (
     build_complete_graph,
     build_cycle_graph,
     build_erdos_renyi,
     build_line_graph,
     diameter,
-    gossip_matrix,
-    graph_from_spec,
     metropolis_weights,
     spectral_data,
 )
@@ -181,8 +179,7 @@ def test_metropolis_single_node():
 
 
 def test_metropolis_equals_edge_loop_on_600_agents():
-    # ten summing blocks, and rows whose pairwise sum a sequential sum over
-    # the nonzeros would round differently
+    # rows of up to 37 entries, whose pairwise sum a sequential one would round differently
     g = build_erdos_renyi(600, 0.032, seed=7)
     assert np.array_equal(metropolis_weights(g).toarray(), metropolis_reference(g))
 

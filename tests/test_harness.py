@@ -14,22 +14,28 @@ import yaml
 from hypothesis import example, given, settings, strategies as st
 
 from gossipopt import (
+    BacktrackingError,
     ConfigError,
-    LogisticFamily,
-    QuadraticFamily,
+    DivergenceError,
+    GraphError,
     RunConfig,
     TuneExtraError,
-    build_line_graph,
+    algorithms,
+    experiment_suite,
     fixed_point,
+    generate_quadratic,
     gossip_matrix,
+    harness,
     load_config,
+    metrics,
     run,
-    spectral_data,
     tune_extra,
 )
-from gossipopt import BacktrackingError, DivergenceError, GraphError, algorithms, harness, merit_sc, metrics
 from gossipopt.cli import main
-from gossipopt.harness import CSV_HEADER, experiment_suite
+from gossipopt.graphs import build_line_graph, spectral_data
+from gossipopt.harness import CSV_HEADER
+from gossipopt.losses import LogisticFamily, QuadraticFamily
+from gossipopt.metrics import merit_sc
 from conftest import synthetic_logistic
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples_config"
@@ -518,6 +524,13 @@ def test_suite_tune_failed_row(tmp_path):
     assert not (summary.parent / "line_extra.csv").exists()
 
 
+def test_suite_rejects_an_empty_grid_before_writing(tmp_path):
+    # the grid is part of every EXTRA run's config, so it is checked with the rest
+    with pytest.raises(ConfigError, match="algorithm.extra_alpha_grid must be"):
+        experiment_suite("quadratic_graphs", tmp_path, max_vector_rounds=60, alpha_grid=[])
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_suite_rejects_unknown_name(tmp_path):
     with pytest.raises(ConfigError, match="unknown suite"):
         experiment_suite("warp_drive", tmp_path)
@@ -877,6 +890,24 @@ def test_cli_tune_extra(tmp_path, capsys):
     cfg_path.write_text(yaml.safe_dump(raw))
     assert main(["tune-extra", "--config", str(cfg_path)]) == 0
     assert "best alpha" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("gamma", [{"constant": 1.5}, 1.5, None], ids=["constant", "number", "null"])
+def test_cli_gamma_takes_only_the_schedule(tmp_path, capsys, gamma):
+    raw = small_quadratic_config()
+    raw["algorithm"]["gamma"] = gamma
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(raw))
+    assert main(["run", "--config", str(cfg_path)]) == 3
+    err = capsys.readouterr().err  # "algorithm.gamma must be a mapping", or its unknown key "constant"
+    assert err.startswith("config error:") and "algorithm.gamma" in err and "Traceback" not in err
+
+
+def test_unit_gamma_is_the_schedule_with_beta1_one():
+    gm, fam = gossip_matrix(build_line_graph(3)), generate_quadratic(m=3, h=2, n=2, ridge=0.0, seed=1)
+    spec = {"algorithm": "adaptive", "gamma": {"beta1": 1}}
+    algo = harness._make_algorithm(spec, gm, fam, np.zeros((3, 2)), 1.0)
+    assert [algo.gamma(k) for k in range(50)] == [1.0] * 50
 
 
 @pytest.mark.parametrize(

@@ -10,17 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gossipopt
-from gossipopt import (
-    LogisticFamily,
-    LossError,
-    QuadraticFamily,
-    centralized_solve,
-    generate_quadratic,
-    parse_libsvm,
-    partition_logistic,
-    quadratic_condition_numbers,
-)
-from gossipopt import losses
+from gossipopt import LossError, generate_quadratic, losses, parse_libsvm, partition_logistic
+from gossipopt.losses import LogisticFamily, QuadraticFamily, centralized_solve, quadratic_condition_numbers
 from conftest import (
     agent_gradient,
     agent_value,
@@ -162,7 +153,7 @@ def test_centralized_solve_bytes_do_not_depend_on_blas_threads():
     # a3a-shaped one-hot data with 13 null directions: rounding must not pick the x*
     script = (
         "import hashlib\n"
-        "from gossipopt import centralized_solve\n"
+        "from gossipopt.losses import centralized_solve\n"
         "from test_losses import one_hot_logistic\n"
         "x = centralized_solve(one_hot_logistic(20, 159, groups=14, width=9, seed=21))\n"
         "print(hashlib.sha256(x.tobytes()).hexdigest())\n"

@@ -5,29 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_array
 
-from gossipopt import (
-    ErgodicAverage,
-    FixedPoint,
-    MetricsError,
-    QuadraticFamily,
-    build_complete_graph,
-    build_erdos_renyi,
-    build_line_graph,
-    fixed_point,
-    generate_quadratic,
-    gossip_matrix,
-    linear_rate_fit,
-    merit_cvx,
-    merit_sc,
-    spectral_data,
-)
-from gossipopt import metrics
-from gossipopt.losses import inner
-from gossipopt.metrics import MeritBlock
+from gossipopt import MetricsError, fixed_point, generate_quadratic, gossip_matrix, metrics
+from gossipopt.graphs import build_complete_graph, build_erdos_renyi, build_line_graph, spectral_data
+from gossipopt.losses import QuadraticFamily, inner
+from gossipopt.metrics import ErgodicAverage, FixedPoint, MeritBlock, merit_cvx, merit_sc
 from conftest import (
     CountingFamily,
     connected_er,
     dense,
+    linear_rate_fit,
     merit_cvx_reference,
     spectral_reference,
     synthetic_logistic,

@@ -7,23 +7,11 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_array
 
-from gossipopt import (
-    AdaptiveAlgorithm,
-    AdaptiveState,
-    FixedPoint,
-    NeighborExchange,
-    QuadraticFamily,
-    adaptive_step,
-    build_cycle_graph,
-    build_erdos_renyi,
-    build_line_graph,
-    fixed_point,
-    generate_quadratic,
-    gossip_matrix,
-    merit_cvx,
-    merit_sc,
-    spectral_data,
-)
+from gossipopt import AdaptiveAlgorithm, fixed_point, generate_quadratic, gossip_matrix
+from gossipopt.algorithms import AdaptiveState, NeighborExchange, adaptive_step
+from gossipopt.graphs import build_cycle_graph, build_erdos_renyi, build_line_graph, spectral_data
+from gossipopt.losses import QuadraticFamily
+from gossipopt.metrics import FixedPoint, merit_cvx, merit_sc
 from conftest import dense, metropolis_reference, written_out_step
 
 DENSE = {

@@ -209,6 +209,40 @@ def test_sweep_times_each_agent_count_in_its_own_process(tmp_path, capsys):
     assert "m=9" in capsys.readouterr().out
 
 
+def test_sweep_alternates_the_tree_that_runs_first_and_takes_medians_over_processes(tmp_path, monkeypatch):
+    sweep = _tool("sweep")
+    calls = []
+
+    def fake_child(src, m, iterations):
+        calls.append((src.name, m))
+        run = sum(1 for name, _ in calls if name == src.name)  # this tree's 1st, 2nd, ... process
+        solve = 0.5 * run if src.name == "a" else 2.0
+        return {"setup_s": [0.01 * run, 0.03 * run], "spectral_s": [0.1, 0.1 * run],
+                "solve_s": {"written": solve, "thinned": 0.25 * solve}, "rows": {"written": 4, "thinned": 2},
+                "peak_rss_mb": 50.0 + run}
+
+    monkeypatch.setattr(sweep, "child", fake_child)
+    monkeypatch.setattr(sweep, "commit", lambda src: {"commit": src.name, "modified": False})
+    trees = []
+    for label in ("a", "b"):
+        (tmp_path / label / "gossipopt").mkdir(parents=True)
+        (tmp_path / label / "gossipopt" / "__init__.py").touch()
+        trees += ["--tree", f"{label}={tmp_path / label}"]
+    out = tmp_path / "sweep.json"
+    assert sweep.main(["--out", str(out), "--agents", "6,9", "--runs", "3", "--iterations", "4", *trees]) == 0
+    # one process per tree and run, the first tree alternating run by run
+    assert calls == [("a", 6), ("b", 6), ("b", 6), ("a", 6), ("a", 6), ("b", 6),
+                     ("a", 9), ("b", 9), ("b", 9), ("a", 9), ("a", 9), ("b", 9)]
+    a = json.loads(out.read_text())["trees"]["a"]["agents"]["9"]
+    # medians over the processes: tree a's 4th-6th processes (runs 4, 5 and 6 of the fake)
+    assert a["setup_s"] == pytest.approx(0.09)  # of 0.04, 0.12, 0.05, 0.15, 0.06 and 0.18
+    assert a["spectral_s"] == pytest.approx(0.25)  # of 0.1, 0.4, 0.1, 0.5, 0.1 and 0.6
+    assert a["us_per_iter"] == pytest.approx(1e6 * 2.5 / 4)
+    assert a["step_us"] == pytest.approx(1e6 * 0.625 / 4)
+    assert a["merit_ms_per_row"] == pytest.approx(1e3 * 0.75 * 2.5 / 2)
+    assert (a["rows"], a["peak_rss_mb"]) == ({"written": 4, "thinned": 2}, 55.0)
+
+
 def test_sweep_rejects_a_tree_without_the_package(tmp_path):
     with pytest.raises(SystemExit):
         _tool("sweep").main(["--out", str(tmp_path / "s.json"), "--tree", f"x={tmp_path}"])

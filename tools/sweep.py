@@ -6,14 +6,16 @@ Usage::
 
 Each ``--tree LABEL=SRC`` names a package source tree (the directory that holds
 ``gossipopt/``); with none, the sweep times this checkout's ``src``. For every
-agent count m (``--agents``, default 200, 800 and 3200) and every tree, one
-fresh process, on one BLAS thread, runs ``--runs`` pairs of the same adaptive
-quadratic on the m-agent cycle (h=5 rows and n=20 columns per agent), each for
-exactly ``--iterations`` iterations: one run writes a row at every iteration
-(``stride: 1``), the other is fully thinned (``stride`` = the iteration count:
-rows at k=0 and at the end). The trees take turns at each m, so drift on the
-host falls on all of them alike. Per tree and m the output records the medians
-over the runs of
+agent count m (``--agents``, default 200, 800 and 3200) the sweep starts
+``--runs`` fresh processes per tree, each on one BLAS thread. A process makes
+one untimed warm-up run on a 6-agent cycle, then one pair of runs of the same
+adaptive quadratic on the m-agent cycle (h=5 rows and n=20 columns per
+agent), each for exactly ``--iterations`` iterations: one run writes a row at
+every iteration (``stride: 1``), the other is fully thinned (``stride`` = the
+iteration count: rows at k=0 and at the end). The trees take turns run by
+run, and the tree that goes first alternates from one run to the next, as
+``bench_pairs.py`` alternates seeds, so drift on the host falls on all trees
+alike. Per tree and m the output records the medians over its processes of
 
 - ``setup_s``: from ``run()``'s entry to its first iteration (every run);
 - ``spectral_s``: the time of ``spectral_data``, the m x m factor of the merit V;
@@ -64,8 +66,8 @@ def config(m: int, iterations: int, stride: int) -> dict:
     }
 
 
-def measure(m: int, runs: int, iterations: int) -> dict:
-    """The figures of one agent count, in this process, with the package already importable."""
+def measure(m: int, iterations: int) -> dict:
+    """One pair of runs at m agents, in this process, with the package already importable."""
     from gossipopt import RunConfig, harness, run
 
     first_iteration, spectral = [], []
@@ -84,41 +86,54 @@ def measure(m: int, runs: int, iterations: int) -> dict:
 
     harness.AdaptiveAlgorithm.stats = marked_stats
     harness.spectral_data = timed_spectral_data
-    written, thinned = (RunConfig.from_dict(config(m, iterations, s)) for s in (1, iterations))
+    run(RunConfig.from_dict(config(6, 2, 1)))  # warm-up: first calls and imports
+    spectral.clear()
     setup, solve, rows = [], {}, {}
-    for _ in range(runs):
-        for name, cfg in (("written", written), ("thinned", thinned)):
-            first_iteration.clear()
-            start = perf_counter()
-            trace = run(cfg)
-            end = perf_counter()
-            if trace.final.k != iterations:
-                raise RuntimeError(f"m={m}: the run stopped at k={trace.final.k} ({trace.status})")
-            setup.append(first_iteration[0] - start)
-            solve.setdefault(name, []).append(end - first_iteration[0])
-            rows[name] = len(trace.rows)
-    extra_rows = rows["written"] - rows["thinned"]
+    for name, stride in (("written", 1), ("thinned", iterations)):
+        cfg = RunConfig.from_dict(config(m, iterations, stride))
+        first_iteration.clear()
+        start = perf_counter()
+        trace = run(cfg)
+        end = perf_counter()
+        if trace.final.k != iterations:
+            raise RuntimeError(f"m={m}: the run stopped at k={trace.final.k} ({trace.status})")
+        setup.append(first_iteration[0] - start)
+        solve[name] = end - first_iteration[0]
+        rows[name] = len(trace.rows)
     return {
-        "setup_s": statistics.median(setup),
-        "spectral_s": statistics.median(spectral),
-        "us_per_iter": 1e6 * statistics.median(solve["written"]) / iterations,
-        "step_us": 1e6 * statistics.median(solve["thinned"]) / iterations,
-        "merit_ms_per_row": 1e3 * statistics.median(
-            (w - t) / extra_rows for w, t in zip(solve["written"], solve["thinned"])),
+        "setup_s": setup,
+        "spectral_s": spectral,
+        "solve_s": solve,
         "rows": rows,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
 
 
-def child(src: Path, m: int, runs: int, iterations: int) -> dict:
+def child(src: Path, m: int, iterations: int) -> dict:
     """``measure`` in a fresh process on one BLAS thread, importing the package from ``src``."""
     env = dict(os.environ, PYTHONPATH=str(src), **{var: "1" for var in THREAD_VARS})
-    cmd = [sys.executable, str(Path(__file__).resolve()), "--child", str(m),
-           "--runs", str(runs), "--iterations", str(iterations)]
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--child", str(m), "--iterations", str(iterations)]
     proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{src}: m={m} exited {proc.returncode}\n{proc.stderr}")
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def summarize(pairs: list[dict], iterations: int) -> dict:
+    """One tree's figures at one m, the medians over its processes' pairs (see the module doc)."""
+    written = [p["solve_s"]["written"] for p in pairs]
+    thinned = [p["solve_s"]["thinned"] for p in pairs]
+    rows = pairs[0]["rows"]
+    extra_rows = rows["written"] - rows["thinned"]
+    return {
+        "setup_s": statistics.median(s for p in pairs for s in p["setup_s"]),
+        "spectral_s": statistics.median(s for p in pairs for s in p["spectral_s"]),
+        "us_per_iter": 1e6 * statistics.median(written) / iterations,
+        "step_us": 1e6 * statistics.median(thinned) / iterations,
+        "merit_ms_per_row": 1e3 * statistics.median((w - t) / extra_rows for w, t in zip(written, thinned)),
+        "rows": rows,
+        "peak_rss_mb": statistics.median(p["peak_rss_mb"] for p in pairs),
+    }
 
 
 def commit(src: Path) -> dict:
@@ -150,7 +165,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--child", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child is not None:
-        print(json.dumps(measure(args.child, args.runs, args.iterations)))
+        print(json.dumps(measure(args.child, args.iterations)))
         return 0
     if args.out is None:
         parser.error("--out is required")
@@ -163,15 +178,20 @@ def main(argv: list[str] | None = None) -> int:
     agents = [int(m) for m in args.agents.split(",")]
     results = {label: {**commit(src), "agents": {}} for label, src in trees.items()}
     for m in agents:
-        for label, src in trees.items():
-            start = perf_counter()
-            figures = results[label]["agents"][str(m)] = child(src, m, args.runs, args.iterations)
+        start = perf_counter()
+        pairs = {label: [] for label in trees}
+        for r in range(args.runs):
+            for label in (list(trees) if r % 2 == 0 else list(reversed(trees))):
+                pairs[label].append(child(trees[label], m, args.iterations))
+        for label in trees:
+            figures = results[label]["agents"][str(m)] = summarize(pairs[label], args.iterations)
             print(f"{label} m={m}: " + ", ".join(
-                f"{key} {value:.4g}" for key, value in figures.items() if key != "rows")
-                + f" ({perf_counter() - start:.1f} s)", flush=True)
+                f"{key} {value:.4g}" for key, value in figures.items() if key != "rows"), flush=True)
+        print(f"m={m}: {perf_counter() - start:.1f} s", flush=True)
     args.out.write_text(json.dumps({
-        "what": ("tools/sweep.py: adaptive runs on the cycle graph, medians over the runs of "
-                 "each agent count, one process per tree and agent count, one BLAS thread"),
+        "what": ("tools/sweep.py: adaptive runs on the cycle graph, medians over the processes of "
+                 "each tree and agent count, one pair of runs per process, the trees alternating "
+                 "which goes first, one BLAS thread"),
         "machine": machine(),
         "problem": {"graph": "cycle", "h": H, "n": N, "method": "adaptive"},
         "iterations": args.iterations,
