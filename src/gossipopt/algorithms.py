@@ -32,7 +32,7 @@ import numpy as np
 from .backtracking import backtrack_batch
 from .graphs import Graph, GossipMatrix, diameter
 
-# Iterates larger than this abort the run: the stepsize is unstable.
+# Iterates larger than this, or not finite, abort the run (_diverged): the stepsize is unstable.
 DIVERGENCE_NORM = 1e12
 
 # Stepsize merge rules of the primal-dual recurrence.
@@ -41,6 +41,10 @@ METHODS = ("adaptive", "nips_global", "nips_local")
 
 class DivergenceError(RuntimeError):
     """Iterate norm exploded; for EXTRA this signals alpha is too large."""
+
+
+def _diverged(X: np.ndarray) -> bool:
+    return not np.isfinite(X).all() or np.linalg.norm(X) > DIVERGENCE_NORM
 
 
 def local_min_consensus(v: np.ndarray, g: Graph) -> np.ndarray:
@@ -265,7 +269,7 @@ def adaptive_step(
     X_scaled = state.X / pi_new[:, None]
     Y_new = Y_half + (X_scaled - exchange.gossip_rows(X_scaled)) - G_half
 
-    if not np.isfinite(X_new).all() or np.linalg.norm(X_new) > DIVERGENCE_NORM:
+    if _diverged(X_new):
         raise DivergenceError(f"{method} iterate diverged at k={k}")
     # the search's last trial put each row at its own theta_bar, so its image
     # is that of X_new wherever the merge kept theta_bar
@@ -404,7 +408,7 @@ class ExtraAlgorithm:
                     - 0.5 * (self._X_prev + self._WX_prev)
                     - self.alpha * (G - self._G_prev)
                 )
-            if not np.isfinite(X_new).all() or np.linalg.norm(X_new) > DIVERGENCE_NORM:
+            if _diverged(X_new):
                 raise DivergenceError(f"EXTRA diverged at k={self.k} (alpha={self.alpha})")
             image = self.family.images(X_new)
             self._X_prev = self.X

@@ -47,18 +47,14 @@ _ALGORITHMS = (*METHODS, "extra")
 
 _DEFAULT_ALPHA_GRID = tuple(float(a) for a in np.logspace(-6.0, 0.0, 25))
 
-# V is evaluated a block of rows at a time (MeritBlock: one dtrmm of T with rows * d columns)
-# once m >= _MERIT_BLOCK_AGENTS; below that the block's bookkeeping costs about what the wider
-# product saves. The rows are a multiple of 8, which on OpenBLAS's AVX-512 dtrmm keeps each row's
-# product byte-equal to a one-row product, at most _MERIT_BLOCK, and at most m/d, so that the
-# block holds no more numbers than T; a block is one row where not even 8 fit.
+# V is evaluated a block of rows at a time (MeritBlock: one dtrmm of T with rows * d columns).
+# The rows are a multiple of 8, which on OpenBLAS's AVX-512 dtrmm keeps each row's product
+# byte-equal to a one-row product, at most _MERIT_BLOCK, and at most m/d, so that the block
+# holds no more numbers than T; a block is one row where not even 8 fit.
 _MERIT_BLOCK = 16
-_MERIT_BLOCK_AGENTS = 256
 
 
 def _merit_block_rows(m: int, d: int) -> int:
-    if m < _MERIT_BLOCK_AGENTS:
-        return 1
     return min(_MERIT_BLOCK, m // d) // 8 * 8 or 1
 
 
@@ -361,12 +357,11 @@ def _make_algorithm(spec: dict, gm, family, X0: np.ndarray, delta: float):
             raise ConfigError("EXTRA needs 'extra_alpha' (or run tune-extra first)")
         return ExtraAlgorithm(gm, family, X0, alpha=float(spec["extra_alpha"]))
     gamma = GammaSchedule(**{key: float(v) for key, v in spec.get("gamma", {}).items()})
-    common = {"delta": delta, "theta0": float(spec.get("theta0", 1.0)), "gamma": gamma}
-    if name == "adaptive":
-        safeguard = spec.get("safeguard") or {}
-        common["d0"] = int(spec.get("d0", 1))
-        common["safeguard_radius"] = float(safeguard["R_tilde"]) if safeguard.get("enabled") else None
-    return AdaptiveAlgorithm(gm, family, X0, method=name, **common)
+    # theta0 and the adaptive-only d0 keep the constructor's defaults unless the config gives them
+    given = {key: cast(spec[key]) for key, cast in (("theta0", float), ("d0", int)) if key in spec}
+    safeguard = spec.get("safeguard") or {}
+    radius = float(safeguard["R_tilde"]) if safeguard.get("enabled") else None
+    return AdaptiveAlgorithm(gm, family, X0, method=name, delta=delta, gamma=gamma, safeguard_radius=radius, **given)
 
 
 def run(config: RunConfig) -> RunTrace:
@@ -390,38 +385,26 @@ def run(config: RunConfig) -> RunTrace:
         raise ConfigError(str(exc)) from exc
     # spectral_data's factor holds m^2 doubles, the merit block rows * m * d
     except MemoryError as exc:
-        m = graph_spec.get("m")
-        raise ConfigError(f"not enough memory to set up a run with m={m} agents: {exc}") from exc
+        raise ConfigError(f"not enough memory to set up a run with m={graph_spec.get('m')} agents: {exc}") from exc
 
     kind = config.problem["kind"]
     erg = ErgodicAverage()
     denom = math.sqrt(inner(X0 - fp.X_star)) or 1.0
 
-    def fill(values: list[float]) -> None:
-        """Give the last len(values) rows the V that their block has just evaluated."""
-        start = len(rows) - len(values)
-        rows[start:] = [replace(r, V=V) for r, V in zip(rows[start:], values)]
+    def ergodic_merit() -> float | None:
+        """M_erg at the mean of the iterates X^1..X^k; None at k = 0, with nothing averaged yet."""
+        return merit_cvx(erg.X_sum, erg.image_sum, fp, family, gm, delta, erg.count) if erg.count else None
 
-    def row(status: str) -> MeritRow:
-        """The row of iterate k; a quadratic run computes its merits only here, V a block at a time."""
-        values = merits.add(dX_sq, algo.Y, stats["theta_min"]) if merits is not None else []
-        fill(values[:-1])  # the rows before this one in its block, all appended by now
-        return MeritRow(
-            k=k,
-            vector_rounds=vector_rounds,
-            scalar_rounds=scalar_rounds,
-            err_rel=err_rel,
-            V=values[-1] if values else None,
-            M_erg=(
-                merit_cvx(erg.X_sum, erg.image_sum, fp, family, gm, delta, erg.count)
-                if kind == "quadratic" and erg.count
-                else m_erg
-            ),
-            status=status,
-            **stats,
-        )
+    records: list[dict] = []  # every written row's columns but V, which ``merits`` keeps
 
-    rows: list[MeritRow] = []
+    def record(status: str) -> None:
+        """Write the row of iterate k; a quadratic run computes its merits only here."""
+        if merits is not None:
+            merits.add(dX_sq, algo.Y, stats["theta_min"])
+        M_erg = ergodic_merit() if kind == "quadratic" else m_erg
+        records.append(dict(k=k, vector_rounds=vector_rounds, scalar_rounds=scalar_rounds, err_rel=err_rel,
+                            M_erg=M_erg, status=status, **stats))
+
     k = 0
     while True:
         stats = algo.stats()
@@ -429,52 +412,43 @@ def run(config: RunConfig) -> RunTrace:
         dX_sq = inner(algo.X - fp.X_star)
         err_rel = math.sqrt(dX_sq) / denom
         # the logistic stop reads M_erg every iteration; the quadratic one only err_rel
-        m_erg = (
-            merit_cvx(erg.X_sum, erg.image_sum, fp, family, gm, delta, erg.count)
-            if kind == "logistic" and erg.count
-            else None
-        )
+        m_erg = ergodic_merit() if kind == "logistic" else None
+        gauge = err_rel if kind == "quadratic" else m_erg
 
-        if kind == "quadratic" and err_rel <= config.epsilon:
-            status = "converged"
-        elif kind == "logistic" and m_erg is not None and m_erg <= config.epsilon:
+        if gauge is not None and gauge <= config.epsilon:
             status = "converged"
         elif k >= config.max_iterations or vector_rounds >= config.max_vector_rounds:
             status = "budget_exhausted"
         else:
             status = None
         if status is not None:
-            rows.append(row(status))
+            record(status)
             break
 
-        # a recorded row holds the iterate before the step
-        recorded = row("running") if k % config.stride == 0 else None
+        # a written row holds the iterate before the step
+        written = k % config.stride == 0
+        if written:
+            record("running")
         try:
             algo.step()
         except (DivergenceError, BacktrackingError) as exc:
             # a failed step leaves the state and the round counters untouched
             failed = "diverged" if isinstance(exc, DivergenceError) else "stalled"
-            rows.append(row(failed) if recorded is None else replace(recorded, status=failed))
+            if not written:
+                record(failed)
+            records[-1]["status"] = failed
             break
-        if recorded is not None:
-            rows.append(recorded)
         erg.update(algo.X, algo.image)
         k += 1
-    if merits is not None:
-        fill(merits.flush())
+    V = merits.column() if merits is not None else [None] * len(records)
+    rows = [MeritRow(V=v, **r) for v, r in zip(V, records)]
 
     trace = RunTrace(
         rows=rows,
         status=rows[-1].status,
         wall_time=time.perf_counter() - started,
-        comment={
-            "seed": config.seed,
-            "graph": graph_spec,
-            "problem": {k_: v for k_, v in config.problem.items()},
-            "algorithm": config.algorithm,
-            "c": config.c,
-            "epsilon": config.epsilon,
-        },
+        comment={"seed": config.seed, "graph": graph_spec, "problem": dict(config.problem),
+                 "algorithm": config.algorithm, "c": config.c, "epsilon": config.epsilon},
     )
     if config.output:
         trace.write_csv(config.output)
@@ -610,11 +584,12 @@ def experiment_suite(
     if name not in _SUITES:
         raise ConfigError(f"unknown suite {name!r}; pick one of {SUITE_NAMES}")
     keys, members, algorithms, epsilon, columns = _SUITES[name]
-    budget = 200_000 if max_vector_rounds is None else max_vector_rounds
+    # RunConfig holds the default budget
+    budget = {} if max_vector_rounds is None else {"max_vector_rounds": max_vector_rounds}
     runs = [
         (key, f"{stem}_{algo}", RunConfig.from_dict({
             "graph": graph, "problem": problem, "algorithm": _algo_spec(algo, alpha_grid),
-            "epsilon": epsilon, "max_vector_rounds": budget, "seed": seed,
+            "epsilon": epsilon, **budget, "seed": seed,
         }))
         for key, stem, graph, problem, seed in members(data_path)
         for algo in algorithms

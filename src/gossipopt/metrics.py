@@ -76,9 +76,9 @@ class MeritBlock:
     floored at zero against roundoff.
 
     ``add`` keeps a row's scalars and writes its dY^T into the next d rows of one Fortran
-    (rows d x m) buffer, allocated here. Once the block is full, or on ``flush``, one in-place
+    (rows d x m) buffer, allocated here. Once the block is full, or on ``column``, one in-place
     BLAS ``dtrmm`` multiplies the whole buffer by T, so the product a slot goes through never
-    depends on how many rows are pending, and the block's V are returned in the order added.
+    depends on how many rows are pending; ``column`` returns the V of every row added, in order.
     """
 
     def __init__(self, fp: FixedPoint, T: np.ndarray, rows: int):
@@ -86,9 +86,10 @@ class MeritBlock:
         self._fp, self._T, self._rows, self._d = fp, T, rows, d
         self._buffer = np.zeros((rows * d, m), order="F")
         self._pending: list[tuple[float, float, float]] = []  # (||dX||^2, ||dY||^2, theta^2)
+        self._values: list[float] = []
 
-    def add(self, dX_sq: float, Y: np.ndarray, theta_min_prev: float) -> list[float]:
-        """Queue one row, given ||X - X*||^2; the block's V once this row fills it, else []."""
+    def add(self, dX_sq: float, Y: np.ndarray, theta_min_prev: float) -> None:
+        """Queue one row, given ||X - X*||^2; a row that fills the block evaluates it."""
         b = len(self._pending) * self._d
         dY = self._buffer[b : b + self._d].T  # the slot, agents by rows as in Y
         np.subtract(Y, self._fp.Y_star, out=dY)
@@ -98,26 +99,29 @@ class MeritBlock:
         except OverflowError:  # a Python float above about 1.34e154
             theta_sq = np.inf
         self._pending.append((dX_sq, inner(dY), theta_sq))
-        return self.flush() if len(self._pending) == self._rows else []
+        if len(self._pending) == self._rows:
+            self._evaluate()
 
-    def flush(self) -> list[float]:
-        """The V of every pending row, in the order added; the block is empty afterwards."""
-        if not self._pending:
-            return []
+    def column(self) -> list[float]:
+        """The V of every row added so far, in the order added."""
+        if self._pending:
+            self._evaluate()
+        return self._values
+
+    def _evaluate(self) -> None:
         # (T^T dY)^T = dY^T T for every slot: one right-side triangular product, in place
         Z = dtrmm(1.0, self._T, self._buffer, side=1, overwrite_b=1)
-        values = []
         for i, (dX_sq, dY_sq, theta_sq) in enumerate(self._pending):
             m_form = max(inner(Z[i * self._d : (i + 1) * self._d].T) - dY_sq, 0.0)
-            values.append(dX_sq + theta_sq * m_form)
+            self._values.append(dX_sq + theta_sq * m_form)
         self._pending.clear()
-        return values
 
 
 def merit_sc(X: np.ndarray, Y: np.ndarray, theta_min_prev: float, fp: FixedPoint, T: np.ndarray) -> float:
     """Strongly convex merit of one iterate: ||X - X*||^2 + theta^2 ||Y - Y*||^2_M (see ``MeritBlock``)."""
-    (V,) = MeritBlock(fp, T, rows=1).add(inner(X - fp.X_star), Y, theta_min_prev)
-    return V
+    block = MeritBlock(fp, T, rows=1)
+    block.add(inner(X - fp.X_star), Y, theta_min_prev)
+    return block.column()[0]
 
 
 def merit_cvx(

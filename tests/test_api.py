@@ -81,3 +81,57 @@ def test_benchmark_probe_layers_resolve():
     assert {algorithms.AdaptiveAlgorithm, algorithms.ExtraAlgorithm} <= set(steppers)
     for cls in steppers:
         assert "stats" in vars(cls), cls.__name__
+
+
+def _package_bindings() -> dict:
+    """Every name of every gossipopt module, and of every class defined in one, with its binding."""
+    bindings = {}
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name != "gossipopt" and not mod_name.startswith("gossipopt."):
+            continue
+        for attr, value in vars(mod).items():
+            bindings[(mod_name, attr)] = value
+            if isinstance(value, type) and value.__module__.startswith("gossipopt"):
+                bindings.update(((mod_name, attr, a), v) for a, v in vars(value).items())
+    return bindings
+
+
+def test_benchmark_probes_trace_a_tiny_run_and_put_everything_back(tmp_path):
+    # the benchmark's run probe and tracer, as a traced round installs them, around one
+    # written quadratic run and a two-point EXTRA tuning
+    probes = _benchmark_probes()
+    before = _package_bindings()
+    probe, tracer = probes.RunProbe(gossipopt), probes.Tracer(gossipopt)
+    probe.install()
+    tracer.install()
+    config = {
+        "graph": {"kind": "erdos_renyi", "m": 6, "p": 0.6, "seed": 4},
+        "problem": {"kind": "quadratic", "m": 6, "h": 8, "n": 5, "lambda": 0.0, "seed": 2},
+        "algorithm": {"algorithm": "adaptive"},
+        "epsilon": 1e-3,
+        "max_iterations": 300,
+        "output": str(tmp_path / "run.csv"),
+    }
+    try:
+        gossipopt.run(gossipopt.RunConfig.from_dict(config))
+        extra = gossipopt.RunConfig.from_dict({**config, "algorithm": {"algorithm": "extra"}, "output": None})
+        gossipopt.tune_extra(extra, grid=[0.01, 0.02])
+    finally:
+        spans = tracer.uninstall()
+        probe.uninstall()
+
+    after = _package_bindings()
+    assert after.keys() == before.keys()
+    assert [key for key, value in before.items() if after[key] is not value] == []
+
+    assert [r.algorithm for r in probe.records] == ["adaptive", "extra", "extra"]
+    assert probe.records[0].csv is not None
+    for record in probe.records:
+        assert None not in (record.built, record.solve_end, record.fixed_point, record.trace)
+        assert record.start < record.built < record.solve_end <= record.end
+
+    traced = {probes.LAYER_NAMES[layer] for layer in spans.layer}
+    assert traced >= {
+        "algorithms.step", "algorithms.gossip", "algorithms.consensus", "backtracking", "losses.values",
+        "losses.gradients", "metrics.merit_cvx", "harness.run",
+    }

@@ -176,8 +176,8 @@ def test_stride_rows_are_the_full_rows_sampled(tmp_path, monkeypatch, algorithm,
             added.append(None)
             return super().add(*args)
 
-        def flush(self):
-            values = super().flush()
+        def column(self):
+            values = super().column()
             evaluated.extend(values)
             return values
 
@@ -771,7 +771,7 @@ def test_cli_setup_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def _large_quadratic_config(m: int, n: int, **overrides) -> dict:
-    """A sparse ER quadratic with m agents and dimension n, past the size where V is blocked."""
+    """A sparse ER quadratic with m agents and dimension n, wide enough (m // n >= 8) for blocks of V."""
     raw = small_quadratic_config(**{"max_iterations": 40, **overrides})
     raw["graph"] = {"kind": "erdos_renyi", "m": m, "p": 0.03, "seed": 5}
     raw["problem"] = {"kind": "quadratic", "m": m, "h": 3, "n": n, "lambda": 0.1, "seed": 3}

@@ -140,24 +140,31 @@ def test_merit_sc_matches_dense_reference(g, c, theta, seed, alternating):
 @pytest.mark.parametrize(
     "m,d,rows,added", [(7, 3, 1, 3), (12, 2, 8, 5), (40, 1, 16, 16), (300, 20, 8, 19), (260, 7, 16, 40)]
 )
-def test_merit_block_gives_each_row_its_merit_sc(m, d, rows, added):
-    # a block hands back its rows' V in the order added, whole once full and the rest on
-    # flush; each is the one-row merit of its iterate
+def test_merit_block_gives_each_row_its_merit_sc(monkeypatch, m, d, rows, added):
+    # a block multiplies its rows by T once full and the rest on column(), which hands back
+    # every row's V in the order added; each is the one-row merit of its iterate
     gm = gossip_matrix(build_line_graph(m), c=0.4)
     T = spectral_data(gm)
     rng = np.random.default_rng(m)
     fp = FixedPoint(
         x_star=np.zeros(d), X_star=rng.standard_normal((m, d)), Y_star=rng.standard_normal((m, d)), F_star=0.0
     )
-    block, values, expected = MeritBlock(fp, T, rows), [], []
-    for i in range(added):
-        X, Y, theta = fp.X_star + rng.standard_normal((m, d)), fp.Y_star + rng.standard_normal((m, d)), i / 8
-        expected.append(merit_sc(X, Y, theta, fp, T))
+    iterates = [
+        (fp.X_star + rng.standard_normal((m, d)), fp.Y_star + rng.standard_normal((m, d)), i / 8)
+        for i in range(added)
+    ]
+    expected = [merit_sc(X, Y, theta, fp, T) for X, Y, theta in iterates]
+    products, dtrmm = [], metrics.dtrmm
+    monkeypatch.setattr(metrics, "dtrmm", lambda *args, **kw: products.append(None) or dtrmm(*args, **kw))
+    block = MeritBlock(fp, T, rows)
+    for i, (X, Y, theta) in enumerate(iterates):
         dX = X - fp.X_star
-        values += block.add(float(np.vdot(dX, dX)), Y, theta)
-        assert len(values) == (i + 1) // rows * rows
-    values += block.flush()
-    assert block.flush() == []
+        assert block.add(float(np.vdot(dX, dX)), Y, theta) is None
+        assert len(products) == (i + 1) // rows
+    values = block.column()
+    blocks = -(-added // rows)  # the full ones and a partial last one
+    assert len(products) == blocks
+    assert block.column() == values and len(products) == blocks
     assert values == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 

@@ -144,6 +144,52 @@ def test_bench_pairs_prints_every_metric_and_whether_a_gain_holds(capsys):
     ]
 
 
+def test_bench_pairs_prints_a_no_regression_verdict_per_bounded_metric(tmp_path, monkeypatch, capsys):
+    bench_pairs = _tool("bench_pairs")
+    seeds = range(1, 11)
+    narrow = [1.0 + 0.01 * s for s in seeds]  # median 1.055, IQR 0.055: 5 % of the median
+    wide = [float(s) for s in seeds]  # median 5.5, IQR 5.5: 100 % of the median
+    # workload -> (parent run_s, change run_s), each seed's pair at the same index
+    cases = {
+        "slower": (narrow, [v + 0.1 for v in narrow]),  # +9.5 %, inside the 25 % bound
+        "much-slower": (narrow, [1.5 * v for v in narrow]),  # +50 %
+        "spread": (wide, wide),  # too wide to tell
+        "spread-but-faster": (wide, [0.5] * 10),  # every change run below every parent run
+    }
+    reports = {
+        side: {w: [_result(s, v, 100) for s, v in zip(seeds, pair[i])] for w, pair in cases.items()}
+        for i, side in enumerate(bench_pairs.SIDES)
+    }
+    change = tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "run_s", "bound": 0.25}, {"name": "iterations", "bound": 0.01}, {"name": "setup_s", "bound": 0.25},
+    ]}))
+    assert bench_pairs.end_to_end_bounds(change) == {"run_s": 0.25, "iterations": 0.01, "setup_s": 0.25}
+    assert bench_pairs.end_to_end_bounds(tmp_path) == {}
+
+    def fake_collect(tree, seed):
+        workloads = {w: [r for r in results if r["seed"] == seed] for w, results in reports[tree.name].items()}
+        return {"machine": {"nproc": 1}, "seconds": 30, "workloads": workloads}
+
+    monkeypatch.setattr(bench_pairs, "collect", fake_collect)
+    monkeypatch.setattr(bench_pairs, "git_head", lambda tree: "parent-head")
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main([str(tmp_path / "parent"), str(change), "--seeds", "1-10", "--out", str(out)]) == 0
+    verdicts = {w: v["run_s"] for w, v in json.loads(out.read_text())["no_regression"].items()}
+    assert verdicts == {"slower": "holds", "much-slower": "exceeded", "spread": "unresolved",
+                        "spread-but-faster": "holds"}
+    printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith(tuple(cases))]
+    # the gain-rule lines first, then one verdict per workload and bounded metric of the report
+    assert len(printed) == 16 and all("gain rule" in line for line in printed[:8])
+    assert printed[8:10] == [
+        "slower run_s: median change +9.5%, parent IQR 0.055, bound 25%, no-regression holds",
+        "slower iterations: median change +0.0%, parent IQR 0, bound 1%, no-regression holds",
+    ]
+    assert printed[10] == "much-slower run_s: median change +50.0%, parent IQR 0.055, bound 25%, no-regression exceeded"
+    assert printed[12] == "spread run_s: median change +0.0%, parent IQR 5.5, bound 25%, no-regression unresolved"
+
+
 def test_bench_pairs_rejects_unpaired_seeds():
     runs = {"parent": {"w": [_result(1, 1.0, 1)]}, "change": {"w": [_result(2, 1.0, 1)]}}
     with pytest.raises(ValueError, match="different seeds"):

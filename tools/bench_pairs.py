@@ -26,7 +26,14 @@ median gap exceeds ``parent_iqr``. Each workload also records ``pairs`` and
 the failed and attempted operations per side. The script ends by printing,
 for every workload and end-to-end metric, the two medians, the median
 change, the pairs the change was lower on, the parent IQR and whether that
-gain rule holds (every metric of the benchmark is lower-is-better).
+gain rule holds (every metric of the benchmark is lower-is-better). After
+those it prints, for every end-to-end metric with a ``bound`` in the change
+tree's BENCHMARK.json, the no-regression verdict, which the report keeps
+under ``no_regression``: ``unresolved`` when the parent's IQR is wider than
+the bound (as a share of the parent's median) and not every change run is
+below every parent run, the runs spreading too widely to tell; otherwise
+``exceeded`` when the change's median is above the parent's by more than the
+bound, and ``holds`` when it is not.
 """
 
 from __future__ import annotations
@@ -122,6 +129,44 @@ def summary_lines(summary: dict) -> list[str]:
     return lines
 
 
+def regression_verdict(parent: list[float], change: list[float], metric: dict, bound: float) -> str:
+    """The no-regression rule for a lower-is-better metric of relative ``bound`` (see the module doc)."""
+    median = metric["parent"]["median"]
+    if metric["parent_iqr"] > bound * abs(median) and not max(change) < min(parent):
+        return "unresolved"
+    return "exceeded" if metric["change"]["median"] - median > bound * abs(median) else "holds"
+
+
+def no_regression(runs: dict, summary: dict, bounds: dict) -> dict:
+    """Per workload, the verdict of every end-to-end metric that ``bounds`` (name -> bound) lists."""
+    verdicts = {}
+    for workload, entry in summary.items():
+        verdicts[workload] = {}
+        for name in entry:
+            if name in bounds:
+                parent, change = ([r["metrics"][name]["value"] for r in runs[side][workload]] for side in SIDES)
+                verdicts[workload][name] = regression_verdict(parent, change, entry[name], bounds[name])
+    return verdicts
+
+
+def no_regression_lines(summary: dict, verdicts: dict, bounds: dict) -> list[str]:
+    """One printed line per verdict of ``no_regression``."""
+    return [
+        f"{workload} {name}: median change {summary[workload][name]['median_change']:+.1%}, parent IQR "
+        f"{summary[workload][name]['parent_iqr']:.3g}, bound {bounds[name]:.0%}, no-regression {verdict}"
+        for workload, entry in verdicts.items()
+        for name, verdict in entry.items()
+    ]
+
+
+def end_to_end_bounds(tree: Path) -> dict:
+    """name -> bound of every end-to-end metric in ``tree``'s BENCHMARK.json; {} without one."""
+    path = tree / "BENCHMARK.json"
+    if not path.is_file():
+        return {}
+    return {m["name"]: m["bound"] for m in json.loads(path.read_text())["end_to_end"]}
+
+
 def git_head(tree: Path) -> str | None:
     proc = subprocess.run(["git", "-C", str(tree), "rev-parse", "HEAD"], capture_output=True, text=True)
     return proc.stdout.strip() if proc.returncode == 0 else None
@@ -150,6 +195,8 @@ def main(argv: list[str] | None = None) -> int:
             for workload, results in report["workloads"].items():
                 runs[side].setdefault(workload, []).extend(results)
     summary = summarize(runs)
+    bounds = end_to_end_bounds(trees["change"])
+    verdicts = no_regression(runs, summary, bounds)
     args.out.write_text(json.dumps({
         "what": ("benchmarks/collect.py reports (--seeds <one seed> per call, run length "
                  f"{report['seconds']} s) for the parent commit and this change, written by "
@@ -161,9 +208,10 @@ def main(argv: list[str] | None = None) -> int:
         "seconds": report["seconds"],
         "seeds": seeds,
         "summary": summary,
+        "no_regression": verdicts,
         "runs": runs,
     }, indent=1) + "\n")
-    print("\n".join(summary_lines(summary)))
+    print("\n".join(summary_lines(summary) + no_regression_lines(summary, verdicts, bounds)))
     print(f"wrote {args.out}")
     return 0
 

@@ -29,8 +29,10 @@ alike. Per tree and m the output records the medians over its processes of
 
 V is evaluated a block of rows at a time, and a run's last block is multiplied
 whole however few rows it holds. The default 33 iterations give the written
-run 34 rows, two more than a multiple of 16, the largest block: both runs then
-end on a block of two rows, so the difference is whole blocks. A run that
+run 34 rows, two more than a multiple of 16 as well as of 8, the two block
+sizes of the default agent counts (m=200 gets 8-row blocks, 800 and 3200
+16-row ones): both runs then end on a block of two rows, so the difference is
+whole blocks. A run that
 stops before the last iteration is an error.
 """
 
