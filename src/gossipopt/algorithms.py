@@ -80,11 +80,11 @@ class NeighborExchange:
 
     ``gossip_rows`` multiplies by W and charges one vector round (one
     d-dimensional payload per edge direction plus self-loops);
-    ``neighbor_min``/``neighbor_max`` charge one scalar round unless they
-    piggyback on an exchange already charged this iteration. Locality holds
-    by construction: ``GossipMatrix`` derives W from the graph's edges and
-    keeps it read-only. ``W`` is the matrix's product operator ``gm.W_op``,
-    CSR on sparse graphs.
+    ``neighbor_max`` charges one scalar round, and so does ``neighbor_min``
+    unless it piggybacks on an exchange already charged this iteration.
+    Locality holds by construction: ``GossipMatrix`` derives W from the
+    graph's edges and keeps it read-only. ``W`` is the matrix's product
+    operator ``gm.W_op``, CSR on sparse graphs.
     """
 
     def __init__(self, gm: GossipMatrix):
@@ -102,9 +102,8 @@ class NeighborExchange:
             self.scalar_rounds += 1
         return local_min_consensus(v, self.graph)
 
-    def neighbor_max(self, v: np.ndarray, charge: bool = True) -> np.ndarray:
-        if charge:
-            self.scalar_rounds += 1
+    def neighbor_max(self, v: np.ndarray) -> np.ndarray:
+        self.scalar_rounds += 1
         return local_max_consensus(v, self.graph)
 
     def charge_flood(self) -> None:
@@ -126,54 +125,7 @@ class NeighborExchange:
         return diameter(self.graph)
 
 
-@dataclass
-class AdaptiveState:
-    """Full per-iteration state of the primal-dual recurrence.
-
-    ``theta``, ``theta_tracker`` and ``pi`` hold the values produced by the
-    previous iteration (the -1 initializations before the first step).
-    ``diam`` is each agent's current effective-diameter estimate, ``bounded``
-    the safeguard bits, ``X0`` the starting rows the safeguard measures
-    primal drift from (the duals start at zero, so their drift is ``Y`` itself),
-    ``double_count`` accumulates per-agent doubling events of the
-    estimator, and ``image`` is ``family.images(X)``, None before the first
-    step. The tracker and the diameter estimate belong to
-    the ``adaptive`` merge; the ``nips_*`` merges leave them at their initial
-    values and set ``pi`` to ``theta``.
-    """
-
-    X: np.ndarray
-    Y: np.ndarray
-    theta: np.ndarray
-    theta_tracker: np.ndarray
-    pi: np.ndarray
-    diam: np.ndarray
-    bounded: np.ndarray
-    X0: np.ndarray
-    double_count: np.ndarray
-    k: int = 0
-    image: np.ndarray | None = None
-
-    @classmethod
-    def initial(cls, X0: np.ndarray, theta0: float = 1.0, d0: int = 1) -> "AdaptiveState":
-        X0 = np.asarray(X0, dtype=float)
-        m = X0.shape[0]
-        if not (0.0 < theta0 < np.inf) or d0 < 1:
-            raise ValueError(f"need a finite theta0 > 0 and d0 >= 1, got {(theta0, d0)}")
-        return cls(
-            X=X0.copy(),
-            Y=np.zeros_like(X0),
-            theta=np.full(m, float(theta0)),
-            theta_tracker=np.full(m, float(theta0)),
-            pi=np.full(m, float(theta0)),
-            diam=np.full(m, int(d0), dtype=int),
-            bounded=np.ones(m, dtype=int),
-            X0=X0.copy(),
-            double_count=np.zeros(m, dtype=int),
-        )
-
-
-def _safeguard_update(state: AdaptiveState, exchange: NeighborExchange, radius: float) -> np.ndarray:
+def _safeguard_update(algo: AdaptiveAlgorithm) -> np.ndarray:
     """Boundedness bits: 0 once the iterate leaves the radius, min-spread after.
 
     An agent whose primal drift, or dual drift scaled by its stepsize, reaches
@@ -181,57 +133,43 @@ def _safeguard_update(state: AdaptiveState, exchange: NeighborExchange, radius: 
     minimum of the previous bits, so zeros are absorbing and spread one hop
     per iteration.
     """
-    drift_x = np.linalg.norm(state.X - state.X0, axis=1)
-    drift_y = state.theta * np.linalg.norm(state.Y, axis=1)
-    outside = np.maximum(drift_x, drift_y) >= radius
-    return np.where(outside, 0, exchange.neighbor_min(state.bounded))
+    drift_x = np.linalg.norm(algo.X - algo.X0, axis=1)
+    drift_y = algo.theta * np.linalg.norm(algo.Y, axis=1)
+    outside = np.maximum(drift_x, drift_y) >= algo.safeguard_radius
+    return np.where(outside, 0, algo.exchange.neighbor_min(algo.bounded))
 
 
-def _check_method(method: str) -> None:
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-
-
-def adaptive_step(
-    state: AdaptiveState,
-    exchange: NeighborExchange,
-    family,
-    gamma_prev: float,
-    delta: float,
-    method: str = "adaptive",
-    safeguard_radius: float | None = None,
-) -> AdaptiveState:
+def adaptive_step(algo: AdaptiveAlgorithm, gamma_prev: float) -> None:
     """Advance the primal-dual recurrence by one synchronous iteration (in place).
 
     ``gamma_prev`` is the growth factor paired with this iteration's
     backtracking; the stepsize trackers grow by the same factor so that the
-    network-min stepsize is recovered exactly over quiet windows. ``method``
-    picks how the per-agent trial stepsizes are merged (see the module
-    docstring). The state is written only once the new iterate has passed
-    the divergence check, so a ``DivergenceError`` leaves it untouched.
+    network-min stepsize is recovered exactly over quiet windows.
+    ``algo.name`` picks how the per-agent trial stepsizes are merged (see the
+    module docstring). The state is written only once the new iterate has
+    passed the divergence check, so a ``DivergenceError`` leaves it untouched.
     """
-    _check_method(method)
-    k = state.k
-    m = state.X.shape[0]
+    exchange, family, method, k = algo.exchange, algo.family, algo.name, algo.k
+    m = algo.X.shape[0]
 
     gamma_bt: float | np.ndarray = gamma_prev
-    bounded_new = state.bounded
-    if safeguard_radius is not None:
-        bounded_new = _safeguard_update(state, exchange, safeguard_radius)
+    bounded_new = algo.bounded
+    if algo.safeguard_radius is not None:
+        bounded_new = _safeguard_update(algo)
         # 1 + h*(gamma-1), written so the h=1 branch is bit-exact gamma
-        gamma_bt = np.where(state.bounded == 1, gamma_prev, 1.0)
+        gamma_bt = np.where(algo.bounded == 1, gamma_prev, 1.0)
 
     # gossip the primal rows, then the gradient-tracking dual rows; one image
     # pass at X_half serves the dual update and the line search's f(X_half)
-    X_half = exchange.gossip_rows(state.X)
+    X_half = exchange.gossip_rows(algo.X)
     image_half = family.images(X_half)
     F_half, G_half = family.values(X_half, image_half), family.gradients(X_half, image_half)
-    Y_half = exchange.gossip_rows(state.Y + G_half)
+    Y_half = exchange.gossip_rows(algo.Y + G_half)
 
     # per-agent line search along the negated dual direction, then merge the
     # trial stepsizes by a network-wide or a one-hop minimum
     theta_bar, _, image = backtrack_batch(
-        state.theta, family, X_half, F_half, G_half, -Y_half, gamma_bt, delta
+        algo.theta, family, X_half, F_half, G_half, -Y_half, gamma_bt, algo.delta
     )
     if method == "nips_global":
         exchange.charge_flood()
@@ -239,34 +177,34 @@ def adaptive_step(
     else:
         theta_new = exchange.neighbor_min(theta_bar)
 
-    tracker_new, pi_new, diam_new, doubled = state.theta_tracker, theta_new, state.diam, 0
+    tracker_new, pi_new, diam_new, doubled = algo.theta_tracker, theta_new, algo.diam, 0
     if method == "adaptive":
         # tracker: reseed from the fresh stepsizes every d_i-th iteration,
         # otherwise keep a gamma-grown neighborhood minimum; the paired
         # values travel in one scalar round
-        grown = gamma_prev * state.theta_tracker
-        reseed = (k % state.diam) == (1 % state.diam)
+        grown = gamma_prev * algo.theta_tracker
+        reseed = (k % algo.diam) == (1 % algo.diam)
         reseed_min = exchange.neighbor_min(theta_new)
         grown_min = exchange.neighbor_min(grown, charge=False)
         tracker_new = np.where(reseed, reseed_min, grown_min)
 
         # dual stepsizes adopt the tracker at horizon multiples and grow
         # by the same factor in between
-        at_horizon = (k % state.diam) == 0
-        pi_new = np.where(at_horizon, tracker_new, gamma_prev * state.pi)
+        at_horizon = (k % algo.diam) == 0
+        pi_new = np.where(at_horizon, tracker_new, gamma_prev * algo.pi)
 
         # diameter estimate: if the tracker is not locally consensual at a
         # horizon multiple, the horizon was too short - double it; either
         # way sync estimates by a one-hop max
         tracker_min = exchange.neighbor_min(tracker_new, charge=False)
         doubled = at_horizon & (tracker_new != tracker_min)
-        d_max = exchange.neighbor_max(state.diam)
+        d_max = exchange.neighbor_max(algo.diam)
         diam_new = np.where(doubled, 2 * d_max, d_max)
 
     # primal descent plus the dual correction built from the pi-scaled gossip;
     # the scaled difference is grouped first so its large terms cancel cleanly
     X_new = X_half - theta_new[:, None] * Y_half
-    X_scaled = state.X / pi_new[:, None]
+    X_scaled = algo.X / pi_new[:, None]
     Y_new = Y_half + (X_scaled - exchange.gossip_rows(X_scaled)) - G_half
 
     if _diverged(X_new):
@@ -276,26 +214,30 @@ def adaptive_step(
     if np.any(theta_new != theta_bar):
         image = family.images(X_new)
 
-    state.X = X_new
-    state.Y = Y_new
-    state.theta = theta_new
-    state.theta_tracker = tracker_new
-    state.pi = pi_new
-    state.diam = diam_new
-    state.bounded = bounded_new
-    state.double_count = state.double_count + doubled
-    state.k = k + 1
-    state.image = image
-    return state
+    algo.X, algo.Y, algo.image, algo.k = X_new, Y_new, image, k + 1
+    algo.theta, algo.theta_tracker, algo.pi = theta_new, tracker_new, pi_new
+    algo.diam, algo.bounded, algo.double_count = diam_new, bounded_new, algo.double_count + doubled
 
 
 class AdaptiveAlgorithm:
-    """Driver owning the state, exchange, and gamma schedule of one run.
+    """The primal-dual recurrence of one run: its state, exchange and gamma schedule.
 
     ``method`` is ``adaptive`` (the default), ``nips_global`` or
-    ``nips_local``; ``d0`` and ``safeguard_radius`` belong to the adaptive
-    method. ``gamma`` maps the iteration k to the growth factor, as
-    :class:`GammaSchedule` does.
+    ``nips_local``; ``d0`` and ``safeguard_radius`` (finite and positive, or
+    None for no safeguard) belong to the adaptive method. ``gamma`` maps the
+    iteration k to the growth factor, as :class:`GammaSchedule` does.
+
+    The state is the attributes ``adaptive_step`` advances. ``X`` and ``Y``
+    are the primal and dual rows, ``k`` the iterations made, and ``image``
+    ``family.images(X)``, None before the first step. ``theta``,
+    ``theta_tracker`` and ``pi`` hold the stepsizes produced by the previous
+    iteration (``theta0`` before the first step). ``diam`` is each agent's
+    current effective-diameter estimate, ``double_count`` its doublings so
+    far, ``bounded`` the safeguard bits, and ``X0`` the starting rows the
+    safeguard measures primal drift from (the duals start at zero, so their
+    drift is ``Y`` itself). The tracker and the diameter estimate belong to
+    the ``adaptive`` merge; the ``nips_*`` merges leave them at their initial
+    values and set ``pi`` to ``theta``.
     """
 
     def __init__(
@@ -310,58 +252,48 @@ class AdaptiveAlgorithm:
         gamma: Callable[[int], float] = GammaSchedule(),
         safeguard_radius: float | None = None,
     ):
-        _check_method(method)
+        if method not in METHODS:
+            raise ValueError(f"method must be one of {METHODS}, got {method!r}")
         if not (0.0 < delta <= 1.0):
             raise ValueError(f"delta must lie in (0, 1], got {delta}")
-        self.exchange = NeighborExchange(gm)
-        self.family = family
-        self.state = AdaptiveState.initial(X0, theta0=theta0, d0=d0)
-        self.name = method
-        self.delta = delta
+        if not (0.0 < theta0 < np.inf) or d0 < 1:
+            raise ValueError(f"need a finite theta0 > 0 and d0 >= 1, got {(theta0, d0)}")
         if not callable(gamma):
             raise TypeError(f"gamma must be a callable k -> growth factor, got {gamma!r}")
+        if safeguard_radius is not None and not (0.0 < safeguard_radius < np.inf):
+            raise ValueError(f"safeguard_radius must be finite and positive, got {safeguard_radius}")
+        self.exchange = NeighborExchange(gm)
+        self.family = family
+        self.name = method
+        self.delta = delta
         self.gamma = gamma
         self.safeguard_radius = safeguard_radius
 
-    def _gamma_prev(self) -> float:
-        # iteration k pairs with the k-1 growth factor; clamp the undefined
-        # k=-1 slot to the schedule's first value
-        return self.gamma(max(self.state.k - 1, 0))
+        X0 = np.asarray(X0, dtype=float)
+        m = X0.shape[0]
+        self.X, self.X0, self.Y = X0.copy(), X0.copy(), np.zeros_like(X0)
+        self.theta, self.theta_tracker, self.pi = (np.full(m, float(theta0)) for _ in range(3))
+        self.diam = np.full(m, int(d0), dtype=int)
+        self.bounded = np.ones(m, dtype=int)
+        self.double_count = np.zeros(m, dtype=int)
+        self.k = 0
+        self.image: np.ndarray | None = None
 
     def step(self) -> None:
         """One iteration; a step that raises leaves the state and the round counters as they were."""
         with self.exchange.charged_on_success():
-            adaptive_step(
-                self.state,
-                self.exchange,
-                self.family,
-                self._gamma_prev(),
-                self.delta,
-                self.name,
-                self.safeguard_radius,
-            )
-
-    @property
-    def X(self) -> np.ndarray:
-        return self.state.X
-
-    @property
-    def Y(self) -> np.ndarray:
-        return self.state.Y
-
-    @property
-    def image(self) -> np.ndarray | None:
-        return self.state.image
+            # iteration k pairs with the k-1 growth factor; the undefined k=-1
+            # slot takes the schedule's first value
+            adaptive_step(self, self.gamma(max(self.k - 1, 0)))
 
     def stats(self) -> dict:
-        s = self.state
         tracked = self.name == "adaptive"
         return {
-            "theta_min": float(s.theta.min()),
-            "theta_max": float(s.theta.max()),
-            "pi_min": float(s.pi.min()) if tracked else None,
-            "pi_max": float(s.pi.max()) if tracked else None,
-            "d_max": int(s.diam.max()) if tracked else None,
+            "theta_min": float(self.theta.min()),
+            "theta_max": float(self.theta.max()),
+            "pi_min": float(self.pi.min()) if tracked else None,
+            "pi_max": float(self.pi.max()) if tracked else None,
+            "d_max": int(self.diam.max()) if tracked else None,
         }
 
 
@@ -376,6 +308,7 @@ class ExtraAlgorithm:
     """
 
     name = "extra"
+    Y = None  # EXTRA keeps no dual rows
 
     def __init__(self, gm: GossipMatrix, family, X0: np.ndarray, alpha: float):
         if not (0.0 < alpha < np.inf):
@@ -389,10 +322,6 @@ class ExtraAlgorithm:
         self._X_prev: np.ndarray | None = None
         self._WX_prev: np.ndarray | None = None
         self._G_prev: np.ndarray | None = None
-
-    @property
-    def Y(self) -> None:
-        return None
 
     def step(self) -> None:
         """One iteration; a step that raises leaves the iterates and the round counters as they were."""

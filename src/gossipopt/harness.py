@@ -17,7 +17,6 @@ from __future__ import annotations
 import contextvars
 import json
 import math
-import numbers
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
@@ -75,14 +74,16 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
+# A config number is one YAML reads and JSON writes: a Python int or float, never a bool, and
+# not an np.int64 or np.float32, which the trace comment's json.dumps rejects.
 def _is_int(value) -> bool:
-    """An integer, not a bool, within int64."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and abs(value) <= _INT64_MAX
+    """An int, not a bool, within int64."""
+    return isinstance(value, int) and not isinstance(value, bool) and abs(value) <= _INT64_MAX
 
 
 def _is_real(value) -> bool:
-    """A real number, not a bool, that converts to a finite float."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) <= _FLOAT_MAX
+    """An int or a float, not a bool, that converts to a finite float."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= _FLOAT_MAX
 
 
 def _value(test, description: str):
@@ -131,12 +132,6 @@ def _variants(selector: str, schemas: dict):
     return check
 
 
-def _safeguard(path: str, raw) -> None:
-    """null, or {enabled, R_tilde}; R_tilde is required when enabled."""
-    if raw is not None:
-        _mapping(path, raw, _SAFEGUARD[isinstance(raw, dict) and raw.get("enabled") is True])
-
-
 _COUNT = _value(lambda v: _is_int(v) and v > 0, "an integer (positive, within int64)")
 _SEED = _value(lambda v: _is_int(v) and v >= 0, "an integer (non-negative, within int64)")
 _POSITIVE = _value(lambda v: _is_real(v) and v > 0, "a positive finite real number")
@@ -153,8 +148,8 @@ _GRID = _value(
 # graph's and the problem's kind, and the algorithm's name, pick the keys of the rest.
 # the growth schedule ((k + beta1)/(k + 1))**beta2; {beta1: 1} is gamma = 1
 _GAMMA = {"beta1": (_AT_LEAST_ONE, False), "beta2": (_POSITIVE, False)}
-_FLAG = _value(lambda v: isinstance(v, bool), "true or false")
-_SAFEGUARD = {on: {"enabled": (_FLAG, True), "R_tilde": (_POSITIVE, on)} for on in (False, True)}
+# the boundedness safeguard's radius; no safeguard key is no safeguard
+_SAFEGUARD = {"R_tilde": (_POSITIVE, True)}
 # run() writes the seed into every graph spec's trace comment, so every kind takes one
 _GRAPH = {"m": (_COUNT, True), "seed": (_SEED, False)}
 _PROBLEM = {"m": (_COUNT, True), "h": (_COUNT, True), "seed": (_SEED, False)}
@@ -171,7 +166,8 @@ _SCHEMA = {
         "logistic": {**_PROBLEM, "dataset": (_value(lambda v: isinstance(v, str) and v, "a path string"), True)},
     }), True),
     "algorithm": (_variants("algorithm", {
-        "adaptive": {**_NIPS, "d0": (_COUNT, False), "safeguard": (_safeguard, False)},
+        "adaptive": {**_NIPS, "d0": (_COUNT, False),
+                     "safeguard": (lambda path, raw: _mapping(path, raw, _SAFEGUARD), False)},
         "nips_global": _NIPS, "nips_local": _NIPS,
         # a tune-extra config carries a grid and no stepsize
         "extra": {**_METHOD, "extra_alpha": (_POSITIVE, False), "extra_alpha_grid": (_GRID, False)},
@@ -357,11 +353,11 @@ def _make_algorithm(spec: dict, gm, family, X0: np.ndarray, delta: float):
             raise ConfigError("EXTRA needs 'extra_alpha' (or run tune-extra first)")
         return ExtraAlgorithm(gm, family, X0, alpha=float(spec["extra_alpha"]))
     gamma = GammaSchedule(**{key: float(v) for key, v in spec.get("gamma", {}).items()})
-    # theta0 and the adaptive-only d0 keep the constructor's defaults unless the config gives them
+    # theta0 and the adaptive-only d0 and safeguard keep the constructor's defaults unless given
     given = {key: cast(spec[key]) for key, cast in (("theta0", float), ("d0", int)) if key in spec}
-    safeguard = spec.get("safeguard") or {}
-    radius = float(safeguard["R_tilde"]) if safeguard.get("enabled") else None
-    return AdaptiveAlgorithm(gm, family, X0, method=name, delta=delta, gamma=gamma, safeguard_radius=radius, **given)
+    if "safeguard" in spec:
+        given["safeguard_radius"] = float(spec["safeguard"]["R_tilde"])
+    return AdaptiveAlgorithm(gm, family, X0, method=name, delta=delta, gamma=gamma, **given)
 
 
 def run(config: RunConfig) -> RunTrace:

@@ -236,6 +236,10 @@ def generate_quadratic(m: int, h: int, n: int, ridge: float, seed: int) -> Quadr
 
 def _check_libsvm_line(tokens: list[str]) -> None:
     """Raise the ValueError that makes one split libsvm line malformed, if any."""
+    try:
+        " ".join(tokens).encode()
+    except UnicodeEncodeError as exc:  # the reader keeps an undecodable byte b as the char U+DC00 + b
+        raise ValueError(f"byte {ord(exc.object[exc.start]) - 0xDC00:#04x} is not UTF-8") from None
     float(tokens[0])
     for token in tokens[1:]:
         idx_s, val_s = token.split(":", 1)
@@ -260,8 +264,9 @@ def parse_libsvm(path) -> tuple[np.ndarray, np.ndarray, int]:
     values) and ``int`` (indices); a label above 0 becomes +1, any other -1.
     Blank lines are skipped, a row may have no entry, and a repeated index
     keeps its last value. Rows are densified to the largest index seen
-    anywhere in the file. A malformed line, an empty file or a file without
-    any ``idx:val`` entry raises ``LossError``.
+    anywhere in the file. A malformed line (a byte that is not UTF-8 makes
+    one), an empty file or a file without any ``idx:val`` entry raises
+    ``LossError``.
 
     The file is read ``_BLOCK_LINES`` lines at a time. Each line is split
     once, each block's entries are joined and split on ':' once, and its
@@ -272,7 +277,7 @@ def parse_libsvm(path) -> tuple[np.ndarray, np.ndarray, int]:
     labels, row_sizes, cols, vals = [], [], [], []
     first_line = 1
     indices = _IndexMemo()  # a file repeats the same few index strings
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         while lines := list(islice(fh, _BLOCK_LINES)):
             rows = list(filter(None, map(str.split, lines)))
             entries = list(chain.from_iterable(map(_TAIL, rows)))

@@ -38,15 +38,20 @@ def libsvm_reference(path) -> tuple[np.ndarray, np.ndarray, int]:
     Each line's label goes through ``float``, each ``idx:val`` token through
     ``str.split(":", 1)``, ``int`` and ``float`` into a dict, so a repeated
     index keeps its last value; the first malformed line raises ``LossError``
-    naming it. An empty file, or one with no entry at all, is rejected.
+    naming it, a line with a byte that is not UTF-8 among them. An empty file,
+    or one with no entry at all, is rejected.
     """
     labels, row_sizes, cols, vals = [], [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
+    # surrogateescape reads an undecodable byte b as the lone surrogate U+DC00 + b
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             tokens = line.split()
             if not tokens:
                 continue
             try:
+                undecodable = [ord(c) - 0xDC00 for c in line if "\udc80" <= c <= "\udcff"]
+                if undecodable:
+                    raise ValueError(f"byte {undecodable[0]:#04x} is not UTF-8")
                 raw = float(tokens[0])
                 entries = {}
                 for tok in tokens[1:]:

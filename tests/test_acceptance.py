@@ -19,9 +19,7 @@ from gossipopt import (
 )
 from gossipopt.algorithms import (
     METHODS,
-    AdaptiveState,
     GammaSchedule,
-    NeighborExchange,
     adaptive_step,
     local_min_consensus,
 )
@@ -146,14 +144,14 @@ def test_criterion_4_equivalence_oracle(rng):
         Y = rng.standard_normal((m, d))
         theta0 = float(rng.uniform(1e-3, 1.0))
         for method in METHODS:
-            state = AdaptiveState.initial(X, theta0=theta0)
-            state.Y = Y.copy()
-            adaptive_step(state, NeighborExchange(gm), fam, 1.5, 1.0, method)
-            X_ref, Y_ref = written_out_step(dense(gm.W_op), fam, X, Y, state.theta, state.pi)
-            assert np.abs(state.X - X_ref).max() <= 1e-12
-            assert np.abs(state.Y - Y_ref).max() <= 1e-12
+            algo = AdaptiveAlgorithm(gm, fam, X, method=method, theta0=theta0)
+            algo.Y = Y.copy()
+            adaptive_step(algo, 1.5)
+            X_ref, Y_ref = written_out_step(dense(gm.W_op), fam, X, Y, algo.theta, algo.pi)
+            assert np.abs(algo.X - X_ref).max() <= 1e-12
+            assert np.abs(algo.Y - Y_ref).max() <= 1e-12
             if method == "nips_global":
-                assert state.theta.max() == state.theta.min()
+                assert algo.theta.max() == algo.theta.min()
         checked += 1
     _passed(4, "uniform-stepsize step equals the benchmark update")
 
@@ -167,7 +165,7 @@ def test_criterion_5_fixed_point_stationarity(rng):
         fam = generate_quadratic(m=m, h=d + 2, n=d, ridge=0.1, seed=200 + trial)
         fp = fixed_point(fam, tol=1e-10)
         algo = AdaptiveAlgorithm(gm, fam, X0=fp.X_star, theta0=1e-3, gamma=GammaSchedule(beta1=1.0))
-        algo.state.Y = fp.Y_star.copy()
+        algo.Y = fp.Y_star.copy()
         algo.step()
         scale = 1.0 + np.linalg.norm(fp.X_star) + np.linalg.norm(fp.Y_star)
         moved = np.linalg.norm(algo.X - fp.X_star) + np.linalg.norm(algo.Y - fp.Y_star)
@@ -252,14 +250,14 @@ def test_criterion_8_diameter_estimator(m):
         fam = generate_quadratic(m=m, h=6, n=5, ridge=0.0, seed=m)
     gm = gossip_matrix(build_line_graph(m), c=0.5)
     algo = AdaptiveAlgorithm(gm, fam, X0=np.zeros((m, fam.dim)), d0=1)
-    prev = algo.state.diam.copy()
+    prev = algo.diam.copy()
     for _ in range(400):
         algo.step()
-        cur = algo.state.diam
+        cur = algo.diam
         assert np.all(cur >= prev)  # estimates never shrink
         assert cur.max() <= 2 * (m - 1)
         prev = cur.copy()
-    assert algo.state.double_count.max() <= int(np.ceil(np.log2(2 * (m - 1))))
+    assert algo.double_count.max() <= int(np.ceil(np.log2(2 * (m - 1))))
     if m == 20:
         _passed(8, "diameter estimator bounds on line graphs")
 
@@ -324,7 +322,7 @@ def test_criterion_11_boundedness_safeguard():
     hist = []
     for _ in range(300):
         guarded.step()
-        hist.append((guarded.state.bounded.copy(), guarded.state.theta.copy()))
+        hist.append((guarded.bounded.copy(), guarded.theta.copy()))
     bits = np.array([h for h, _ in hist])
     thetas = np.array([t for _, t in hist])
     assert bits.min() == 0

@@ -1,5 +1,4 @@
 import copy
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,6 +7,7 @@ from scipy.sparse.csgraph import shortest_path
 
 from gossipopt import (
     AdaptiveAlgorithm,
+    BacktrackingError,
     DivergenceError,
     ExtraAlgorithm,
     algorithms,
@@ -19,7 +19,6 @@ from gossipopt import (
 from gossipopt.algorithms import (
     DIVERGENCE_NORM,
     METHODS,
-    AdaptiveState,
     GammaSchedule,
     NeighborExchange,
     adaptive_step,
@@ -240,7 +239,7 @@ def test_adaptive_step_image_is_the_image_of_the_iterate(monkeypatch, method, ki
     merged_below = 0
     for _ in range(300):
         algo.step()
-        merged_below += np.any(algo.state.theta != searched[-1])
+        merged_below += np.any(algo.theta != searched[-1])
         assert np.array_equal(algo.image, fam.images(algo.X))
     assert 0 < merged_below < 300  # both branches ran
 
@@ -291,7 +290,7 @@ def test_fixed_point_is_stationary():
     gm = gossip_matrix(build_erdos_renyi(4, 0.8, seed=1), c=0.5)
     fp = fixed_point(fam, tol=1e-10)
     algo = AdaptiveAlgorithm(gm, fam, X0=fp.X_star, theta0=1e-3, gamma=GammaSchedule(beta1=1.0))
-    algo.state.Y = fp.Y_star.copy()
+    algo.Y = fp.Y_star.copy()
     algo.step()
     scale = 1.0 + np.linalg.norm(fp.X_star) + np.linalg.norm(fp.Y_star)
     moved = np.linalg.norm(algo.X - fp.X_star) + np.linalg.norm(algo.Y - fp.Y_star)
@@ -305,16 +304,16 @@ def test_step_matches_written_out_recurrence(method, rng):
     for _ in range(5):
         X = rng.standard_normal((4, 3))
         Y = rng.standard_normal((4, 3))
-        state = AdaptiveState.initial(X, theta0=float(rng.uniform(1e-3, 1.0)))
-        state.Y = Y.copy()
-        adaptive_step(state, NeighborExchange(gm), fam, 1.5, 1.0, method)
-        X_ref, Y_ref = written_out_step(dense(gm.W_op), fam, X, Y, state.theta, state.pi)
-        assert np.abs(state.X - X_ref).max() <= 1e-12
-        assert np.abs(state.Y - Y_ref).max() <= 1e-12
+        algo = AdaptiveAlgorithm(gm, fam, X, method=method, theta0=float(rng.uniform(1e-3, 1.0)))
+        algo.Y = Y.copy()
+        adaptive_step(algo, 1.5)
+        X_ref, Y_ref = written_out_step(dense(gm.W_op), fam, X, Y, algo.theta, algo.pi)
+        assert np.abs(algo.X - X_ref).max() <= 1e-12
+        assert np.abs(algo.Y - Y_ref).max() <= 1e-12
         if method != "adaptive":
-            np.testing.assert_array_equal(state.pi, state.theta)
+            np.testing.assert_array_equal(algo.pi, algo.theta)
         if method == "nips_global":
-            assert state.theta.max() == state.theta.min()
+            assert algo.theta.max() == algo.theta.min()
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -360,9 +359,8 @@ def test_tracker_recovery_and_pi_consensuality():
     trace = []
     for _ in range(600):
         algo.step()
-        s = algo.state
         trace.append(
-            (s.k, s.theta.copy(), s.theta_tracker.copy(), s.pi.copy(), s.diam.copy())
+            (algo.k, algo.theta.copy(), algo.theta_tracker.copy(), algo.pi.copy(), algo.diam.copy())
         )
 
     diam_final = trace[-1][4]
@@ -403,15 +401,15 @@ def test_diameter_estimates_nondecreasing_and_bounded():
         g = build_line_graph(m)
         gm = gossip_matrix(g, c=0.5)
         algo = AdaptiveAlgorithm(gm, fam, X0=np.zeros((m, 5)), d0=1)
-        prev = algo.state.diam.copy()
+        prev = algo.diam.copy()
         for _ in range(300):
             algo.step()
-            cur = algo.state.diam
+            cur = algo.diam
             assert np.all(cur >= prev)
             assert cur.max() <= 2 * (m - 1)
             prev = cur.copy()
         bound = int(np.ceil(np.log2(2 * (m - 1))))
-        assert algo.state.double_count.max() <= bound
+        assert algo.double_count.max() <= bound
 
 
 def test_adaptive_safeguard_bits_and_theta_monotone():
@@ -429,7 +427,7 @@ def test_adaptive_safeguard_bits_and_theta_monotone():
     hist = []
     for _ in range(300):
         guarded.step()
-        hist.append((guarded.state.bounded.copy(), guarded.state.theta.copy()))
+        hist.append((guarded.bounded.copy(), guarded.theta.copy()))
 
     bits = np.array([h for h, _ in hist])
     thetas = np.array([t for _, t in hist])
@@ -457,32 +455,44 @@ def test_safeguard_huge_radius_matches_default():
 def test_adaptive_divergence_guard():
     fam = generate_quadratic(m=3, h=4, n=2, ridge=0.0, seed=11)
     gm = gossip_matrix(build_line_graph(3), c=0.5)
-    state = AdaptiveState.initial(np.full((3, 2), 10 * DIVERGENCE_NORM), theta0=1.0)
+    algo = AdaptiveAlgorithm(gm, fam, np.full((3, 2), 10 * DIVERGENCE_NORM), theta0=1.0)
     with pytest.raises(DivergenceError):
-        adaptive_step(state, NeighborExchange(gm), fam, 2.0, 1.0)
-    assert state.k == 0
+        adaptive_step(algo, 2.0)
+    assert algo.k == 0
+
+
+# every attribute adaptive_step writes
+STATE = ("X", "Y", "theta", "theta_tracker", "pi", "diam", "bounded", "X0", "double_count", "k", "image")
+
+
+def _state(algo: AdaptiveAlgorithm) -> dict:
+    return {name: copy.deepcopy(getattr(algo, name)) for name in STATE}
+
+
+def _assert_state_equal(algo: AdaptiveAlgorithm, before: dict) -> None:
+    for name, value in before.items():
+        np.testing.assert_array_equal(getattr(algo, name), value, err_msg=name)
 
 
 def test_divergence_leaves_state_untouched():
     fam = generate_quadratic(m=3, h=4, n=2, ridge=0.0, seed=11)
     gm = gossip_matrix(build_line_graph(3), c=0.5)
-    state = AdaptiveState.initial(np.full((3, 2), 1e13), theta0=1.0)
-    state.X0 = np.zeros((3, 2))  # every agent is outside the safeguard radius
-    before = copy.deepcopy(state)
+    algo = AdaptiveAlgorithm(gm, fam, np.full((3, 2), 1e13), theta0=1.0, safeguard_radius=1.0)
+    algo.X0 = np.zeros((3, 2))  # every agent is outside the safeguard radius
+    before = _state(algo)
     with pytest.raises(DivergenceError):
-        adaptive_step(state, NeighborExchange(gm), fam, 2.0, 1.0, safeguard_radius=1.0)
-    for f in fields(state):
-        np.testing.assert_array_equal(getattr(state, f.name), getattr(before, f.name), err_msg=f.name)
+        adaptive_step(algo, 2.0)
+    _assert_state_equal(algo, before)
 
 
 def test_state_validation():
-    for theta0 in (0.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="theta0"):
-            AdaptiveState.initial(np.zeros((2, 2)), theta0=theta0)
-    with pytest.raises(ValueError):
-        AdaptiveState.initial(np.zeros((2, 2)), d0=0)
     gm = gossip_matrix(build_line_graph(2), c=0.5)
     fam = generate_quadratic(m=2, h=2, n=2, ridge=0.0, seed=0)
+    for theta0 in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="theta0"):
+            AdaptiveAlgorithm(gm, fam, X0=np.zeros((2, 2)), theta0=theta0)
+    with pytest.raises(ValueError):
+        AdaptiveAlgorithm(gm, fam, X0=np.zeros((2, 2)), d0=0)
     with pytest.raises(ValueError):
         AdaptiveAlgorithm(gm, fam, X0=np.zeros((2, 2)), delta=1.5)
     with pytest.raises(ValueError):
@@ -492,6 +502,9 @@ def test_state_validation():
             ExtraAlgorithm(gm, fam, X0=np.zeros((2, 2)), alpha=alpha)
     with pytest.raises(TypeError, match="callable"):
         AdaptiveAlgorithm(gm, fam, X0=np.zeros((2, 2)), gamma=1.5)
+    for radius in (np.nan, 0.0, -1.0, np.inf):
+        with pytest.raises(ValueError, match="safeguard_radius"):
+            AdaptiveAlgorithm(gm, fam, X0=np.zeros((2, 2)), safeguard_radius=radius)
 
 
 # --- baseline ---
@@ -510,8 +523,8 @@ def test_baseline_modes_differ_on_heterogeneous_losses():
     for _ in range(20):
         glob.step()
         loc.step()
-        assert glob.state.theta.max() == glob.state.theta.min()
-        if loc.state.theta.max() > loc.state.theta.min():
+        assert glob.theta.max() == glob.theta.min()
+        if loc.theta.max() > loc.theta.min():
             saw_heterogeneous = True
     assert saw_heterogeneous
     assert np.abs(glob.X - loc.X).max() > 1e-12
@@ -597,26 +610,42 @@ def test_failed_extra_step_charges_no_rounds():
 @pytest.mark.parametrize("method", METHODS)
 def test_failed_adaptive_step_charges_no_rounds(monkeypatch, method):
     fam = generate_quadratic(m=6, h=5, n=3, ridge=0.0, seed=15)
-    algo = AdaptiveAlgorithm(gossip_matrix(build_line_graph(6), c=0.5), fam, np.zeros((6, 3)), method=method)
+    gm = gossip_matrix(build_line_graph(6), c=0.5)
+    algo, twin = (AdaptiveAlgorithm(gm, fam, np.zeros((6, 3)), method=method) for _ in range(2))
     for _ in range(4):
         algo.step()
-    before, state = _rounds(algo), copy.deepcopy(algo.state)
+        twin.step()
+    # the state is every attribute but the run's parameters
+    assert set(vars(algo)) == {*STATE, "exchange", "family", "name", "delta", "gamma", "safeguard_radius"}
+    before, state = _rounds(algo), _state(algo)
+    assert before[0] == 12 and before[1] > 0 and state["k"] == 4
     # the divergence check runs after every gossip and consensus round of the step
-    monkeypatch.setattr(algorithms, "DIVERGENCE_NORM", -1.0)
-    with pytest.raises(DivergenceError):
-        algo.step()
-    assert before[0] == 12 and before[1] > 0
+    with monkeypatch.context() as patch:
+        patch.setattr(algorithms, "DIVERGENCE_NORM", -1.0)
+        with pytest.raises(DivergenceError):
+            algo.step()
     assert _rounds(algo) == before
-    assert algo.state.k == state.k == 4
-    np.testing.assert_array_equal(algo.X, state.X)
+    _assert_state_equal(algo, state)
+    # an infinite growth factor fails the line search, after both gossip rounds
+    gamma, algo.gamma = algo.gamma, lambda k: np.inf
+    with pytest.raises(BacktrackingError, match="overflow"):
+        algo.step()
+    assert _rounds(algo) == before
+    _assert_state_equal(algo, state)
+    # and the next step is the one the failed ones would have made
+    algo.gamma = gamma
+    algo.step()
+    twin.step()
+    assert _rounds(algo) == _rounds(twin)
+    _assert_state_equal(algo, _state(twin))
 
 
 # --- exact metamorphic checks: locality and scale equivariance ---
 
 
-def _agent_rows(state: AdaptiveState) -> np.ndarray:
+def _agent_rows(algo: AdaptiveAlgorithm) -> np.ndarray:
     """Each agent's X, Y, theta, tracker, pi and diameter estimate, as the bits of one row."""
-    rows = np.column_stack([state.X, state.Y, state.theta, state.theta_tracker, state.pi, state.diam])
+    rows = np.column_stack([algo.X, algo.Y, algo.theta, algo.theta_tracker, algo.pi, algo.diam])
     return rows.view(np.uint64)
 
 
@@ -645,7 +674,7 @@ def test_perturbing_one_agent_reaches_a_bounded_number_of_hops(graph, method, ho
         for k in range(1, 16):
             for algo in algos:
                 algo.step()
-            differs = (_agent_rows(algos[0].state) != _agent_rows(algos[1].state)).any(axis=1)
+            differs = (_agent_rows(algos[0]) != _agent_rows(algos[1])).any(axis=1)
             assert differs[j]
             assert hops[differs].max() <= hops_per_iteration * k, (factor, k)
 
@@ -661,7 +690,7 @@ def test_network_wide_minimum_reaches_the_far_end_at_once():
              for fam in (base, QuadraticFamily(A, base.b))]
     for algo in algos:
         algo.step()
-    differs = (_agent_rows(algos[0].state) != _agent_rows(algos[1].state)).any(axis=1)
+    differs = (_agent_rows(algos[0]) != _agent_rows(algos[1])).any(axis=1)
     assert differs[59]
 
 
@@ -683,7 +712,7 @@ def _assert_runs_correspond(reference, runs, iterations=400):
     must be equal at the end.
     """
     def state(algo):
-        return algo.X, algo.state.theta, algo.state.pi, algo.Y
+        return algo.X, algo.theta, algo.pi, algo.Y
 
     for k in range(1, iterations + 1):
         reference.step()

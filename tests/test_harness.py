@@ -582,10 +582,10 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
         lambda d: d.update(fixed_point_tol=1e-30),
         lambda d: d["problem"].update(n=[1]),
         lambda d: d["graph"].update(p=[1]),
-        lambda d: d["algorithm"].update(safeguard={"enabled": True}),
+        lambda d: d["algorithm"].update(safeguard={}),
         lambda d: d["algorithm"].update(safeguard=5),
-        lambda d: d["algorithm"].update(safeguard={"enabled": True, "R_tilde": float("nan")}),
-        lambda d: d["algorithm"].update(safeguard={"enabled": True, "R_tilde": -1}),
+        lambda d: d["algorithm"].update(safeguard={"R_tilde": float("nan")}),
+        lambda d: d["algorithm"].update(safeguard={"R_tilde": -1}),
         lambda d: d["algorithm"].update(theta0=float("nan")),
         lambda d: d["algorithm"].update(gamma={"beta1": float("nan")}),
         lambda d: d["algorithm"].update(gamma=float("nan")),
@@ -595,10 +595,10 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
         lambda d: d["algorithm"].update(algorithm="nips_local"),
         lambda d: d["algorithm"].update(algorithm="extra", extra_alpha=1e-3),
         lambda d: d["algorithm"].update(
-            algorithm="nips_global", d0=0, safeguard={"enabled": True, "R_tilde": -1}),
-        lambda d: d.update(algorithm={"algorithm": "nips_local", "safeguard": {"enabled": False}}),
+            algorithm="nips_global", d0=0, safeguard={"R_tilde": -1}),
+        lambda d: d.update(algorithm={"algorithm": "nips_local", "safeguard": {"R_tilde": 1.0}}),
         lambda d: d.update(algorithm={"algorithm": "extra", "extra_alpha": 1e-3,
-                                      "safeguard": {"enabled": True, "R_tilde": 1.0}}),
+                                      "safeguard": {"R_tilde": 1.0}}),
         # EXTRA has no growth factor; theta0 and delta are checked for every method
         lambda d: d.update(algorithm={"algorithm": "extra", "extra_alpha": 1e-3, "gamma": 0.5}),
         lambda d: d.update(algorithm={"algorithm": "extra", "extra_alpha": 1e-3, "theta0": -1}),
@@ -634,9 +634,13 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
         lambda d: d["algorithm"].update(extra_alpha=1e-3),
         lambda d: d["algorithm"].update(extra_alpha_grid=[1e-3]),
         lambda d: d["algorithm"].update(gamma={"beta1": 2, "zeta": 1}),
-        lambda d: d["algorithm"].update(safeguard={"enabled": True, "R_tilde": 1.0, "q": 1}),
-        lambda d: d["algorithm"].update(safeguard={"enabled": "no", "R_tilde": 1.0}),
+        lambda d: d["algorithm"].update(safeguard={"R_tilde": 1.0, "q": 1}),
         lambda d: d["algorithm"].update(gamma=True),
+        # the safeguard's one form is {R_tilde: r}; no key is no safeguard
+        lambda d: d["algorithm"].update(safeguard={"enabled": True, "R_tilde": 1.0}),
+        lambda d: d["algorithm"].update(safeguard={"enabled": False, "R_tilde": 1.0}),
+        lambda d: d["algorithm"].update(safeguard={"enabled": False}),
+        lambda d: d["algorithm"].update(safeguard=None),
     ],
     ids=["max_iterations", "max_vector_rounds", "stride", "seed", "c", "epsilon",
          "fixed_point_tol", "missing_n", "problem_n", "problem_lambda", "problem_seed",
@@ -651,8 +655,8 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
          "problem_seed_float", "graph_seed_float", "graph_seed_beyond_int64", "graph_p_string",
          "lambda_bool", "theta0_string", "delta_string", "extra_alpha_nan", "extra_alpha_inf",
          "algorithm_unknown_key", "line_graph_p", "quadratic_dataset", "adaptive_extra_alpha",
-         "adaptive_extra_alpha_grid", "gamma_unknown_key", "safeguard_unknown_key",
-         "safeguard_enabled_string", "gamma_bool"],
+         "adaptive_extra_alpha_grid", "gamma_unknown_key", "safeguard_unknown_key", "gamma_bool",
+         "safeguard_enabled", "safeguard_disabled", "safeguard_disabled_no_radius", "safeguard_null"],
 )
 def test_cli_rejects_mistyped_config(tmp_path, capfd, mutate):
     raw = small_quadratic_config()
@@ -903,6 +907,36 @@ def test_cli_gamma_takes_only_the_schedule(tmp_path, capsys, gamma):
     assert err.startswith("config error:") and "algorithm.gamma" in err and "Traceback" not in err
 
 
+def test_safeguard_config_gives_the_radius():
+    gm, fam = gossip_matrix(build_line_graph(3)), generate_quadratic(m=3, h=2, n=2, ridge=0.0, seed=1)
+    guarded = harness._make_algorithm(
+        {"algorithm": "adaptive", "safeguard": {"R_tilde": 5}}, gm, fam, np.zeros((3, 2)), 1.0)
+    plain = harness._make_algorithm({"algorithm": "adaptive"}, gm, fam, np.zeros((3, 2)), 1.0)
+    assert (guarded.safeguard_radius, plain.safeguard_radius) == (5.0, None)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "path, value",
+    [(("graph", "m"), np.int64(6)), (("seed",), np.int64(1)), (("max_iterations",), np.int64(5)),
+     (("epsilon",), np.float32(1e-5)), (("algorithm", "theta0"), np.float32(1.0)),
+     (("problem", "lambda"), np.float32(0.0))],
+    ids=["graph_m_int64", "seed_int64", "max_iterations_int64", "epsilon_float32", "theta0_float32",
+         "lambda_float32"],
+)
+def test_config_rejects_numpy_scalars(tmp_path, path, value):
+    # the trace comment's json.dumps takes neither, and graph_from_spec rejects an np.int64 m
+    raw = small_quadratic_config()
+    raw["output"] = str(tmp_path / "trace.csv")
+    section = raw
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    with pytest.raises(ConfigError, match=".".join(path)):
+        run(RunConfig.from_dict(raw))
+    assert not (tmp_path / "trace.csv").exists()
+
+
 def test_unit_gamma_is_the_schedule_with_beta1_one():
     gm, fam = gossip_matrix(build_line_graph(3)), generate_quadratic(m=3, h=2, n=2, ridge=0.0, seed=1)
     spec = {"algorithm": "adaptive", "gamma": {"beta1": 1}}
@@ -996,10 +1030,7 @@ def mutated_examples(draw):
 @example(case=("quadratic_line", [(("algorithm", "extra_alpha"), 1e-3)]), must_reject=True)
 @example(case=("quadratic_line", [(("algorithm", "extra_alpha_grid"), [1e-3])]), must_reject=True)
 @example(case=("quadratic_line", [(("algorithm", "gamma"), {"beta1": 2, "zeta": 1})]), must_reject=True)
-@example(
-    case=("quadratic_line", [(("algorithm", "safeguard"), {"enabled": True, "R_tilde": 1.0, "q": 1})]),
-    must_reject=True,
-)
+@example(case=("quadratic_line", [(("algorithm", "safeguard"), {"R_tilde": 1.0, "q": 1})]), must_reject=True)
 @example(
     case=("quadratic_line", [(("algorithm", "safeguard"), {"enabled": "no", "R_tilde": 1.0})]),
     must_reject=True,

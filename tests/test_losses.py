@@ -329,17 +329,18 @@ def test_parse_libsvm_matches_the_token_by_token_reference(tmp_path_factory, tex
 
 
 @pytest.mark.parametrize(
-    "bad", ["-1 x:3", "-1 3", "-1 3:", "-1 :3", "-1 3:1:2", "-1 0:1", "x 3:1", "-1 3 4:1:2"]
+    "bad", ["-1 x:3", "-1 3", "-1 3:", "-1 :3", "-1 3:1:2", "-1 0:1", "x 3:1", "-1 3 4:1:2",
+            b"-1 3:0.\xff5"]  # a byte that is not UTF-8
 )
 @pytest.mark.parametrize("lineno", [1, 4, 11])
 def test_parse_libsvm_names_the_malformed_line(tmp_path, monkeypatch, bad, lineno):
     # blocks of 4 lines: line 11 falls in the third block, after two good ones
     monkeypatch.setattr(losses, "_BLOCK_LINES", 4)
-    lines = ["+1 1:1 5:0.5"] * 12
-    lines[lineno - 1] = bad
-    lines[lineno] = "+1 7:1:1"  # a later bad line must not be the one named
+    lines = [b"+1 1:1 5:0.5"] * 12
+    lines[lineno - 1] = bad if isinstance(bad, bytes) else bad.encode()
+    lines[lineno] = b"+1 7:1:1"  # a later bad line must not be the one named
     path = tmp_path / "bad.svm"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_bytes(b"\n".join(lines) + b"\n")
     with pytest.raises(LossError, match=f"line {lineno}:") as raised:
         parse_libsvm(path)
     assert str(raised.value) == _parsed(libsvm_reference, path)

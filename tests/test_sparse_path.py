@@ -8,7 +8,7 @@ import pytest
 from scipy.sparse import csr_array
 
 from gossipopt import AdaptiveAlgorithm, fixed_point, generate_quadratic, gossip_matrix
-from gossipopt.algorithms import AdaptiveState, NeighborExchange, adaptive_step
+from gossipopt.algorithms import AdaptiveAlgorithm, NeighborExchange, adaptive_step
 from gossipopt.graphs import build_cycle_graph, build_erdos_renyi, build_line_graph, spectral_data
 from gossipopt.losses import QuadraticFamily
 from gossipopt.metrics import FixedPoint, merit_cvx, merit_sc
@@ -65,12 +65,12 @@ def test_csr_step_matches_written_out_recurrence(er200, rng):
     gm, fam = er200
     X = rng.standard_normal((200, 20))
     Y = rng.standard_normal((200, 20))
-    state = AdaptiveState.initial(X, theta0=0.05)
-    state.Y = Y.copy()
-    adaptive_step(state, NeighborExchange(gm), fam, 1.5, 1.0, "adaptive")
-    X_ref, Y_ref = written_out_step(dense(gm.W_op), fam, X, Y, state.theta, state.pi)
-    assert np.abs(state.X - X_ref).max() <= 1e-12
-    assert np.abs(state.Y - Y_ref).max() <= 1e-12
+    algo = AdaptiveAlgorithm(gm, fam, X, theta0=0.05)
+    algo.Y = Y.copy()
+    adaptive_step(algo, 1.5)
+    X_ref, Y_ref = written_out_step(dense(gm.W_op), fam, X, Y, algo.theta, algo.pi)
+    assert np.abs(algo.X - X_ref).max() <= 1e-12
+    assert np.abs(algo.Y - Y_ref).max() <= 1e-12
 
 
 def test_csr_merit_cvx_matches_dense_form(er200, rng):

@@ -121,7 +121,7 @@ def write_corpus(out: Path) -> None:
         for method in METHODS:
             spec = {k: v for k, v in line.algorithm.items() if method == "adaptive" or k != "d0"}
             run(replace(line, algorithm={**spec, "algorithm": method}, output=f"line/{method}.csv"))
-        guarded = {**line.algorithm, "safeguard": {"enabled": True, "R_tilde": 5.0}}
+        guarded = {**line.algorithm, "safeguard": {"R_tilde": 5.0}}
         run(replace(line, algorithm=guarded, output="line/adaptive_safeguard.csv"))
 
     with timed("er200"):
