@@ -32,7 +32,7 @@ import numpy as np
 from .backtracking import backtrack_batch
 from .graphs import Graph, GossipMatrix, diameter
 
-# Iterates larger than this, or not finite, abort the run (_diverged): the stepsize is unstable.
+# Iterates whose norm is not at most this (NaN, inf or overflowing) abort the run: the stepsize is unstable.
 DIVERGENCE_NORM = 1e12
 
 # Stepsize merge rules of the primal-dual recurrence.
@@ -44,7 +44,7 @@ class DivergenceError(RuntimeError):
 
 
 def _diverged(X: np.ndarray) -> bool:
-    return not np.isfinite(X).all() or np.linalg.norm(X) > DIVERGENCE_NORM
+    return not np.linalg.norm(X) <= DIVERGENCE_NORM
 
 
 def local_min_consensus(v: np.ndarray, g: Graph) -> np.ndarray:
@@ -79,7 +79,8 @@ class NeighborExchange:
     """Neighbor-exchange message layer with communication accounting.
 
     ``gossip_rows`` multiplies by W and charges one vector round (one
-    d-dimensional payload per edge direction plus self-loops);
+    d-dimensional payload per edge direction plus self-loops); a product made
+    ahead is charged by ``charge_gossip`` in the iteration that exchanges it.
     ``neighbor_max`` charges one scalar round, and so does ``neighbor_min``
     unless it piggybacks on an exchange already charged this iteration.
     Locality holds by construction: ``GossipMatrix`` derives W from the
@@ -93,9 +94,14 @@ class NeighborExchange:
         self.vector_rounds = 0
         self.scalar_rounds = 0
 
-    def gossip_rows(self, V: np.ndarray) -> np.ndarray:
-        self.vector_rounds += 1
+    def gossip_rows(self, V: np.ndarray, charge: bool = True) -> np.ndarray:
+        if charge:
+            self.vector_rounds += 1
         return self.W @ V
+
+    def charge_gossip(self) -> None:
+        """Cost of one vector round whose product ``gossip_rows(..., charge=False)`` made ahead."""
+        self.vector_rounds += 1
 
     def neighbor_min(self, v: np.ndarray, charge: bool = True) -> np.ndarray:
         if charge:
@@ -159,9 +165,10 @@ def adaptive_step(algo: AdaptiveAlgorithm, gamma_prev: float) -> None:
         # 1 + h*(gamma-1), written so the h=1 branch is bit-exact gamma
         gamma_bt = np.where(algo.bounded == 1, gamma_prev, 1.0)
 
-    # gossip the primal rows, then the gradient-tracking dual rows; one image
-    # pass at X_half serves the dual update and the line search's f(X_half)
-    X_half = exchange.gossip_rows(algo.X)
+    # gossip the primal rows (the state holds their product), then the gradient-tracking
+    # dual rows; one image pass at X_half serves the dual update and the line search's f(X_half)
+    exchange.charge_gossip()
+    X_half = algo.WX
     image_half = family.images(X_half)
     F_half, G_half = family.values(X_half, image_half), family.gradients(X_half, image_half)
     Y_half = exchange.gossip_rows(algo.Y + G_half)
@@ -213,8 +220,9 @@ def adaptive_step(algo: AdaptiveAlgorithm, gamma_prev: float) -> None:
     # is that of X_new wherever the merge kept theta_bar
     if np.any(theta_new != theta_bar):
         image = family.images(X_new)
+    WX_new = exchange.gossip_rows(X_new, charge=False)  # the next step's first exchange
 
-    algo.X, algo.Y, algo.image, algo.k = X_new, Y_new, image, k + 1
+    algo.X, algo.Y, algo.image, algo.WX, algo.k = X_new, Y_new, image, WX_new, k + 1
     algo.theta, algo.theta_tracker, algo.pi = theta_new, tracker_new, pi_new
     algo.diam, algo.bounded, algo.double_count = diam_new, bounded_new, algo.double_count + doubled
 
@@ -222,22 +230,21 @@ def adaptive_step(algo: AdaptiveAlgorithm, gamma_prev: float) -> None:
 class AdaptiveAlgorithm:
     """The primal-dual recurrence of one run: its state, exchange and gamma schedule.
 
-    ``method`` is ``adaptive`` (the default), ``nips_global`` or
-    ``nips_local``; ``d0`` and ``safeguard_radius`` (finite and positive, or
-    None for no safeguard) belong to the adaptive method. ``gamma`` maps the
+    ``method`` is ``adaptive`` (the default), ``nips_global`` or ``nips_local``; ``d0`` and
+    ``safeguard_radius`` (finite and positive, or None for no safeguard) belong to the adaptive
+    method, and the others refuse a radius or a ``d0`` other than 1. ``gamma`` maps the
     iteration k to the growth factor, as :class:`GammaSchedule` does.
 
-    The state is the attributes ``adaptive_step`` advances. ``X`` and ``Y``
-    are the primal and dual rows, ``k`` the iterations made, and ``image``
-    ``family.images(X)``, None before the first step. ``theta``,
-    ``theta_tracker`` and ``pi`` hold the stepsizes produced by the previous
-    iteration (``theta0`` before the first step). ``diam`` is each agent's
-    current effective-diameter estimate, ``double_count`` its doublings so
-    far, ``bounded`` the safeguard bits, and ``X0`` the starting rows the
-    safeguard measures primal drift from (the duals start at zero, so their
-    drift is ``Y`` itself). The tracker and the diameter estimate belong to
-    the ``adaptive`` merge; the ``nips_*`` merges leave them at their initial
-    values and set ``pi`` to ``theta``.
+    The state is the attributes ``adaptive_step`` advances. ``X`` and ``Y`` are the primal and
+    dual rows, ``k`` the iterations made, ``image`` ``family.images(X)``, None before the first
+    step, and ``WX`` the gossip ``W @ X``, made at construction and by each step for the next
+    one, which charges its round. ``theta``, ``theta_tracker`` and ``pi`` hold the stepsizes
+    produced by the previous iteration (``theta0`` before the first step). ``diam`` is each
+    agent's current effective-diameter estimate, ``double_count`` its doublings so far,
+    ``bounded`` the safeguard bits, and ``X0`` the starting rows the safeguard measures primal
+    drift from (the duals start at zero, so their drift is ``Y`` itself). The tracker and the
+    diameter estimate belong to the ``adaptive`` merge; the ``nips_*`` merges leave them at
+    their initial values and set ``pi`` to ``theta``.
     """
 
     def __init__(
@@ -262,6 +269,8 @@ class AdaptiveAlgorithm:
             raise TypeError(f"gamma must be a callable k -> growth factor, got {gamma!r}")
         if safeguard_radius is not None and not (0.0 < safeguard_radius < np.inf):
             raise ValueError(f"safeguard_radius must be finite and positive, got {safeguard_radius}")
+        if method != "adaptive" and (safeguard_radius is not None or d0 != 1):
+            raise ValueError(f"{method} takes no {'d0' if safeguard_radius is None else 'safeguard_radius'}")
         self.exchange = NeighborExchange(gm)
         self.family = family
         self.name = method
@@ -278,6 +287,7 @@ class AdaptiveAlgorithm:
         self.double_count = np.zeros(m, dtype=int)
         self.k = 0
         self.image: np.ndarray | None = None
+        self.WX = self.exchange.gossip_rows(self.X, charge=False)
 
     def step(self) -> None:
         """One iteration; a step that raises leaves the state and the round counters as they were."""
@@ -303,8 +313,9 @@ class ExtraAlgorithm:
     First step: X^1 = W X^0 - alpha grad F(X^0). After that
     X^{k+2} = (I+W) X^{k+1} - (I+W)/2 X^k - alpha (grad F(X^{k+1}) - grad F(X^k)),
     with the previous gossip product cached so each iteration costs a single
-    vector round. A step ends by evaluating the new iterate's image, which the
-    next step's gradient reads, so ``image`` is ``family.images(X)`` throughout.
+    vector round. A step ends by evaluating the new iterate's image and gossip,
+    which the next step reads, so ``image`` is ``family.images(X)`` and ``WX``
+    is ``W @ X`` throughout; the next step charges that gossip's round.
     """
 
     name = "extra"
@@ -318,15 +329,15 @@ class ExtraAlgorithm:
         self.alpha = float(alpha)
         self.X = np.asarray(X0, dtype=float).copy()
         self.image = family.images(self.X)
+        self.WX = self.exchange.gossip_rows(self.X, charge=False)
         self.k = 0
-        self._X_prev: np.ndarray | None = None
-        self._WX_prev: np.ndarray | None = None
-        self._G_prev: np.ndarray | None = None
+        self._X_prev = self._WX_prev = self._G_prev = None
 
     def step(self) -> None:
         """One iteration; a step that raises leaves the iterates and the round counters as they were."""
         with self.exchange.charged_on_success():
-            WX = self.exchange.gossip_rows(self.X)
+            self.exchange.charge_gossip()
+            WX = self.WX
             G = self.family.gradients(self.X, self.image)
             if self.k == 0:
                 X_new = WX - self.alpha * G
@@ -340,11 +351,9 @@ class ExtraAlgorithm:
             if _diverged(X_new):
                 raise DivergenceError(f"EXTRA diverged at k={self.k} (alpha={self.alpha})")
             image = self.family.images(X_new)
-            self._X_prev = self.X
-            self._WX_prev = WX
-            self._G_prev = G
-            self.X = X_new
-            self.image = image
+            WX_new = self.exchange.gossip_rows(X_new, charge=False)
+            self._X_prev, self._WX_prev, self._G_prev = self.X, WX, G
+            self.X, self.image, self.WX = X_new, image, WX_new
             self.k += 1
 
     def stats(self) -> dict:

@@ -220,41 +220,32 @@ class GossipMatrix:
     Both matrices are derived from the graph's Metropolis weights on its
     closed neighborhoods, so weight sits only on graph edges and self-loops:
     one multiplication by W models one synchronous round of neighbor
-    exchanges. ``W_op`` and ``I_minus_W`` are the operators the runs multiply
-    by, in the kernel ``_product_operator`` picks for the graph (CSR on
-    sparse graphs, a dense read-only array otherwise).
+    exchanges. ``W_op`` is the operator the runs multiply by, in the kernel
+    ``_product_operator`` picks for the graph (CSR on sparse graphs, a dense
+    read-only array otherwise).
     """
 
     graph: Graph
     c: float
-    # W_tilde as CSR, and W's and I - W's entries on the graph's closed neighborhoods
+    # W_tilde as CSR, and W's entries on the graph's closed neighborhoods
     _W_tilde: csr_array = field(init=False, repr=False, compare=False)
     _w: np.ndarray = field(init=False, repr=False, compare=False)
-    _i_minus_w: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0.0 < self.c <= 0.5):
             raise GraphError(f"mixing coefficient c must lie in (0, 1/2], got {self.c}")
         W_tilde = metropolis_weights(self.graph)
         diagonal = self.graph.indices == _pattern_rows(self.graph)
-        # the dense (1-c) I + c W_tilde and I - W, entry by entry
+        # the dense (1-c) I + c W_tilde, entry by entry
         w = self.c * W_tilde.data
         w[diagonal] += 1.0 - self.c
-        i_minus_w = -w
-        i_minus_w[diagonal] = 1.0 - w[diagonal]
         object.__setattr__(self, "_W_tilde", W_tilde)
         object.__setattr__(self, "_w", w)
-        object.__setattr__(self, "_i_minus_w", i_minus_w)
 
     @cached_property
     def W_op(self) -> np.ndarray | csr_array:
         """W as the gossip product operator; built on first use."""
         return _product_operator(self.graph, self._w)
-
-    @cached_property
-    def I_minus_W(self) -> np.ndarray | csr_array:
-        """I - W, the operator of the convex merit's consensus form; built on first use."""
-        return _product_operator(self.graph, self._i_minus_w)
 
 
 def gossip_matrix(g: Graph, c: float = 0.5) -> GossipMatrix:

@@ -24,22 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .algorithms import (
-    METHODS,
-    AdaptiveAlgorithm,
-    DivergenceError,
-    ExtraAlgorithm,
-    GammaSchedule,
-)
+from .algorithms import METHODS, AdaptiveAlgorithm, DivergenceError, ExtraAlgorithm, GammaSchedule
 from .backtracking import BacktrackingError
 from .graphs import gossip_matrix, graph_from_spec, spectral_data
-from .losses import (
-    generate_quadratic,
-    inner,
-    parse_libsvm,
-    partition_logistic,
-    quadratic_condition_numbers,
-)
+from .losses import generate_quadratic, inner, parse_libsvm, partition_logistic, quadratic_condition_numbers
 from .metrics import ErgodicAverage, MeritBlock, fixed_point, merit_cvx
 
 _ALGORITHMS = (*METHODS, "extra")
@@ -389,7 +377,7 @@ def run(config: RunConfig) -> RunTrace:
 
     def ergodic_merit() -> float | None:
         """M_erg at the mean of the iterates X^1..X^k; None at k = 0, with nothing averaged yet."""
-        return merit_cvx(erg.X_sum, erg.image_sum, fp, family, gm, delta, erg.count) if erg.count else None
+        return merit_cvx(erg.X_sum, erg.image_sum, erg.WX_sum, fp, family, delta, erg.count) if erg.count else None
 
     records: list[dict] = []  # every written row's columns but V, which ``merits`` keeps
 
@@ -434,7 +422,7 @@ def run(config: RunConfig) -> RunTrace:
                 record(failed)
             records[-1]["status"] = failed
             break
-        erg.update(algo.X, algo.image)
+        erg.update(algo.X, algo.image, algo.WX)
         k += 1
     V = merits.column() if merits is not None else [None] * len(records)
     rows = [MeritRow(V=v, **r) for v, r in zip(V, records)]

@@ -145,7 +145,9 @@ class QuadraticFamily(_FamilyBase):
 
     def _hessian(self, x: np.ndarray) -> np.ndarray:
         """Hessian of sum_i f_i, the same at every x: 2 sum_i A_i^T A_i + m ridge I."""
-        return 2.0 * np.einsum("ahn,ahk->nk", self.A, self.A) + self.m * self.ridge * np.eye(self.dim)
+        H = 2.0 * np.einsum("ahn,ahk->nk", self.A, self.A)
+        H.flat[:: self.dim + 1] += self.m * self.ridge
+        return H
 
 
 class LogisticFamily(_FamilyBase):
@@ -357,7 +359,10 @@ def centralized_solve(family, tol: float = 1e-8) -> np.ndarray:
     for _ in range(_NEWTON_ROUNDS):
         if np.linalg.norm(g) <= 0.1 * tol:
             break
-        step = np.linalg.lstsq(family._hessian(x), g, rcond=None)[0]
+        H = family._hessian(x)
+        if not np.isfinite(H).all():  # LAPACK would print to stdout, then fail
+            raise LossError("centralized oracle: the summed Hessian is not finite")
+        step = np.linalg.lstsq(H, g, rcond=None)[0]
         t = 1.0
         while (f_trial := family.total_value(x - t * step)) > f and t > 1e-12:
             t *= 0.5

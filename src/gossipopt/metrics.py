@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import dtrmm
 
-from .graphs import GossipMatrix
 from .losses import centralized_solve, inner
 
 
@@ -75,10 +74,11 @@ class MeritBlock:
     (range(I - W)); the 11^T term then vanishes, and the M-form ||T^T dY||^2 - ||dY||^2 is
     floored at zero against roundoff.
 
-    ``add`` keeps a row's scalars and writes its dY^T into the next d rows of one Fortran
-    (rows d x m) buffer, allocated here. Once the block is full, or on ``column``, one in-place
-    BLAS ``dtrmm`` multiplies the whole buffer by T, so the product a slot goes through never
-    depends on how many rows are pending; ``column`` returns the V of every row added, in order.
+    ``add`` forms dY contiguous, projects it and takes its norm there, keeps the row's scalars
+    and copies dY^T into the next d rows of one Fortran (rows d x m) buffer, allocated here.
+    Once the block is full, or on ``column``, one in-place BLAS ``dtrmm`` multiplies the whole
+    buffer by T, so the product a slot goes through never depends on how many rows are pending;
+    ``column`` returns the V of every row added, in order.
     """
 
     def __init__(self, fp: FixedPoint, T: np.ndarray, rows: int):
@@ -90,10 +90,10 @@ class MeritBlock:
 
     def add(self, dX_sq: float, Y: np.ndarray, theta_min_prev: float) -> None:
         """Queue one row, given ||X - X*||^2; a row that fills the block evaluates it."""
-        b = len(self._pending) * self._d
-        dY = self._buffer[b : b + self._d].T  # the slot, agents by rows as in Y
-        np.subtract(Y, self._fp.Y_star, out=dY)
+        dY = Y - self._fp.Y_star
         dY -= dY.mean(axis=0)
+        b = len(self._pending) * self._d
+        self._buffer[b : b + self._d] = dY.T  # the slot, one transposed copy
         try:
             theta_sq = theta_min_prev**2
         except OverflowError:  # a Python float above about 1.34e154
@@ -125,42 +125,43 @@ def merit_sc(X: np.ndarray, Y: np.ndarray, theta_min_prev: float, fp: FixedPoint
 
 
 def merit_cvx(
-    S: np.ndarray, R: np.ndarray, fp: FixedPoint, family, gm: GossipMatrix, delta: float, count: int = 1
+    S: np.ndarray, R: np.ndarray, WS: np.ndarray, fp: FixedPoint, family, delta: float, count: int = 1
 ) -> float:
     """Convex merit at the mean iterate X = S/count: max of the consensus form and the Lagrangian gap.
 
     max( delta <(I-W) X, X>,  F(X) - F(X*) + <Y*, X> ) with unscaled
     F(X) = sum_i f_i(x_i); zero exactly at consensual optimal points. S is the
-    sum of ``count`` iterates and R the sum of their images (``family.images``),
-    as ``ErgodicAverage`` keeps them; with count 1 they are one iterate and its
-    image. The mean is never formed: the consensus form is
-    delta <(I-W) S, S> / count^2, floored at 0 against roundoff, <Y*, X> is
+    sum of ``count`` iterates, R and WS the sums of their images (``family.images``) and of
+    their gossip W X, as ``ErgodicAverage`` keeps them; with count 1, one iterate's. The mean
+    is never formed and no product made: the consensus form is
+    delta <S - WS, S> / count^2, floored at 0 against roundoff, <Y*, X> is
     <Y*, S> / count, and F(X) is the family's ``total_at_mean``, so a merit
     makes no oracle pass. Every inner product is a chunked ``inner``, the same
     at every BLAS thread count.
     """
     if count < 1:
         raise MetricsError("convex merit of an empty ergodic average")
-    consensus = max(delta * inner(gm.I_minus_W @ S, S) / count**2, 0.0)
+    consensus = max(delta * inner(S - WS, S) / count**2, 0.0)
     gap = family.total_at_mean(S, R, count) - fp.F_star + inner(fp.Y_star, S) / count
     return max(consensus, gap)
 
 
 class ErgodicAverage:
-    """Running sums of the iterates X^1..X^k and of their oracle images, O(m(d + h)) per step.
+    """Running sums of the iterates X^1..X^k, their oracle images and their gossip, O(m(d + h)) a step.
 
-    ``merit_cvx(X_sum, image_sum, ..., count)`` evaluates the convex merit at
-    the mean iterate from the sums; no mean is formed. The sums are None until
-    the first ``update``.
+    ``merit_cvx(X_sum, image_sum, WX_sum, ..., count)`` evaluates the convex
+    merit at the mean iterate from the sums; no mean is formed. The sums are
+    None until the first ``update``.
     """
 
     def __init__(self):
-        self.X_sum = self.image_sum = None
+        self.X_sum = self.image_sum = self.WX_sum = None
         self.count = 0
 
-    def update(self, X: np.ndarray, image: np.ndarray) -> None:
+    def update(self, X: np.ndarray, image: np.ndarray, WX: np.ndarray) -> None:
         if self.X_sum is None:
-            self.X_sum, self.image_sum = np.zeros(np.shape(X)), np.zeros(np.shape(image))
+            self.X_sum, self.image_sum, self.WX_sum = (np.zeros(np.shape(a)) for a in (X, image, WX))
         self.X_sum += X
         self.image_sum += image
+        self.WX_sum += WX
         self.count += 1

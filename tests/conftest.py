@@ -10,7 +10,8 @@ from scipy.special import expit
 from gossipopt import BacktrackingError, LossError, MetricsError
 from gossipopt.backtracking import backtrack_batch
 from gossipopt.graphs import Graph, build_erdos_renyi, metropolis_weights
-from gossipopt.losses import LogisticFamily, QuadraticFamily
+from gossipopt.losses import LogisticFamily, QuadraticFamily, inner
+from gossipopt.metrics import MeritBlock
 
 # connected Erdos-Renyi graphs for the graph property tests
 connected_er = st.builds(
@@ -317,7 +318,7 @@ def linear_rate_fit(ks, values) -> float:
 
 
 def dense(op) -> np.ndarray:
-    """A mixing operator as a dense array: ``gm.W_op``, ``gm.I_minus_W`` or ``metropolis_weights(g)``."""
+    """A mixing operator as a dense array: ``gm.W_op`` or ``metropolis_weights(g)``."""
     return op if isinstance(op, np.ndarray) else op.toarray()
 
 
@@ -339,9 +340,22 @@ def merit_cvx_reference(S, R, fp, family, gm, delta, count=1) -> float:
     ``family.values`` at the mean image.
     """
     X, image = S / count, R / count
-    consensus = max(delta * float(np.sum(X * (gm.I_minus_W @ X))), 0.0)
+    consensus = max(delta * float(np.sum(X * ((np.eye(len(X)) - dense(gm.W_op)) @ X))), 0.0)
     gap = float(family.values(X, image).sum() - fp.F_star + np.sum(fp.Y_star * X))
     return max(consensus, gap)
+
+
+class StridedSlotMeritBlock(MeritBlock):
+    """``MeritBlock`` whose ``add`` forms, projects and norms dY in place in its strided buffer slot."""
+
+    def add(self, dX_sq: float, Y: np.ndarray, theta_min_prev: float) -> None:
+        b = len(self._pending) * self._d
+        dY = self._buffer[b : b + self._d].T  # the slot, agents by rows as in Y
+        np.subtract(Y, self._fp.Y_star, out=dY)
+        dY -= dY.mean(axis=0)
+        self._pending.append((dX_sq, inner(dY), theta_min_prev**2))
+        if len(self._pending) == self._rows:
+            self._evaluate()
 
 
 def metric_from_factor(T: np.ndarray, c: float) -> np.ndarray:

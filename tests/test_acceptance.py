@@ -300,7 +300,7 @@ def test_criterion_10_gossip_and_merit_algebra(rng):
     assert abs(dual_case - 8.0) <= 1e-12
     zero_losses = QuadraticFamily(np.zeros((2, 1, 1)), np.zeros((2, 1)), ridge=0.0)
     X = np.array([[1.0], [-1.0]])
-    cons_case = merit_cvx(X, zero_losses.images(X), fp, zero_losses, gm2, delta=1.0)
+    cons_case = merit_cvx(X, zero_losses.images(X), gm2.W_op @ X, fp, zero_losses, delta=1.0)
     assert abs(cons_case - 1.0) <= 1e-12
     _passed(10, "gossip invariants and hand-computed merit values")
 

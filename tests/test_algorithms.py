@@ -149,9 +149,8 @@ def test_gossip_weights_come_only_from_the_graph(rng):
     g = build_erdos_renyi(12, 0.3, seed=2)
     gm = gossip_matrix(g, c=0.5)
     non_edge = np.setdiff1d(np.arange(g.m), neighborhood(g, 0))[0]
-    for W in (gm.W_op, gm.I_minus_W):
-        with pytest.raises(ValueError):
-            W[0, non_edge] = 1e-3  # read-only: no weight can be smuggled onto a non-edge
+    with pytest.raises(ValueError):
+        gm.W_op[0, non_edge] = 1e-3  # read-only: no weight can be smuggled onto a non-edge
     with pytest.raises(TypeError):
         GossipMatrix(g, 0.5, W=np.eye(g.m))
 
@@ -452,6 +451,46 @@ def test_safeguard_huge_radius_matches_default():
         assert np.abs(plain.Y - guarded.Y).max() <= 1e-12
 
 
+def _diverged_in_two_passes(X: np.ndarray) -> bool:
+    return not np.isfinite(X).all() or np.linalg.norm(X) > DIVERGENCE_NORM
+
+
+@pytest.mark.parametrize(
+    "row",
+    [[np.nan, 0.0], [np.inf, 1.0], [-np.inf, 1.0], [1e200, 1e200], [6e11, 8e11],
+     [6e11, np.nextafter(8e11, np.inf)], [1.0, -2.0]],
+    ids=["nan", "inf", "minus_inf", "norm_overflows", "norm_at_bound", "norm_above_bound", "small"],
+)
+def test_divergence_predicate_agrees_with_the_two_pass_form(row):
+    X = np.array([[0.5, 0.25], row])
+    if row == [6e11, 8e11]:
+        assert np.linalg.norm(X[1:]) == DIVERGENCE_NORM
+    with np.errstate(over="ignore"):  # the 1e200 row's squared norm overflows to inf
+        assert algorithms._diverged(X[1:]) == _diverged_in_two_passes(X[1:])
+        assert algorithms._diverged(X) == _diverged_in_two_passes(X)
+
+
+@pytest.mark.parametrize("graph", ["line8", "line80"])  # a dense W, a CSR W
+@pytest.mark.parametrize("method", [*METHODS, "extra"])
+def test_state_gossip_is_the_gossip_of_the_iterate(graph, method):
+    # WX is made once at construction and by each step for the next one, which
+    # charges its round: 3 vector rounds per adaptive step, 1 per EXTRA step
+    m = int(graph.removeprefix("line"))
+    gm = gossip_matrix(build_line_graph(m), c=0.5)
+    assert isinstance(gm.W_op, np.ndarray) == (m == 8)
+    fam = generate_quadratic(m=m, h=5, n=3, ridge=0.0, seed=7)
+    X0 = np.random.default_rng(m).standard_normal((m, 3))
+    if method == "extra":
+        algo, rounds = ExtraAlgorithm(gm, fam, X0, alpha=1e-3), 1
+    else:
+        algo, rounds = AdaptiveAlgorithm(gm, fam, X0, method=method), 3
+    for k in range(8):
+        assert algo.k == k and algo.exchange.vector_rounds == rounds * k
+        np.testing.assert_array_equal(algo.WX, gm.W_op @ algo.X)
+        algo.step()
+    np.testing.assert_array_equal(algo.WX, gm.W_op @ algo.X)
+
+
 def test_adaptive_divergence_guard():
     fam = generate_quadratic(m=3, h=4, n=2, ridge=0.0, seed=11)
     gm = gossip_matrix(build_line_graph(3), c=0.5)
@@ -462,7 +501,7 @@ def test_adaptive_divergence_guard():
 
 
 # every attribute adaptive_step writes
-STATE = ("X", "Y", "theta", "theta_tracker", "pi", "diam", "bounded", "X0", "double_count", "k", "image")
+STATE = ("X", "Y", "theta", "theta_tracker", "pi", "diam", "bounded", "X0", "double_count", "k", "image", "WX")
 
 
 def _state(algo: AdaptiveAlgorithm) -> dict:
@@ -505,6 +544,14 @@ def test_state_validation():
     for radius in (np.nan, 0.0, -1.0, np.inf):
         with pytest.raises(ValueError, match="safeguard_radius"):
             AdaptiveAlgorithm(gm, fam, X0=np.zeros((2, 2)), safeguard_radius=radius)
+    # the safeguard and the diameter estimate belong to the adaptive merge
+    for method in ("nips_global", "nips_local"):
+        with pytest.raises(ValueError, match=f"{method} takes no safeguard_radius"):
+            AdaptiveAlgorithm(gm, fam, X0=np.zeros((2, 2)), method=method, safeguard_radius=1e-9)
+        for d0 in (2, 5):
+            with pytest.raises(ValueError, match=f"{method} takes no d0"):
+                AdaptiveAlgorithm(gm, fam, X0=np.zeros((2, 2)), method=method, d0=d0)
+        AdaptiveAlgorithm(gm, fam, X0=np.zeros((2, 2)), method=method, d0=1)  # the default, given
 
 
 # --- baseline ---
@@ -596,7 +643,7 @@ def test_failed_extra_step_charges_no_rounds():
     fam = generate_quadratic(m=20, h=110, n=100, ridge=0.0, seed=1)
     algo = ExtraAlgorithm(gossip_matrix(build_line_graph(20), c=0.5), fam, np.zeros((20, 100)), alpha=10.0)
     for _ in range(200):
-        before = _rounds(algo)
+        before, state = _rounds(algo), [copy.deepcopy(getattr(algo, name)) for name in ("X", "image", "WX")]
         try:
             algo.step()
         except DivergenceError:
@@ -605,6 +652,8 @@ def test_failed_extra_step_charges_no_rounds():
         pytest.fail("EXTRA with alpha = 10 did not diverge")
     assert algo.k > 0
     assert _rounds(algo) == before == (algo.k, 0)
+    for name, value in zip(("X", "image", "WX"), state):
+        np.testing.assert_array_equal(getattr(algo, name), value, err_msg=name)
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -715,6 +715,20 @@ def test_cli_huge_theta0_converges(tmp_path, capsys, raw, theta0):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_overflowing_ridge_exits_3_before_lapack_runs(tmp_path, capfd):
+    # m * ridge = 4e308 overflows the Hessian's diagonal; inf * 0 off it gave NaNs,
+    # and LAPACK printed its illegal-value lines to stdout before failing
+    raw = small_quadratic_config(graph={"kind": "line", "m": 4})
+    raw["problem"] = {"kind": "quadratic", "m": 4, "h": 3, "n": 2, "lambda": 1.0e308, "seed": 2}
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(raw))
+    assert main(["run", "--config", str(cfg_path)]) == 3
+    # captured at the file descriptors, so LAPACK's own printing would show
+    out, err = capfd.readouterr()
+    assert out == "" and err == "config error: centralized oracle: the summed Hessian is not finite\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_overflowing_growth_ends_stalled(tmp_path, capsys):
     # gamma_0 * theta0 = 2 * 1e308 is inf: no halving reaches a finite stepsize
     raw = small_quadratic_config()

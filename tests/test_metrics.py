@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_array
 
-from gossipopt import MetricsError, fixed_point, generate_quadratic, gossip_matrix, metrics
+from gossipopt import MetricsError, fixed_point, generate_quadratic, gossip_matrix, harness, metrics
 from gossipopt.graphs import build_complete_graph, build_erdos_renyi, build_line_graph, spectral_data
 from gossipopt.losses import QuadraticFamily, inner
 from gossipopt.metrics import ErgodicAverage, FixedPoint, MeritBlock, merit_cvx, merit_sc
@@ -15,6 +15,7 @@ from conftest import (
     dense,
     linear_rate_fit,
     merit_cvx_reference,
+    StridedSlotMeritBlock,
     spectral_reference,
     synthetic_logistic,
 )
@@ -102,7 +103,7 @@ def test_merit_sc_positive_under_perturbations(rng):
     T = spectral_data(gm)
     fam = generate_quadratic(m=5, h=6, n=3, ridge=0.0, seed=31)
     fp = fixed_point(fam, tol=1e-8)
-    IW = dense(gm.I_minus_W)
+    IW = np.eye(5) - dense(gm.W_op)
     for _ in range(20):
         dX = rng.standard_normal((5, 3)) * 1e-3
         assert merit_sc(fp.X_star + dX, fp.Y_star, 0.5, fp, T) >= 1e-16
@@ -168,9 +169,26 @@ def test_merit_block_gives_each_row_its_merit_sc(monkeypatch, m, d, rows, added)
     assert values == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("m, d", [(600, 20), (20, 100)])
+def test_merit_block_v_equals_the_strided_slot_reference(m, d, rng):
+    # dY formed contiguous and copied into the slot gives the bytes of dY formed in the slot
+    rows = harness._merit_block_rows(m, d)
+    assert rows == (16 if m == 600 else 1)
+    fp = FixedPoint(np.zeros(d), np.zeros((m, d)), rng.standard_normal((m, d)), 0.0)
+    T = np.asfortranarray(np.triu(rng.standard_normal((m, m))))
+    block, reference = MeritBlock(fp, T, rows), StridedSlotMeritBlock(fp, T, rows)
+    for _ in range(2 * rows + 3):  # full blocks and a partial last one
+        Y = 1.0 + rng.standard_normal((m, d))
+        dX_sq, theta = float(rng.uniform(0.0, 5.0)), float(rng.uniform(0.1, 2.0))
+        block.add(dX_sq, Y, theta)
+        reference.add(dX_sq, Y, theta)
+    V, V_ref = np.array(block.column()), np.array(reference.column())
+    assert V.size == 2 * rows + 3 and V.tobytes() == V_ref.tobytes()
+
+
 def direct_merit_cvx(X, fp, family, gm, delta):
     """merit_cvx with F(X) from the family's own oracle pass at X."""
-    return merit_cvx(X, family.images(X), fp, family, gm, delta)
+    return merit_cvx(X, family.images(X), gm.W_op @ X, fp, family, delta)
 
 
 def test_merit_cvx_zero_at_fixed_point():
@@ -212,7 +230,7 @@ def test_merit_cvx_makes_no_oracle_call(rng):
     counted = CountingFamily(fam)
     for rows in range(1, 4):
         X = rng.standard_normal((4, 3))
-        merit_cvx(X, fam.images(X), fp, counted, gm, delta=1.0)
+        merit_cvx(X, fam.images(X), gm.W_op @ X, fp, counted, delta=1.0)
         assert counted.passes == [] and counted.calls == {"images": 0, "values": 0, "gradients": 0}
 
 
@@ -239,9 +257,9 @@ def test_merit_cvx_from_mean_image_matches_direct(kind, m, iterates, spread, see
     erg = ErgodicAverage()
     for _ in range(iterates):
         X = spread * rng.standard_normal((m, 3))
-        erg.update(X, fam.images(X))
+        erg.update(X, fam.images(X), gm.W_op @ X)
     X_bar = erg.X_sum / erg.count
-    merit = merit_cvx(erg.X_sum, erg.image_sum, fp, fam, gm, 0.5, erg.count)
+    merit = merit_cvx(erg.X_sum, erg.image_sum, erg.WX_sum, fp, fam, 0.5, erg.count)
     direct = direct_merit_cvx(X_bar, fp, fam, gm, delta=0.5)
     # the gap is a difference of these terms; its rounding scales with them
     terms = fam.values(X_bar).sum() + abs(fp.F_star) + abs(np.sum(fp.Y_star * X_bar))
@@ -259,12 +277,12 @@ def test_merit_cvx_from_mean_image_matches_direct(kind, m, iterates, spread, see
 )
 def test_merit_cvx_from_sums_matches_the_materialized_reference(kind, graph, ridge, count, spread, seed):
     # the merit from the sums and the count against the mean iterate formed and
-    # summed by numpy; the line graphs of 64 agents and more get a CSR I - W
+    # summed by numpy; the line graphs of 64 agents and more get a CSR W
     rng = np.random.default_rng(seed)
     m = int(rng.integers(1, 7)) if graph == "complete" else int(rng.integers(64, 81))
     g = build_complete_graph(m) if graph == "complete" else build_line_graph(m)
     gm = gossip_matrix(g, c=0.5)
-    assert isinstance(gm.I_minus_W, csr_array) == (graph == "line")
+    assert isinstance(gm.W_op, csr_array) == (graph == "line")
     if kind == "quadratic":
         fam = generate_quadratic(m=m, h=5, n=3, ridge=ridge, seed=seed % 1000)
     else:
@@ -276,14 +294,32 @@ def test_merit_cvx_from_sums_matches_the_materialized_reference(kind, graph, rid
     erg = ErgodicAverage()
     for _ in range(count):
         X = spread * rng.standard_normal((m, 3))
-        erg.update(X, fam.images(X))
-    merit = merit_cvx(erg.X_sum, erg.image_sum, fp, fam, gm, 0.5, erg.count)
+        erg.update(X, fam.images(X), gm.W_op @ X)
+    merit = merit_cvx(erg.X_sum, erg.image_sum, erg.WX_sum, fp, fam, 0.5, erg.count)
     reference = merit_cvx_reference(erg.X_sum, erg.image_sum, fp, fam, gm, 0.5, erg.count)
     X_bar = erg.X_sum / erg.count
     # the gap is a difference of these terms; its rounding scales with them
     F_bar = fam.values(X_bar, erg.image_sum / erg.count).sum()
     terms = F_bar + abs(fp.F_star) + abs(np.sum(fp.Y_star * X_bar))
     assert abs(merit - reference) <= 1e-12 * (abs(reference) + terms)
+
+
+@pytest.mark.parametrize("graph, m", [("complete", 6), ("line", 80)])
+def test_merit_cvx_from_the_gossip_sum_matches_the_i_minus_w_form(graph, m, rng):
+    # the consensus form from the summed gossip of each iterate, against delta <(I - W) S, S> / count^2
+    gm = gossip_matrix(build_complete_graph(m) if graph == "complete" else build_line_graph(m), c=0.5)
+    assert isinstance(gm.W_op, csr_array) == (m == 80)
+    zero = QuadraticFamily(np.zeros((m, 1, 4)), np.zeros((m, 1)))
+    origin = FixedPoint(np.zeros(4), np.zeros((m, 4)), np.zeros((m, 4)), 0.0)
+    for count in (1, 3, 20):
+        erg = ErgodicAverage()
+        for _ in range(count):
+            X = rng.uniform(0.1, 10.0) * rng.standard_normal((m, 4))
+            erg.update(X, zero.images(X), gm.W_op @ X)
+        S = erg.X_sum
+        expected = 0.5 * float(np.sum(S * ((np.eye(m) - dense(gm.W_op)) @ S))) / count**2
+        merit = merit_cvx(S, erg.image_sum, erg.WX_sum, origin, zero, 0.5, count)
+        assert merit == pytest.approx(expected, rel=1e-12)
 
 
 def test_merit_cvx_nonnegative_random(rng):
@@ -297,20 +333,22 @@ def test_merit_cvx_nonnegative_random(rng):
 
 def test_ergodic_average_constant():
     erg = ErgodicAverage()
-    C, R = np.full((2, 2), 3.5), np.full((2, 3), -0.25)
+    C, R, WC = np.full((2, 2), 3.5), np.full((2, 3), -0.25), np.full((2, 2), 1.5)
     for _ in range(7):
-        erg.update(C, R)
+        erg.update(C, R, WC)
     assert erg.count == 7
     np.testing.assert_array_equal(erg.X_sum / erg.count, C)
     np.testing.assert_array_equal(erg.image_sum / erg.count, R)
+    np.testing.assert_array_equal(erg.WX_sum / erg.count, WC)
 
 
 def test_ergodic_average_two_point():
     erg = ErgodicAverage()
-    erg.update(np.zeros((1, 2)), np.full((1, 3), 4.0))
-    erg.update(np.full((1, 2), 2.0), np.zeros((1, 3)))
+    erg.update(np.zeros((1, 2)), np.full((1, 3), 4.0), np.full((1, 2), -1.0))
+    erg.update(np.full((1, 2), 2.0), np.zeros((1, 3)), np.zeros((1, 2)))
     np.testing.assert_array_equal(erg.X_sum, np.full((1, 2), 2.0))
     np.testing.assert_array_equal(erg.image_sum, np.full((1, 3), 4.0))
+    np.testing.assert_array_equal(erg.WX_sum, np.full((1, 2), -1.0))
     assert erg.count == 2
 
 
@@ -318,10 +356,12 @@ def test_ergodic_average_matches_direct_sum(rng):
     erg = ErgodicAverage()
     xs = [rng.standard_normal((3, 2)) for _ in range(5)]
     rs = [rng.standard_normal((3, 4)) for _ in range(5)]
-    for x, r in zip(xs, rs):
-        erg.update(x, r)
+    ws = [rng.standard_normal((3, 2)) for _ in range(5)]
+    for x, r, w in zip(xs, rs, ws):
+        erg.update(x, r, w)
     np.testing.assert_allclose(erg.X_sum / erg.count, sum(xs) / 5.0, atol=1e-12)
     np.testing.assert_allclose(erg.image_sum / erg.count, sum(rs) / 5.0, atol=1e-12)
+    np.testing.assert_allclose(erg.WX_sum / erg.count, sum(ws) / 5.0, atol=1e-12)
 
 
 def test_ergodic_average_empty_errors():
@@ -330,9 +370,9 @@ def test_ergodic_average_empty_errors():
     gm = gossip_matrix(build_complete_graph(2), c=0.5)
     fp = fixed_point(fam, tol=1e-10)
     erg = ErgodicAverage()
-    assert erg.X_sum is None and erg.image_sum is None and erg.count == 0
+    assert erg.X_sum is None and erg.image_sum is None and erg.WX_sum is None and erg.count == 0
     with pytest.raises(MetricsError):
-        merit_cvx(fp.X_star, fam.images(fp.X_star), fp, fam, gm, 1.0, erg.count)
+        merit_cvx(fp.X_star, fam.images(fp.X_star), gm.W_op @ fp.X_star, fp, fam, 1.0, erg.count)
 
 
 def test_linear_rate_fit_exact_geometric():

@@ -30,18 +30,17 @@ SPARSE = {
 @pytest.mark.parametrize("name", list(DENSE))
 def test_dense_graphs_keep_the_dense_matrices(name):
     gm = gossip_matrix(DENSE[name](), c=0.5)
-    assert isinstance(gm.W_op, np.ndarray) and isinstance(gm.I_minus_W, np.ndarray)
+    assert isinstance(gm.W_op, np.ndarray)
 
 
 @pytest.mark.parametrize("name", list(SPARSE))
 def test_sparse_graphs_get_csr_operators(name):
     g, c = SPARSE[name](), 0.5
     gm = gossip_matrix(g, c=c)
-    assert isinstance(gm.W_op, csr_array) and isinstance(gm.I_minus_W, csr_array)
-    # the dense forms, built here from the edge-loop weights alone
+    assert isinstance(gm.W_op, csr_array)
+    # the dense form, built here from the edge-loop weights alone
     W = (1.0 - c) * np.eye(g.m) + c * metropolis_reference(g)
     assert np.array_equal(gm.W_op.toarray(), W)
-    assert np.array_equal(gm.I_minus_W.toarray(), np.eye(g.m) - W)
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +80,8 @@ def test_csr_merit_cvx_matches_dense_form(er200, rng):
     for _ in range(3):
         X = rng.standard_normal((200, 20))
         expected = 0.5 * float(np.sum(X * ((np.eye(200) - dense(gm.W_op)) @ X)))
-        assert merit_cvx(X, zero.images(X), origin, zero, gm, delta=0.5) == pytest.approx(expected, rel=1e-12)
+        merit = merit_cvx(X, zero.images(X), gm.W_op @ X, origin, zero, delta=0.5)
+        assert merit == pytest.approx(expected, rel=1e-12)
 
 
 def traced_peak(build) -> int:
@@ -101,7 +101,7 @@ def test_sparse_set_up_allocates_no_dense_matrix():
 
     def gossip_set_up():
         gm = gossip_matrix(build_cycle_graph(m), c=0.5)
-        return gm.W_op, gm.I_minus_W
+        return gm.W_op
 
     assert traced_peak(gossip_set_up) < limit
     assert traced_peak(lambda: build_erdos_renyi(m, 3.0 * np.log(m) / m, seed=3)) < limit
@@ -123,12 +123,11 @@ def test_graph_holds_only_its_pattern():
 
 @pytest.mark.parametrize("name", ["line20", "cycle200", "er600"])
 def test_operators_leave_the_graph_pattern_alone(name):
-    # at c = 1e-17 the diagonal of I - W rounds to zero, and its CSR drops those entries
+    # at c = 1e-17 the off-diagonal weights of W are tiny and its diagonal rounds to one
     g = {**DENSE, **SPARSE}[name]()
     indptr, indices = g.indptr.copy(), g.indices.copy()
     gm = gossip_matrix(g, c=1e-17)
     assert np.array_equal(gm.W_op.diagonal(), np.ones(g.m))
-    assert not gm.I_minus_W.diagonal().any()
     assert np.array_equal(g.indptr, indptr) and np.array_equal(g.indices, indices)
     assert g.indptr.dtype == g.indices.dtype == np.intp
     for a in (g.indptr, g.indices):
@@ -146,6 +145,6 @@ def test_sparse_run_path_never_builds_the_dense_matrices():
     algo.step()
     T = spectral_data(gm)
     merit_sc(algo.X, algo.Y, algo.stats()["theta_min"], fp, T)
-    merit_cvx(algo.X, algo.image, fp, fam, gm, delta=1.0)
-    assert isinstance(gm.W_op, csr_array) and isinstance(gm.I_minus_W, csr_array)
+    merit_cvx(algo.X, algo.image, algo.WX, fp, fam, delta=1.0)
+    assert isinstance(gm.W_op, csr_array)
     assert "edges" not in vars(gm.graph)
