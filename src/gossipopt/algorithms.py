@@ -171,7 +171,8 @@ def adaptive_step(algo: AdaptiveAlgorithm, gamma_prev: float) -> None:
     X_half = algo.WX
     image_half = family.images(X_half)
     F_half, G_half = family.values(X_half, image_half), family.gradients(X_half, image_half)
-    Y_half = exchange.gossip_rows(algo.Y + G_half)
+    Y_shifted = algo.Y + G_half
+    Y_half = exchange.gossip_rows(Y_shifted)
 
     # per-agent line search along the negated dual direction, then merge the
     # trial stepsizes by a network-wide or a one-hop minimum
@@ -208,11 +209,12 @@ def adaptive_step(algo: AdaptiveAlgorithm, gamma_prev: float) -> None:
         d_max = exchange.neighbor_max(algo.diam)
         diam_new = np.where(doubled, 2 * d_max, d_max)
 
-    # primal descent plus the dual correction built from the pi-scaled gossip;
-    # the scaled difference is grouped first so its large terms cancel cleanly
+    # primal descent plus the dual correction built from the pi-scaled gossip; the scaled difference
+    # is grouped first so its large terms cancel cleanly. Y_new - Y = (I - W)(X_scaled - Y_shifted)
     X_new = X_half - theta_new[:, None] * Y_half
     X_scaled = algo.X / pi_new[:, None]
     Y_new = Y_half + (X_scaled - exchange.gossip_rows(X_scaled)) - G_half
+    Z_new = algo.Z + (X_scaled - Y_shifted)
 
     if _diverged(X_new):
         raise DivergenceError(f"{method} iterate diverged at k={k}")
@@ -222,7 +224,7 @@ def adaptive_step(algo: AdaptiveAlgorithm, gamma_prev: float) -> None:
         image = family.images(X_new)
     WX_new = exchange.gossip_rows(X_new, charge=False)  # the next step's first exchange
 
-    algo.X, algo.Y, algo.image, algo.WX, algo.k = X_new, Y_new, image, WX_new, k + 1
+    algo.X, algo.Y, algo.Z, algo.image, algo.WX, algo.k = X_new, Y_new, Z_new, image, WX_new, k + 1
     algo.theta, algo.theta_tracker, algo.pi = theta_new, tracker_new, pi_new
     algo.diam, algo.bounded, algo.double_count = diam_new, bounded_new, algo.double_count + doubled
 
@@ -238,13 +240,15 @@ class AdaptiveAlgorithm:
     The state is the attributes ``adaptive_step`` advances. ``X`` and ``Y`` are the primal and
     dual rows, ``k`` the iterations made, ``image`` ``family.images(X)``, None before the first
     step, and ``WX`` the gossip ``W @ X``, made at construction and by each step for the next
-    one, which charges its round. ``theta``, ``theta_tracker`` and ``pi`` hold the stepsizes
-    produced by the previous iteration (``theta0`` before the first step). ``diam`` is each
-    agent's current effective-diameter estimate, ``double_count`` its doublings so far,
-    ``bounded`` the safeguard bits, and ``X0`` the starting rows the safeguard measures primal
-    drift from (the duals start at zero, so their drift is ``Y`` itself). The tracker and the
-    diameter estimate belong to the ``adaptive`` merge; the ``nips_*`` merges leave them at
-    their initial values and set ``pi`` to ``theta``.
+    one, which charges its round. ``Z``, the duals' preimage for the merit V, starts at zero and
+    each agent moves its row from its own rows, so Y = (I - W) Z up to rounding. ``theta``,
+    ``theta_tracker`` and ``pi`` hold the stepsizes produced by the previous iteration
+    (``theta0`` before the first step). ``diam`` is each agent's current effective-diameter
+    estimate, ``double_count`` its doublings so far, ``bounded`` the safeguard bits, and ``X0``
+    the starting rows the safeguard measures primal drift from (the duals start at zero, so
+    their drift is ``Y`` itself). The tracker and the diameter estimate belong to the
+    ``adaptive`` merge; the ``nips_*`` merges leave them at their initial values and set ``pi``
+    to ``theta``.
     """
 
     def __init__(
@@ -280,7 +284,7 @@ class AdaptiveAlgorithm:
 
         X0 = np.asarray(X0, dtype=float)
         m = X0.shape[0]
-        self.X, self.X0, self.Y = X0.copy(), X0.copy(), np.zeros_like(X0)
+        self.X, self.X0, self.Y, self.Z = X0.copy(), X0.copy(), np.zeros_like(X0), np.zeros_like(X0)
         self.theta, self.theta_tracker, self.pi = (np.full(m, float(theta0)) for _ in range(3))
         self.diam = np.full(m, int(d0), dtype=int)
         self.bounded = np.ones(m, dtype=int)

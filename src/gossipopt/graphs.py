@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtrtri
+from scipy.linalg.lapack import dpotrf
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
@@ -254,28 +254,27 @@ def gossip_matrix(g: Graph, c: float = 0.5) -> GossipMatrix:
 
 
 def spectral_data(gm: GossipMatrix) -> np.ndarray:
-    """Upper-triangular T with M = T T^T - 11^T/(cm) - I = c^-1 pinv(I - W_tilde) - I.
+    """Upper-triangular R with R^T R = (I - W) + c 11^T/m, the factor the merit V solves with.
 
-    M weights the strongly convex merit's dual distance; it is positive
-    definite on the complement of the all-ones direction whenever c <= 1/2.
-    On a connected graph S = I - W_tilde + 11^T/m is positive definite and
-    pinv(I - W_tilde) = S^-1 - 11^T/m. With the Cholesky factor S = R^T R
-    (LAPACK ``dpotrf``, inverted by ``dtrtri``), T = R^-1 / sqrt(c): no
-    eigendecomposition and no m x m product. S is scattered from the CSR
-    W_tilde into one m x m array, which both LAPACK calls overwrite in place,
-    so T is the only m x m array of a run. T is Fortran-ordered, the layout
-    BLAS ``dtrmm`` reads without a copy, zero below the diagonal, and read-only.
+    I - W = c (I - W_tilde) annihilates only the all-ones direction on a
+    connected graph, and the rank-one term lifts that direction to c, so the
+    sum is positive definite, and for B with 1^T B = 0 the solve
+    Z = R^-1 R^-T B is the preimage of B under I - W with 1^T Z = 0:
+    Z^T B = B^T pinv(I - W) B, with pinv(I - W) = c^-1 pinv(I - W_tilde).
+    The matrix is scattered from the CSR W_tilde into one m x m array, which
+    LAPACK's ``dpotrf`` factors in place, so R is the only m x m array of a
+    run. R is Fortran-ordered, the layout ``dpotrs`` reads without a copy,
+    zero below the diagonal, and read-only.
     """
     m = gm.graph.m
-    S = gm._W_tilde.toarray().T  # Fortran order, LAPACK's own: the factorization works in place
-    np.subtract(1.0 / m, S, out=S)
-    S.flat[:: m + 1] += 1.0
-    R, info = dpotrf(S, overwrite_a=1)
-    # every squared pivot is at least lambda_min(S) = min(gap, 1); a singular S
-    # rounds to a last pivot near sqrt(eps) rather than to info > 0
-    if info != 0 or R.diagonal().min() ** 2 <= _GAP_CUTOFF:
+    R = gm._W_tilde.toarray().T  # Fortran order, LAPACK's own: the factorization works in place
+    np.subtract(1.0 / m, R, out=R)
+    R.flat[:: m + 1] += 1.0
+    R *= gm.c
+    R, info = dpotrf(R, overwrite_a=1)
+    # every squared pivot is at least c min(gap, 1); a singular matrix rounds
+    # to a last pivot near sqrt(eps) rather than to info > 0
+    if info != 0 or R.diagonal().min() ** 2 <= gm.c * _GAP_CUTOFF:
         raise GraphError("I - W_tilde + 11^T/m is singular: the graph is disconnected")
-    T, _ = dtrtri(R, overwrite_c=1)  # cannot fail: the pivots checked above are nonzero
-    T *= gm.c**-0.5
-    T.setflags(write=False)
-    return T
+    R.setflags(write=False)
+    return R

@@ -17,6 +17,7 @@ from __future__ import annotations
 import contextvars
 import json
 import math
+import re
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
@@ -28,22 +29,11 @@ from .algorithms import METHODS, AdaptiveAlgorithm, DivergenceError, ExtraAlgori
 from .backtracking import BacktrackingError
 from .graphs import gossip_matrix, graph_from_spec, spectral_data
 from .losses import generate_quadratic, inner, parse_libsvm, partition_logistic, quadratic_condition_numbers
-from .metrics import ErgodicAverage, MeritBlock, fixed_point, merit_cvx
+from .metrics import ErgodicAverage, PreimageMerit, fixed_point, merit_cvx
 
 _ALGORITHMS = (*METHODS, "extra")
 
 _DEFAULT_ALPHA_GRID = tuple(float(a) for a in np.logspace(-6.0, 0.0, 25))
-
-# V is evaluated a block of rows at a time (MeritBlock: one dtrmm of T with rows * d columns).
-# The rows are a multiple of 8, which on OpenBLAS's AVX-512 dtrmm keeps each row's product
-# byte-equal to a one-row product, at most _MERIT_BLOCK, and at most m/d, so that the block
-# holds no more numbers than T; a block is one row where not even 8 fit.
-_MERIT_BLOCK = 16
-
-
-def _merit_block_rows(m: int, d: int) -> int:
-    return min(_MERIT_BLOCK, m // d) // 8 * 8 or 1
-
 
 class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
@@ -205,12 +195,21 @@ class RunConfig:
         return cls(**raw)
 
 
+# YAML 1.2 floats with an exponent that YAML 1.1, and so yaml.safe_load, reads as strings:
+# no dot (1e-6) or an unsigned exponent (1.0e308). Integers and quoted scalars stay as they were.
+_EXPONENT_FLOAT = re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$")
+
+
 def load_config(path) -> RunConfig:
     import yaml
 
+    class Loader(yaml.SafeLoader):
+        pass
+
+    Loader.add_implicit_resolver("tag:yaml.org,2002:float", _EXPONENT_FLOAT, list("-+.0123456789"))
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=Loader)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
@@ -361,13 +360,14 @@ def run(config: RunConfig) -> RunTrace:
         delta = float(config.algorithm.get("delta", 1.0))
         X0 = np.zeros((family.m, family.dim))
         algo = _make_algorithm(config.algorithm, gm, family, X0, delta)
-        # the strongly convex merit weighs the duals; EXTRA has none
-        T = _setup(("factor", graph_key), lambda: spectral_data(gm)) if algo.Y is not None else None
-        merits = MeritBlock(fp, T, _merit_block_rows(family.m, family.dim)) if T is not None else None
+        # the strongly convex merit weighs the duals, through their preimage; EXTRA has none
+        merit = None
+        if algo.Y is not None:
+            merit = PreimageMerit(fp, _setup(("factor", graph_key), lambda: spectral_data(gm)), gm.W_op)
     # GraphError, LossError, MetricsError, an unreadable dataset
     except (ValueError, TypeError, OverflowError, OSError) as exc:
         raise ConfigError(str(exc)) from exc
-    # spectral_data's factor holds m^2 doubles, the merit block rows * m * d
+    # spectral_data's factor holds m^2 doubles; everything else a run keeps is O(nnz + m d)
     except MemoryError as exc:
         raise ConfigError(f"not enough memory to set up a run with m={graph_spec.get('m')} agents: {exc}") from exc
 
@@ -379,15 +379,14 @@ def run(config: RunConfig) -> RunTrace:
         """M_erg at the mean of the iterates X^1..X^k; None at k = 0, with nothing averaged yet."""
         return merit_cvx(erg.X_sum, erg.image_sum, erg.WX_sum, fp, family, delta, erg.count) if erg.count else None
 
-    records: list[dict] = []  # every written row's columns but V, which ``merits`` keeps
+    rows: list[MeritRow] = []
 
     def record(status: str) -> None:
         """Write the row of iterate k; a quadratic run computes its merits only here."""
-        if merits is not None:
-            merits.add(dX_sq, algo.Y, stats["theta_min"])
+        V = merit(dX_sq, algo.Y, algo.Z, stats["theta_min"]) if merit is not None else None
         M_erg = ergodic_merit() if kind == "quadratic" else m_erg
-        records.append(dict(k=k, vector_rounds=vector_rounds, scalar_rounds=scalar_rounds, err_rel=err_rel,
-                            M_erg=M_erg, status=status, **stats))
+        rows.append(MeritRow(k=k, vector_rounds=vector_rounds, scalar_rounds=scalar_rounds, err_rel=err_rel,
+                             V=V, M_erg=M_erg, status=status, **stats))
 
     k = 0
     while True:
@@ -420,12 +419,10 @@ def run(config: RunConfig) -> RunTrace:
             failed = "diverged" if isinstance(exc, DivergenceError) else "stalled"
             if not written:
                 record(failed)
-            records[-1]["status"] = failed
+            rows[-1] = replace(rows[-1], status=failed)
             break
         erg.update(algo.X, algo.image, algo.WX)
         k += 1
-    V = merits.column() if merits is not None else [None] * len(records)
-    rows = [MeritRow(V=v, **r) for v, r in zip(V, records)]
 
     trace = RunTrace(
         rows=rows,

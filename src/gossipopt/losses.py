@@ -62,6 +62,8 @@ def inner(A: np.ndarray, B: np.ndarray | None = None) -> float:
         raise ValueError(f"inner product of shapes {A.shape} and {B.shape}")
     a = A.ravel()  # C order, copied only where A is strided
     b = a if B is None else B.ravel()
+    if a.size <= _DDOT_CHUNK:  # the loop's one chunk, without its per-call overhead
+        return float(np.vdot(a, b))
     total = 0.0
     for start in range(0, a.size, _DDOT_CHUNK):
         total += np.vdot(a[start : start + _DDOT_CHUNK], b[start : start + _DDOT_CHUNK])

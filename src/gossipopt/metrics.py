@@ -6,7 +6,7 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dtrmm
+from scipy.linalg.lapack import dpotrs
 
 from .losses import centralized_solve, inner
 
@@ -65,63 +65,61 @@ def _fixed_point(family, tol: float) -> FixedPoint:
     return FixedPoint(x_star=x_star, X_star=X_star, Y_star=Y_star, F_star=F_star)
 
 
-class MeritBlock:
-    """The strongly convex merit V of a block of up to ``rows`` iterates, in one triangular product.
+def _off_ones(A: np.ndarray) -> np.ndarray:
+    """A, in place, with its column means taken out: A off the all-ones direction."""
+    A -= np.einsum("ij->j", A) / len(A)  # A.mean(axis=0), with less call overhead; no BLAS
+    return A
 
-    V = ||X - X*||^2 + theta^2 ||Y - Y*||^2_M, with M = T T^T - 11^T/(cm) - I and ``T`` the
-    factor of ``spectral_data``. The dual difference dY is first projected off the all-ones
-    direction, along which M is indefinite and which the theory keeps the duals out of
-    (range(I - W)); the 11^T term then vanishes, and the M-form ||T^T dY||^2 - ||dY||^2 is
-    floored at zero against roundoff.
 
-    ``add`` forms dY contiguous, projects it and takes its norm there, keeps the row's scalars
-    and copies dY^T into the next d rows of one Fortran (rows d x m) buffer, allocated here.
-    Once the block is full, or on ``column``, one in-place BLAS ``dtrmm`` multiplies the whole
-    buffer by T, so the product a slot goes through never depends on how many rows are pending;
-    ``column`` returns the V of every row added, in order.
+def _dual_preimage(R: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The Z with zero column sums and (I - W) Z = B off the all-ones direction: one ``dpotrs``, O(m^2 d).
+
+    R is the factor of ``spectral_data``.
+    """
+    Z, _ = dpotrs(R, _off_ones(B.copy()))  # cannot fail: spectral_data checked R's pivots
+    return _off_ones(Z)
+
+
+def _merit(dX_sq: float, D_dY: float, curvature: float, dY_sq: float, theta_min_prev: float) -> float:
+    """V = ||dX||^2 + theta^2 max(Q - ||dY||^2, 0), Q = 2 <D, dY> - <D, (I - W) D>, from those scalars.
+
+    dY = Y - Y* and D, its preimage under I - W up to e, are off the all-ones direction, along
+    which M is indefinite and which the theory keeps the duals out of. Q is the variational form
+    of dY^T pinv(I - W) dY = ||dY||^2_M + ||dY||^2, short of it by e^T (I - W) e: second order in
+    e, which a carried preimage gathers from the rounding of every step it went through.
+    """
+    try:
+        theta_sq = theta_min_prev**2
+    except OverflowError:  # a Python float above about 1.34e154
+        theta_sq = np.inf
+    return dX_sq + theta_sq * max(2.0 * D_dY - curvature - dY_sq, 0.0)  # floored against roundoff
+
+
+def merit_sc(X: np.ndarray, Y: np.ndarray, theta_min_prev: float, fp: FixedPoint, R: np.ndarray) -> float:
+    """Strongly convex merit of one iterate: ||X - X*||^2 + theta^2 ||Y - Y*||^2_M, M = c^-1 pinv(I - W_tilde) - I.
+
+    D is dY's exact preimage, solved with the factor R of ``spectral_data``, and its curvature
+    <D, (I - W) D> is ||R D||^2, as D has zero column sums (see ``_merit``).
+    """
+    dY = _off_ones(Y - fp.Y_star)
+    D = _dual_preimage(R, dY)
+    return _merit(inner(X - fp.X_star), inner(D, dY), inner(R @ D), inner(dY), theta_min_prev)
+
+
+class PreimageMerit:
+    """``merit_sc`` of a run's rows from the duals' carried preimage (``AdaptiveAlgorithm.Z``).
+
+    Y*'s preimage Z* is solved once, with the factor R of ``spectral_data``. A row then takes
+    D = Z - Z* and its curvature from one product with the gossip operator W: O(nnz d), no solve.
     """
 
-    def __init__(self, fp: FixedPoint, T: np.ndarray, rows: int):
-        m, d = fp.Y_star.shape
-        self._fp, self._T, self._rows, self._d = fp, T, rows, d
-        self._buffer = np.zeros((rows * d, m), order="F")
-        self._pending: list[tuple[float, float, float]] = []  # (||dX||^2, ||dY||^2, theta^2)
-        self._values: list[float] = []
+    def __init__(self, fp: FixedPoint, R: np.ndarray, W):
+        self._Y_star, self._Z_star, self._W = fp.Y_star, _dual_preimage(R, fp.Y_star), W
 
-    def add(self, dX_sq: float, Y: np.ndarray, theta_min_prev: float) -> None:
-        """Queue one row, given ||X - X*||^2; a row that fills the block evaluates it."""
-        dY = Y - self._fp.Y_star
-        dY -= dY.mean(axis=0)
-        b = len(self._pending) * self._d
-        self._buffer[b : b + self._d] = dY.T  # the slot, one transposed copy
-        try:
-            theta_sq = theta_min_prev**2
-        except OverflowError:  # a Python float above about 1.34e154
-            theta_sq = np.inf
-        self._pending.append((dX_sq, inner(dY), theta_sq))
-        if len(self._pending) == self._rows:
-            self._evaluate()
-
-    def column(self) -> list[float]:
-        """The V of every row added so far, in the order added."""
-        if self._pending:
-            self._evaluate()
-        return self._values
-
-    def _evaluate(self) -> None:
-        # (T^T dY)^T = dY^T T for every slot: one right-side triangular product, in place
-        Z = dtrmm(1.0, self._T, self._buffer, side=1, overwrite_b=1)
-        for i, (dX_sq, dY_sq, theta_sq) in enumerate(self._pending):
-            m_form = max(inner(Z[i * self._d : (i + 1) * self._d].T) - dY_sq, 0.0)
-            self._values.append(dX_sq + theta_sq * m_form)
-        self._pending.clear()
-
-
-def merit_sc(X: np.ndarray, Y: np.ndarray, theta_min_prev: float, fp: FixedPoint, T: np.ndarray) -> float:
-    """Strongly convex merit of one iterate: ||X - X*||^2 + theta^2 ||Y - Y*||^2_M (see ``MeritBlock``)."""
-    block = MeritBlock(fp, T, rows=1)
-    block.add(inner(X - fp.X_star), Y, theta_min_prev)
-    return block.column()[0]
+    def __call__(self, dX_sq: float, Y: np.ndarray, Z: np.ndarray, theta_min_prev: float) -> float:
+        dY = _off_ones(Y - self._Y_star)
+        D = _off_ones(Z - self._Z_star)
+        return _merit(dX_sq, inner(D, dY), inner(D, D - self._W @ D), inner(dY), theta_min_prev)
 
 
 def merit_cvx(

@@ -10,8 +10,7 @@ from scipy.special import expit
 from gossipopt import BacktrackingError, LossError, MetricsError
 from gossipopt.backtracking import backtrack_batch
 from gossipopt.graphs import Graph, build_erdos_renyi, metropolis_weights
-from gossipopt.losses import LogisticFamily, QuadraticFamily, inner
-from gossipopt.metrics import MeritBlock
+from gossipopt.losses import LogisticFamily, QuadraticFamily
 
 # connected Erdos-Renyi graphs for the graph property tests
 connected_er = st.builds(
@@ -345,23 +344,11 @@ def merit_cvx_reference(S, R, fp, family, gm, delta, count=1) -> float:
     return max(consensus, gap)
 
 
-class StridedSlotMeritBlock(MeritBlock):
-    """``MeritBlock`` whose ``add`` forms, projects and norms dY in place in its strided buffer slot."""
-
-    def add(self, dX_sq: float, Y: np.ndarray, theta_min_prev: float) -> None:
-        b = len(self._pending) * self._d
-        dY = self._buffer[b : b + self._d].T  # the slot, agents by rows as in Y
-        np.subtract(Y, self._fp.Y_star, out=dY)
-        dY -= dY.mean(axis=0)
-        self._pending.append((dX_sq, inner(dY), theta_min_prev**2))
-        if len(self._pending) == self._rows:
-            self._evaluate()
-
-
-def metric_from_factor(T: np.ndarray, c: float) -> np.ndarray:
-    """The dense M = T T^T - 11^T/(cm) - I that a ``spectral_data`` factor T stands for."""
-    m = T.shape[0]
-    return T @ T.T - 1.0 / (c * m) - np.eye(m)
+def metric_from_factor(R: np.ndarray, c: float) -> np.ndarray:
+    """The dense M = (R^T R)^-1 - 11^T/(cm) - I that a ``spectral_data`` factor R stands for."""
+    m = R.shape[0]
+    R_inv = np.linalg.inv(R)
+    return R_inv @ R_inv.T - 1.0 / (c * m) - np.eye(m)
 
 
 class CountingFamily:

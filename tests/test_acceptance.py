@@ -292,11 +292,11 @@ def test_criterion_10_gossip_and_merit_algebra(rng):
 
     # hand-computed merit values on the two-agent complete graph
     gm2 = gossip_matrix(build_erdos_renyi(2, 1.0, seed=0), c=0.5)
-    T = spectral_data(gm2)
+    R = spectral_data(gm2)
     fp = FixedPoint(
         x_star=np.zeros(1), X_star=np.zeros((2, 1)), Y_star=np.zeros((2, 1)), F_star=0.0
     )
-    dual_case = merit_sc(fp.X_star, np.array([[1.0], [-1.0]]), 2.0, fp, T)
+    dual_case = merit_sc(fp.X_star, np.array([[1.0], [-1.0]]), 2.0, fp, R)
     assert abs(dual_case - 8.0) <= 1e-12
     zero_losses = QuadraticFamily(np.zeros((2, 1, 1)), np.zeros((2, 1)), ridge=0.0)
     X = np.array([[1.0], [-1.0]])

@@ -334,6 +334,28 @@ def test_dual_column_sums_conserved(method, make_family):
         assert np.abs(algo.Y.sum(axis=0)).max() <= 1e-8 * grad_scale
 
 
+@pytest.mark.parametrize(
+    "graph", [{"kind": "line", "m": 12}, {"kind": "erdos_renyi", "m": 10, "p": 0.4, "seed": 3}]
+)
+@pytest.mark.parametrize(
+    "method, radius", [("adaptive", None), ("adaptive", 0.3), ("nips_global", None), ("nips_local", None)]
+)
+def test_duals_stay_the_image_of_their_preimage(graph, method, radius):
+    # Z starts at zero and moves by X/pi - Y - G_half, so Y = (I - W) Z but for the rounding
+    # of the terms each step adds up, with the safeguard tripping too
+    gm = gossip_matrix(graph_from_spec(graph), c=0.5)
+    m = gm.graph.m
+    fam = generate_quadratic(m=m, h=4, n=3, ridge=0.0, seed=8)
+    algo = AdaptiveAlgorithm(gm, fam, np.zeros((m, 3)), method=method, safeguard_radius=radius)
+    W, eps, scale = dense(gm.W_op), np.finfo(float).eps, 0.0
+    for k in range(1, 301):
+        algo.step()
+        scale = max(scale, np.abs(algo.Z).max(), np.abs(algo.X / algo.pi[:, None]).max(), np.abs(algo.Y).max())
+        drift = np.abs(algo.Y - (algo.Z - W @ algo.Z)).max()
+        assert drift <= 8 * eps * k * scale, k
+    assert radius is None or not algo.bounded.all()
+
+
 def heterogeneous_line_instance(rng):
     """Ill-conditioned quadratics with per-agent curvature scales on a line.
 
@@ -501,7 +523,9 @@ def test_adaptive_divergence_guard():
 
 
 # every attribute adaptive_step writes
-STATE = ("X", "Y", "theta", "theta_tracker", "pi", "diam", "bounded", "X0", "double_count", "k", "image", "WX")
+STATE = (
+    "X", "Y", "Z", "theta", "theta_tracker", "pi", "diam", "bounded", "X0", "double_count", "k", "image", "WX"
+)
 
 
 def _state(algo: AdaptiveAlgorithm) -> dict:
@@ -693,8 +717,8 @@ def test_failed_adaptive_step_charges_no_rounds(monkeypatch, method):
 
 
 def _agent_rows(algo: AdaptiveAlgorithm) -> np.ndarray:
-    """Each agent's X, Y, theta, tracker, pi and diameter estimate, as the bits of one row."""
-    rows = np.column_stack([algo.X, algo.Y, algo.theta, algo.theta_tracker, algo.pi, algo.diam])
+    """Each agent's X, Y, dual preimage Z, theta, tracker, pi and diameter estimate, as the bits of one row."""
+    rows = np.column_stack([algo.X, algo.Y, algo.Z, algo.theta, algo.theta_tracker, algo.pi, algo.diam])
     return rows.view(np.uint64)
 
 

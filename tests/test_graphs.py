@@ -284,11 +284,14 @@ def test_spectral_lambda2_below_one_connected():
 @pytest.mark.parametrize("c", [0.5, 0.1])
 def test_spectral_matches_eigh_pinv(g, c):
     gm = gossip_matrix(g, c=c)
-    T = spectral_data(gm)
-    # the layout dtrmm reads without a copy, and nothing below the diagonal
-    assert T.flags.f_contiguous
-    assert not np.tril(T, -1).any()
-    M, ref = metric_from_factor(T, c), spectral_reference(gm)
+    R = spectral_data(gm)
+    # the layout dpotrs reads without a copy, and nothing below the diagonal
+    assert R.flags.f_contiguous
+    assert not np.tril(R, -1).any()
+    # the factor of (I - W) + c 11^T/m
+    lifted = np.eye(g.m) - dense(gm.W_op) + c / g.m
+    assert np.abs(R.T @ R - lifted).max() <= 1e-14
+    M, ref = metric_from_factor(R, c), spectral_reference(gm)
     assert np.abs(M - ref).max() <= 1e-12 * np.abs(ref).max()
 
 

@@ -160,10 +160,9 @@ def test_run_stride_thins_rows():
 )
 def test_stride_rows_are_the_full_rows_sampled(tmp_path, monkeypatch, algorithm, status):
     # a thinned trace writes the every-iteration trace's rows at k % stride == 0
-    # and its final row, bit for bit, and computes merits for those rows only:
-    # V, a block of rows at a time, for exactly the rows written
-    calls = {"merit_cvx": 0, "spectral_data": 0}
-    added, evaluated = [], []
+    # and its final row, bit for bit, and computes merits for those rows only
+    calls = {"merit_cvx": 0, "spectral_data": 0, "V": 0}
+    evaluated = []
 
     def counted(name, fn):
         def wrapper(*args):
@@ -171,24 +170,19 @@ def test_stride_rows_are_the_full_rows_sampled(tmp_path, monkeypatch, algorithm,
             return fn(*args)
         return wrapper
 
-    class CountedBlock(harness.MeritBlock):
-        def add(self, *args):
-            added.append(None)
-            return super().add(*args)
+    class CountedMerit(harness.PreimageMerit):
+        def __call__(self, *args):
+            calls["V"] += 1
+            evaluated.append(super().__call__(*args))
+            return evaluated[-1]
 
-        def column(self):
-            values = super().column()
-            evaluated.extend(values)
-            return values
-
-    for name in calls:
+    for name in ("merit_cvx", "spectral_data"):
         monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
-    monkeypatch.setattr(harness, "MeritBlock", CountedBlock)
+    monkeypatch.setattr(harness, "PreimageMerit", CountedMerit)
     lines, counts = {}, {}
     for stride in (1, 4):
         for name in calls:
             calls[name] = 0
-        added.clear()
         evaluated.clear()
         cfg = small_quadratic_config(max_iterations=30, stride=stride, algorithm=algorithm)
         trace = run(RunConfig.from_dict(cfg))
@@ -201,9 +195,8 @@ def test_stride_rows_are_the_full_rows_sampled(tmp_path, monkeypatch, algorithm,
     assert lines[4][2:] == [r for r in full[:-1] if int(r.split(",")[0]) % 4 == 0] + full[-1:]
     rows = len(lines[4]) - 2
     has_duals = algorithm["algorithm"] != "extra"
-    assert counts[4] == {"merit_cvx": rows - 1, "spectral_data": has_duals}
+    assert counts[4] == {"merit_cvx": rows - 1, "spectral_data": has_duals, "V": rows * has_duals}
     assert counts[1]["merit_cvx"] == len(full) - 1 > counts[4]["merit_cvx"]
-    assert len(added) == rows * has_duals
     assert evaluated == ([r.V for r in trace.rows] if has_duals else [])
 
 
@@ -411,10 +404,10 @@ def test_shared_arrays_refuse_writes():
     features, labels = np.ones((4, 6, 3)), np.ones((4, 6))
     quadratic, logistic = QuadraticFamily(A, b), LogisticFamily(features, labels)
     fp = fixed_point(quadratic)
-    T = spectral_data(gossip_matrix(build_line_graph(4)))
+    R = spectral_data(gossip_matrix(build_line_graph(4)))
     fold, fold_t = logistic._fold
     shared = [quadratic.A, quadratic.b, logistic.features, logistic.labels, logistic._S.data,
-              logistic._ST.data, fold.data, fold_t.data, fp.x_star, fp.X_star, fp.Y_star, T]
+              logistic._ST.data, fold.data, fold_t.data, fp.x_star, fp.X_star, fp.Y_star, R]
     for array in shared:
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 1.0
@@ -669,6 +662,42 @@ def test_cli_rejects_mistyped_config(tmp_path, capfd, mutate):
     assert out == "" and err.startswith("config error:") and "Traceback" not in err
 
 
+def test_cli_reads_exponent_floats_as_yaml_1_2_does(tmp_path, capsys):
+    # 1e-6 (no dot) and 1.0e308 (unsigned exponent) are floats in YAML 1.2; YAML 1.1 reads strings
+    raw = small_quadratic_config()
+    del raw["epsilon"]
+    raw["algorithm"]["theta0"] = "THETA0"
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(raw).replace("THETA0", "1.0e308") + "epsilon: 1e-6\n")
+    cfg = load_config(cfg_path)
+    assert cfg.epsilon == 1e-6 and cfg.algorithm["theta0"] == 1.0e308
+    assert type(cfg.max_iterations) is int and type(cfg.graph["m"]) is int  # integers stay integers
+    raw["algorithm"]["theta0"] = 1.0
+    cfg_path.write_text(yaml.safe_dump(raw) + "epsilon: 1e-6\n")
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    assert "status=converged" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [('epsilon: "1e-6"', "epsilon must be a positive finite real number, got '1e-6'"),
+     ("graph: {kind: line, m: 2e1}", "graph.m must be an integer (positive, within int64), got 20.0")],
+    ids=["quoted_exponent", "exponent_count"],
+)
+def test_cli_rejects_a_quoted_or_float_exponent_number(tmp_path, capsys, line, message):
+    # a quoted scalar stays a string, and 2e1 is the float 20.0, which no count takes
+    raw = small_quadratic_config()
+    key = line.split(":")[0]
+    del raw[key]
+    if key == "graph":
+        raw["problem"]["m"] = 20
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(raw) + line + "\n")
+    assert main(["run", "--config", str(cfg_path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.strip() == f"config error: {message}"
+
+
 @pytest.mark.parametrize(
     "command",
     [
@@ -789,7 +818,7 @@ def test_cli_setup_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def _large_quadratic_config(m: int, n: int, **overrides) -> dict:
-    """A sparse ER quadratic with m agents and dimension n, wide enough (m // n >= 8) for blocks of V."""
+    """A sparse ER quadratic with m agents and dimension n: CSR gossip products."""
     raw = small_quadratic_config(**{"max_iterations": 40, **overrides})
     raw["graph"] = {"kind": "erdos_renyi", "m": m, "p": 0.03, "seed": 5}
     raw["problem"] = {"kind": "quadratic", "m": m, "h": 3, "n": n, "lambda": 0.1, "seed": 3}
@@ -797,67 +826,66 @@ def _large_quadratic_config(m: int, n: int, **overrides) -> dict:
 
 
 def _spy_on_V(monkeypatch) -> tuple[list, list]:
-    """(merit_sc on the iterate of every row run() adds to a merit block, each block's rows)."""
-    expected, block_rows, algos = [], [], []
-    make = harness._make_algorithm
+    """(merit_sc on the iterate of every row run() computes V for, the factors run() makes)."""
+    expected, factors, algos = [], [], []
+    make, spectral = harness._make_algorithm, harness.spectral_data
     monkeypatch.setattr(harness, "_make_algorithm", lambda *args: algos.append(make(*args)) or algos[-1])
+    monkeypatch.setattr(harness, "spectral_data", lambda gm: factors.append(spectral(gm)) or factors[-1])
 
-    class Spy(harness.MeritBlock):
-        def __init__(self, fp, T, rows):
-            super().__init__(fp, T, rows)
-            self.fp, self.T = fp, T
-            block_rows.append(rows)
+    class Spy(harness.PreimageMerit):
+        def __init__(self, fp, R, W):
+            super().__init__(fp, R, W)
+            self.fp = fp
 
-        def add(self, dX_sq, Y, theta_min_prev):
-            expected.append(merit_sc(algos[-1].X, Y, theta_min_prev, self.fp, self.T))
-            return super().add(dX_sq, Y, theta_min_prev)
+        def __call__(self, dX_sq, Y, Z, theta_min_prev):
+            expected.append(merit_sc(algos[-1].X, Y, theta_min_prev, self.fp, factors[-1]))
+            return super().__call__(dX_sq, Y, Z, theta_min_prev)
 
-    monkeypatch.setattr(harness, "MeritBlock", Spy)
-    return expected, block_rows
+    monkeypatch.setattr(harness, "PreimageMerit", Spy)
+    return expected, factors
 
 
 @pytest.mark.parametrize(
-    "raw,fail,status,rows_per_block",
+    "raw,fail,status",
     [
-        (small_quadratic_config(), None, "converged", 1),
-        (small_quadratic_config(max_iterations=25, stride=3), None, "budget_exhausted", 1),
-        (_large_quadratic_config(300, 7), None, "budget_exhausted", 16),
-        (_large_quadratic_config(256, 20, stride=3), None, "budget_exhausted", 8),
-        (_large_quadratic_config(260, 1, max_iterations=16), None, "budget_exhausted", 16),
-        (_large_quadratic_config(280, 4, stride=2), (19, DivergenceError), "diverged", 16),
-        (_large_quadratic_config(280, 4), (21, BacktrackingError), "stalled", 16),
-        (_large_quadratic_config(256, 12, algorithm={"algorithm": "nips_local"}), None,
-         "budget_exhausted", 16),
+        (small_quadratic_config(), None, "converged"),
+        (small_quadratic_config(max_iterations=25, stride=3), None, "budget_exhausted"),
+        (_large_quadratic_config(300, 7), None, "budget_exhausted"),
+        (_large_quadratic_config(256, 20, stride=3), None, "budget_exhausted"),
+        (_large_quadratic_config(260, 1, max_iterations=16), None, "budget_exhausted"),
+        (_large_quadratic_config(280, 4, stride=2), (19, DivergenceError), "diverged"),
+        (_large_quadratic_config(280, 4), (21, BacktrackingError), "stalled"),
+        (_large_quadratic_config(256, 12, algorithm={"algorithm": "nips_local"}), None, "budget_exhausted"),
     ],
     ids=["m6", "m6-stride3", "m300-d7", "m256-d20-stride3", "m260-d1",
          "m280-d4-stride2-diverged", "m280-d4-stalled", "m256-d12-nips_local"],
 )
-def test_every_V_is_merit_sc_of_its_iterate(monkeypatch, raw, fail, status, rows_per_block):
-    # V, evaluated a block of rows at a time, is the one-row merit of each written row's
-    # iterate, over full and partial last blocks and the final row of every kind of stop
-    expected, block_rows = _spy_on_V(monkeypatch)
+def test_every_V_is_merit_sc_of_its_iterate(monkeypatch, raw, fail, status):
+    # V, from the duals' carried preimage and one factor per run, is the merit of each
+    # written row's iterate with its preimage solved exactly, up to the final row of every
+    # kind of stop
+    expected, factors = _spy_on_V(monkeypatch)
     if fail is not None:
         _fail_after(monkeypatch, *fail)
     trace = run(RunConfig.from_dict(raw))
-    assert trace.status == status and block_rows == [rows_per_block]
+    assert trace.status == status and len(factors) == 1
     V = [r.V for r in trace.rows]
     assert len(V) == len(expected) and all(v is not None for v in V)
     assert V == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_extra_rows_have_no_V(monkeypatch):
-    expected, block_rows = _spy_on_V(monkeypatch)
+    expected, factors = _spy_on_V(monkeypatch)
     raw = _large_quadratic_config(300, 7, max_iterations=20)
     raw["algorithm"] = {"algorithm": "extra", "extra_alpha": 1e-3}
     trace = run(RunConfig.from_dict(raw))
     assert len(trace.rows) == 21 and all(r.V is None for r in trace.rows)
-    assert expected == block_rows == []
+    assert expected == factors == []
 
 
 @pytest.mark.parametrize("m,n", [(6, 5), (300, 7)])
 def test_a_cut_run_is_a_prefix_of_a_longer_one(tmp_path, m, n):
-    # a partial last block gives its rows the V a full block would: the run cut at
-    # k=23 writes the longer run's rows up to k=23 byte for byte, V included
+    # the run cut at k=23 writes the longer run's rows up to k=23 byte for byte, V included
     raw = small_quadratic_config() if m == 6 else _large_quadratic_config(m, n)
     lines = {}
     for cut in (23, 40):
@@ -869,18 +897,19 @@ def test_a_cut_run_is_a_prefix_of_a_longer_one(tmp_path, m, n):
 
 
 def test_cli_merit_block_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
-    # stands in for the block of a large run; nothing large is allocated
-    def no_memory(fp, T, rows):
-        raise MemoryError(f"Unable to allocate {8 * rows * fp.Y_star.size} bytes")
+    # the merit's m x m factor, the one m^2 array a run makes, cannot be allocated;
+    # nothing large is allocated here
+    def no_memory(gm):
+        raise MemoryError(f"Unable to allocate {8 * gm.graph.m**2} bytes")
 
-    monkeypatch.setattr(harness, "MeritBlock", no_memory)
+    monkeypatch.setattr(harness, "spectral_data", no_memory)
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text(yaml.safe_dump(small_quadratic_config()))
     assert main(["run", "--config", str(cfg_path)]) == 3
     out, err = capsys.readouterr()
     assert out == "" and "Traceback" not in err
     assert err.startswith("config error: not enough memory to set up a run with m=6 agents: ")
-    assert "Unable to allocate 240 bytes" in err
+    assert "Unable to allocate 288 bytes" in err
 
 
 def test_run_on_scaled_data_passes_the_oracle(monkeypatch):

@@ -1,21 +1,33 @@
 import gc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_array
 
-from gossipopt import MetricsError, fixed_point, generate_quadratic, gossip_matrix, harness, metrics
-from gossipopt.graphs import build_complete_graph, build_erdos_renyi, build_line_graph, spectral_data
+from gossipopt import AdaptiveAlgorithm, MetricsError, fixed_point, generate_quadratic, gossip_matrix, metrics
+from gossipopt.graphs import (
+    build_complete_graph,
+    build_erdos_renyi,
+    build_line_graph,
+    metropolis_weights,
+    spectral_data,
+)
 from gossipopt.losses import QuadraticFamily, inner
-from gossipopt.metrics import ErgodicAverage, FixedPoint, MeritBlock, merit_cvx, merit_sc
+from gossipopt.metrics import (
+    ErgodicAverage,
+    FixedPoint,
+    PreimageMerit,
+    merit_cvx,
+    merit_sc,
+)
 from conftest import (
     CountingFamily,
     connected_er,
     dense,
     linear_rate_fit,
     merit_cvx_reference,
-    StridedSlotMeritBlock,
     spectral_reference,
     synthetic_logistic,
 )
@@ -71,44 +83,44 @@ def test_fixed_point_is_solved_once_per_family_and_tol(monkeypatch):
 
 def test_merit_sc_zero_at_fixed_point():
     gm = gossip_matrix(build_complete_graph(2), c=0.5)
-    T = spectral_data(gm)
+    R = spectral_data(gm)
     fp = fixed_point(two_agent_pull(), tol=1e-10)
-    assert merit_sc(fp.X_star, fp.Y_star, 0.7, fp, T) <= 1e-24
+    assert merit_sc(fp.X_star, fp.Y_star, 0.7, fp, R) <= 1e-24
 
 
 def test_merit_sc_frobenius_term_only(rng):
     gm = gossip_matrix(build_complete_graph(2), c=0.5)
-    T = spectral_data(gm)
+    R = spectral_data(gm)
     fp = fixed_point(two_agent_pull(), tol=1e-10)
     E = rng.standard_normal((2, 1))
     E /= np.linalg.norm(E)
-    assert merit_sc(fp.X_star + E, fp.Y_star, 0.3, fp, T) == pytest.approx(1.0, rel=1e-12)
+    assert merit_sc(fp.X_star + E, fp.Y_star, 0.3, fp, R) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_merit_sc_hand_dual_term():
     # complete graph m=2, c=1/2: the disagreement direction has M-eigenvalue 1;
     # dual offset [1, -1] with theta 2 contributes 4 * 2 = 8
     gm = gossip_matrix(build_complete_graph(2), c=0.5)
-    T = spectral_data(gm)
+    R = spectral_data(gm)
     fp = FixedPoint(
         x_star=np.zeros(1), X_star=np.zeros((2, 1)), Y_star=np.zeros((2, 1)), F_star=0.0
     )
     Y = np.array([[1.0], [-1.0]])
-    assert merit_sc(fp.X_star, Y, 2.0, fp, T) == pytest.approx(8.0, abs=1e-12)
+    assert merit_sc(fp.X_star, Y, 2.0, fp, R) == pytest.approx(8.0, abs=1e-12)
 
 
 def test_merit_sc_positive_under_perturbations(rng):
     g = build_erdos_renyi(5, 0.6, seed=5)
     gm = gossip_matrix(g, c=0.5)
-    T = spectral_data(gm)
+    R = spectral_data(gm)
     fam = generate_quadratic(m=5, h=6, n=3, ridge=0.0, seed=31)
     fp = fixed_point(fam, tol=1e-8)
     IW = np.eye(5) - dense(gm.W_op)
     for _ in range(20):
         dX = rng.standard_normal((5, 3)) * 1e-3
-        assert merit_sc(fp.X_star + dX, fp.Y_star, 0.5, fp, T) >= 1e-16
+        assert merit_sc(fp.X_star + dX, fp.Y_star, 0.5, fp, R) >= 1e-16
         dY = IW @ rng.standard_normal((5, 3))  # perturbation in range(I - W)
-        assert merit_sc(fp.X_star, fp.Y_star + dY, 0.5, fp, T) >= 1e-16
+        assert merit_sc(fp.X_star, fp.Y_star + dY, 0.5, fp, R) >= 1e-16
 
 
 @settings(max_examples=60, deadline=None)
@@ -139,51 +151,74 @@ def test_merit_sc_matches_dense_reference(g, c, theta, seed, alternating):
 
 
 @pytest.mark.parametrize(
-    "m,d,rows,added", [(7, 3, 1, 3), (12, 2, 8, 5), (40, 1, 16, 16), (300, 20, 8, 19), (260, 7, 16, 40)]
+    "m,d,stride,rows", [(7, 3, 1, 3), (12, 2, 8, 5), (40, 1, 16, 16), (300, 20, 8, 19), (260, 7, 16, 40)]
 )
-def test_merit_block_gives_each_row_its_merit_sc(monkeypatch, m, d, rows, added):
-    # a block multiplies its rows by T once full and the rest on column(), which hands back
-    # every row's V in the order added; each is the one-row merit of its iterate
+def test_preimage_merit_is_merit_sc_along_a_run(m, d, stride, rows):
+    # V from the duals' carried preimage, at every stride-th iterate of a run, is the merit
+    # of that iterate whose preimage merit_sc solves for exactly. Each rounds a product with
+    # I - W, whose smallest nonzero eigenvalue lambda_2 is 1.5e-5 on the 300-agent line: a
+    # rounding of relative eps there moves dY^T pinv(I - W) dY by up to about eps / lambda_2.
     gm = gossip_matrix(build_line_graph(m), c=0.4)
-    T = spectral_data(gm)
-    rng = np.random.default_rng(m)
-    fp = FixedPoint(
-        x_star=np.zeros(d), X_star=rng.standard_normal((m, d)), Y_star=rng.standard_normal((m, d)), F_star=0.0
-    )
-    iterates = [
-        (fp.X_star + rng.standard_normal((m, d)), fp.Y_star + rng.standard_normal((m, d)), i / 8)
-        for i in range(added)
-    ]
-    expected = [merit_sc(X, Y, theta, fp, T) for X, Y, theta in iterates]
-    products, dtrmm = [], metrics.dtrmm
-    monkeypatch.setattr(metrics, "dtrmm", lambda *args, **kw: products.append(None) or dtrmm(*args, **kw))
-    block = MeritBlock(fp, T, rows)
-    for i, (X, Y, theta) in enumerate(iterates):
-        dX = X - fp.X_star
-        assert block.add(float(np.vdot(dX, dX)), Y, theta) is None
-        assert len(products) == (i + 1) // rows
-    values = block.column()
-    blocks = -(-added // rows)  # the full ones and a partial last one
-    assert len(products) == blocks
-    assert block.column() == values and len(products) == blocks
-    assert values == pytest.approx(expected, rel=1e-12, abs=0.0)
+    fam = generate_quadratic(m=m, h=3, n=d, ridge=0.1, seed=m)
+    fp = fixed_point(fam)
+    R = spectral_data(gm)
+    lambda_2 = np.linalg.eigvalsh(np.eye(m) - dense(gm.W_op))[1]
+    rel = max(1e-12, 2 * np.finfo(float).eps / lambda_2)
+    merit = PreimageMerit(fp, R, gm.W_op)
+    algo = AdaptiveAlgorithm(gm, fam, np.zeros((m, d)))
+    for _ in range(rows):
+        for _ in range(stride):
+            algo.step()
+        theta = algo.stats()["theta_min"]
+        V = merit(inner(algo.X - fp.X_star), algo.Y, algo.Z, theta)
+        assert V == pytest.approx(merit_sc(algo.X, algo.Y, theta, fp, R), rel=rel, abs=0.0)
 
 
-@pytest.mark.parametrize("m, d", [(600, 20), (20, 100)])
-def test_merit_block_v_equals_the_strided_slot_reference(m, d, rng):
-    # dY formed contiguous and copied into the slot gives the bytes of dY formed in the slot
-    rows = harness._merit_block_rows(m, d)
-    assert rows == (16 if m == 600 else 1)
-    fp = FixedPoint(np.zeros(d), np.zeros((m, d)), rng.standard_normal((m, d)), 0.0)
-    T = np.asfortranarray(np.triu(rng.standard_normal((m, m))))
-    block, reference = MeritBlock(fp, T, rows), StridedSlotMeritBlock(fp, T, rows)
-    for _ in range(2 * rows + 3):  # full blocks and a partial last one
-        Y = 1.0 + rng.standard_normal((m, d))
-        dX_sq, theta = float(rng.uniform(0.0, 5.0)), float(rng.uniform(0.1, 2.0))
-        block.add(dX_sq, Y, theta)
-        reference.add(dX_sq, Y, theta)
-    V, V_ref = np.array(block.column()), np.array(reference.column())
-    assert V.size == 2 * rows + 3 and V.tobytes() == V_ref.tobytes()
+def exact_merit(X, Y, theta, fp, gm) -> Fraction:
+    """V of one iterate in rational arithmetic, from the float entries of W_tilde, c, X, Y, X* and Y*.
+
+    ||X - X*||^2 + theta^2 max(dY^T pinv(I - W) dY - ||dY||^2, 0), dY = Y - Y* off the all-ones
+    direction, with pinv(I - W) dY solved from ((I - W) + c 11^T/m) D = dY by Gauss-Jordan.
+    """
+    m, d = X.shape
+    c, W_tilde = Fraction(gm.c), dense(metropolis_weights(gm.graph))
+    A = [[c * ((i == j) - Fraction(W_tilde[i, j])) + c / m for j in range(m)] for i in range(m)]
+    dY = [[Fraction(Y[i, j]) - Fraction(fp.Y_star[i, j]) for j in range(d)] for i in range(m)]
+    means = [sum(row[j] for row in dY) / m for j in range(d)]
+    dY = [[row[j] - means[j] for j in range(d)] for row in dY]
+    D = [list(a) + list(b) for a, b in zip(A, dY)]  # [A | dY], reduced to [I | A^-1 dY]
+    for col in range(m):
+        pivot = next(r for r in range(col, m) if D[r][col] != 0)
+        D[col], D[pivot] = D[pivot], D[col]
+        D[col] = [v / D[col][col] for v in D[col]]
+        for r in range(m):
+            if r != col and D[r][col] != 0:
+                D[r] = [v - D[r][col] * p for v, p in zip(D[r], D[col])]
+    Q = sum(D[i][m + j] * dY[i][j] for i in range(m) for j in range(d))
+    dY_sq = sum(v * v for row in dY for v in row)
+    dX_sq = sum((Fraction(X[i, j]) - Fraction(fp.X_star[i, j])) ** 2 for i in range(m) for j in range(d))
+    return dX_sq + Fraction(theta) ** 2 * max(Q - dY_sq, Fraction(0))
+
+
+@pytest.mark.parametrize("graph", [build_line_graph(8), build_erdos_renyi(7, 0.5, seed=3)], ids=["line8", "er7"])
+@pytest.mark.parametrize("method", ["adaptive", "nips_global", "nips_local"])
+def test_preimage_merit_matches_the_exact_rational_merit(graph, method):
+    # along a run, every tenth row's V is within 1e-12 of V in exact arithmetic
+    m = graph.m
+    gm = gossip_matrix(graph, c=0.5)
+    fam = generate_quadratic(m=m, h=4, n=3, ridge=0.0, seed=9)
+    fp = fixed_point(fam)
+    merit = PreimageMerit(fp, spectral_data(gm), gm.W_op)
+    algo = AdaptiveAlgorithm(gm, fam, np.zeros((m, 3)), method=method)
+    V = []
+    for k in range(301):
+        if k % 10 == 0:
+            theta = algo.stats()["theta_min"]
+            V.append(merit(inner(algo.X - fp.X_star), algo.Y, algo.Z, theta))
+            exact = exact_merit(algo.X, algo.Y, theta, fp, gm)
+            assert abs(Fraction(V[-1]) - exact) <= Fraction(1, 10**12) * exact, k
+        algo.step()
+    assert V[-1] <= 1e-6 * V[0]  # the rows reach well into the run's convergence
 
 
 def direct_merit_cvx(X, fp, family, gm, delta):
@@ -418,3 +453,4 @@ def test_squared_norm_sums_chunks_of_one_ddot_left_to_right(shape, rng):
     assert inner(A.T, B.T) == inner(np.ascontiguousarray(A.T), np.ascontiguousarray(B.T))
     with pytest.raises(ValueError):
         inner(A, B[..., None])
+

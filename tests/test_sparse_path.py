@@ -11,7 +11,7 @@ from gossipopt import AdaptiveAlgorithm, fixed_point, generate_quadratic, gossip
 from gossipopt.algorithms import AdaptiveAlgorithm, NeighborExchange, adaptive_step
 from gossipopt.graphs import build_cycle_graph, build_erdos_renyi, build_line_graph, spectral_data
 from gossipopt.losses import QuadraticFamily
-from gossipopt.metrics import FixedPoint, merit_cvx, merit_sc
+from gossipopt.metrics import FixedPoint, PreimageMerit, merit_cvx, merit_sc
 from conftest import dense, metropolis_reference, written_out_step
 
 DENSE = {
@@ -143,8 +143,9 @@ def test_sparse_run_path_never_builds_the_dense_matrices():
     fp = fixed_point(fam)
     algo = AdaptiveAlgorithm(gm, fam, np.zeros((200, 4)))
     algo.step()
-    T = spectral_data(gm)
-    merit_sc(algo.X, algo.Y, algo.stats()["theta_min"], fp, T)
+    R = spectral_data(gm)
+    merit_sc(algo.X, algo.Y, algo.stats()["theta_min"], fp, R)
+    PreimageMerit(fp, R, gm.W_op)(0.0, algo.Y, algo.Z, algo.stats()["theta_min"])
     merit_cvx(algo.X, algo.image, algo.WX, fp, fam, delta=1.0)
     assert isinstance(gm.W_op, csr_array)
     assert "edges" not in vars(gm.graph)

@@ -18,22 +18,19 @@ run, and the tree that goes first alternates from one run to the next, as
 alike. Per tree and m the output records the medians over its processes of
 
 - ``setup_s``: from ``run()``'s entry to its first iteration (every run);
-- ``spectral_s``: the time of ``spectral_data``, the m x m factor of the merit V;
+- ``spectral_s``: the time of ``spectral_data``, the Cholesky factor the
+  merit V solves with once per run, the run's one m x m array;
 - ``us_per_iter``: the written run's solve time (first iteration to return)
   per iteration;
 - ``step_us``: the thinned run's solve time per iteration: the step, plus the
-  merits of two rows (where V is blocked, one whole block's product);
+  merits of two rows;
 - ``merit_ms_per_row``: the written run's solve time minus the thinned run's,
   over the difference in their row counts, per pair: both merits of one row;
 - ``peak_rss_mb``: the process's peak resident set.
 
-V is evaluated a block of rows at a time, and a run's last block is multiplied
-whole however few rows it holds. The default 33 iterations give the written
-run 34 rows, two more than a multiple of 16 as well as of 8, the two block
-sizes of the default agent counts (m=200 gets 8-row blocks, 800 and 3200
-16-row ones): both runs then end on a block of two rows, so the difference is
-whole blocks. A run that
-stops before the last iteration is an error.
+Each row's merits are computed when the row is written, so any iteration count
+separates the two runs by whole rows. A run that stops before the last
+iteration is an error.
 """
 
 from __future__ import annotations
@@ -82,9 +79,9 @@ def measure(m: int, iterations: int) -> dict:
 
     def timed_spectral_data(gm):
         start = perf_counter()
-        T = spectral_data(gm)
+        R = spectral_data(gm)
         spectral.append(perf_counter() - start)
-        return T
+        return R
 
     harness.AdaptiveAlgorithm.stats = marked_stats
     harness.spectral_data = timed_spectral_data

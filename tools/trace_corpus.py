@@ -27,8 +27,9 @@ near the optimum the line search compares numbers closer than the rounding
 error of f, so any rounding change can move them by more than a few percent.
 
 The ``V`` column of the ``er200/*`` traces depends on the BLAS thread count
-(at m=200 the threaded Cholesky factor and its inverse, ``dpotrf`` and
-``dtrtri``, reach its printed digits), so the script pins
+(at m=200 the threaded Cholesky factor, ``dpotrf``, rounds differently at each
+thread count, and the preimage of Y* solved with it carries that into the
+printed digits), so the script pins
 ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``, ``MKL_NUM_THREADS``,
 ``BLIS_NUM_THREADS``, ``VECLIB_MAXIMUM_THREADS`` and ``NUMEXPR_NUM_THREADS``
 to 1 before numpy is first imported, as ``benchmarks/run.py`` does; two
